@@ -20,6 +20,7 @@ from convexlab import (CONSTRUCTIVE_CASES, IMPOSSIBLE_CASES, build_case,
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--case", action="append", default=None,
+                    choices=CONSTRUCTIVE_CASES,
                     help="case id, may repeat (default: all constructive)")
     ap.add_argument("--instances", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
@@ -33,7 +34,7 @@ def main(argv=None) -> int:
     for case in cases:
         radii, delta_max = [], 0
         for k in range(args.instances):
-            rng = random.Random((args.seed, case, k))
+            rng = random.Random(f"{args.seed}:{case}:{k}")
             report = verify_case(build_case(case, rng=rng))
             radii.append(report["r"])
             delta_max = max(delta_max, len(report["delta"]))

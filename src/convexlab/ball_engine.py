@@ -4,7 +4,8 @@ A group model is any object with the duck-typed surface used below:
 
     name                 str, stable identifier ("bs:q=2", "stallings")
     identity()           -> element
-    generator_names()    -> tuple of generator labels, fixed order
+    generator_names()    -> tuple of generator labels, fixed order; the
+                            generators are closed under inverses
     apply_gen(el, i)     -> element * generator i
     gen_word(i)          -> one-letter Word for generator i
     invert(el)           -> element inverse
@@ -12,21 +13,42 @@ A group model is any object with the duck-typed surface used below:
     key(el)              -> ascii bytes, injective on elements
     element_from_key(k)  -> element
 
-Balls are built breadth-first, sphere by sphere, expanding each sphere in
-sorted key order so that parent links and rosters are byte-stable across
-runs.  Distances can be dumped to and reloaded from an NDJSON cache; parent
-links are not cached, so word extraction needs a freshly built ball.
+Balls are built breadth-first, sphere by sphere.  Every element gets a
+dense integer id: ids run through the spheres in order and, inside a
+sphere, in sorted key order, so sphere r is the id range
+starts[r]:starts[r+1] and ids, parent links and rosters are byte-stable
+across runs.  A loaded cache yields the same ids as the build it came from.
+
+BFS records the neighbour table as it goes: a flat array('i') with ngens
+entries per id, where entry id * ngens + i is the id of element * generator
+i, or -1 when that neighbour lies outside the ball.  BFS never needs the
+rows of the outermost sphere, so each is computed on its first use (row(),
+or neighbours() for the whole table), as are the rows of a ball loaded from
+cache; a ball that is only built and saved does no extra work.  The scan, bridge_length
+and the impossibility searchers all read this one table.  Byte keys are
+used only at the I/O edge: the cache, witness strings and scan rows.
+
+The NDJSON cache ("ball-v2") holds one header line with the group, radius,
+element count and sphere sizes, then one line per element in sphere order.
+It is written to a temporary file and renamed into place, and a file that
+disagrees with its header is refused with CacheError.  Parent links are not
+cached, so word extraction needs a freshly built ball.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
-from typing import Iterable, Optional
+import os
+from array import array
+from bisect import bisect_right
+from collections.abc import Mapping
+from typing import Iterable, Iterator, Optional
 
 DEFAULT_CAP = 50_000_000
 
-CACHE_FORMAT = "ball-v1"
+CACHE_FORMAT = "ball-v2"
+
+_UNKNOWN = -2  # table entry of a row not computed yet
 
 
 class BallCapError(RuntimeError):
@@ -34,134 +56,251 @@ class BallCapError(RuntimeError):
 
 
 class CacheError(RuntimeError):
-    """Cache file missing, malformed, or for a different group/radius."""
+    """Cache file missing, malformed, truncated, or for a different
+    group/radius."""
+
+
+class _Distances(Mapping):
+    """Read-only key -> distance view of a ball."""
+
+    def __init__(self, ball: "BallIndex"):
+        self._ball = ball
+
+    def __getitem__(self, key: bytes) -> int:
+        return self._ball.depth(self._ball.ids[key])
+
+    def __contains__(self, key) -> bool:
+        return key in self._ball.ids
+
+    def __iter__(self) -> Iterator[bytes]:
+        return iter(self._ball.keys)
+
+    def __len__(self) -> int:
+        return len(self._ball.keys)
 
 
 class BallIndex:
-    """Distances, sphere rosters, and parent links of a ball B(radius)."""
+    """A ball B(radius) under dense integer ids: keys, elements, sphere
+    ranges, parent links and the neighbour table."""
 
     def __init__(self, model, radius: int):
         self.model = model
         self.radius = radius
-        self.dist: dict[bytes, int] = {}
-        self.elements: dict[bytes, object] = {}
-        self.spheres: list[list[bytes]] = []
-        self.parents: dict[bytes, tuple[bytes, int]] = {}
+        self.ngens = len(model.generator_names())
+        self.ids: dict[bytes, int] = {}
+        self.keys: list[bytes] = []
+        # None marks an element not yet rebuilt from its key (loaded balls)
+        self.elements: list = []
+        # sphere r is the id range starts[r]:starts[r + 1]
+        self.starts: list[int] = [0]
+        # parent id and generator per id; empty for a loaded ball
+        self.parent = array("i")
+        self.parent_gen = array("b")
+        # neighbour rows; rows of ids from _lazy_from on may be missing or
+        # _UNKNOWN until their first use
+        self._table = array("i")
+        self._lazy_from = 0
 
     def __len__(self) -> int:
-        return len(self.dist)
+        return len(self.keys)
 
     def __contains__(self, key: bytes) -> bool:
-        return key in self.dist
+        return key in self.ids
+
+    @property
+    def dist(self) -> Mapping:
+        """Key -> distance mapping over the whole ball."""
+        return _Distances(self)
+
+    def depth(self, i: int) -> int:
+        """Distance from the identity of the element with id i."""
+        return bisect_right(self.starts, i) - 1
 
     def distance(self, key: bytes) -> Optional[int]:
-        return self.dist.get(key)
+        i = self.ids.get(key)
+        return None if i is None else self.depth(i)
+
+    def sphere_ids(self, r: int) -> range:
+        if r >= len(self.starts) - 1:
+            return range(0)
+        return range(self.starts[r], self.starts[r + 1])
 
     def sphere(self, r: int) -> list[bytes]:
-        return self.spheres[r] if r < len(self.spheres) else []
+        ids = self.sphere_ids(r)
+        return self.keys[ids.start:ids.stop]
+
+    @property
+    def spheres(self) -> list[list[bytes]]:
+        return [self.sphere(r) for r in range(len(self.starts) - 1)]
 
     def sphere_sizes(self) -> list[int]:
-        return [len(s) for s in self.spheres]
+        return [b - a for a, b in zip(self.starts, self.starts[1:])]
+
+    def element_at(self, i: int):
+        el = self.elements[i]
+        if el is None:
+            el = self.elements[i] = self.model.element_from_key(self.keys[i])
+        return el
 
     def element(self, key: bytes):
-        el = self.elements.get(key)
-        if el is None:
-            el = self.model.element_from_key(key)
-            self.elements[key] = el
-        return el
+        return self.element_at(self.ids[key])
+
+    def row(self, x: int) -> array:
+        """Neighbour ids of element x, -1 outside the ball; a row BFS left
+        out is computed here on first use."""
+        table, ngens = self._table, self.ngens
+        if len(table) < len(self.keys) * ngens:
+            table.extend(array("i", [_UNKNOWN]) * (len(self.keys) * ngens - len(table)))
+        base = x * ngens
+        row = table[base:base + ngens]
+        if _UNKNOWN in row:
+            el, model = self.element_at(x), self.model
+            row = array("i", [self.ids.get(model.key(model.apply_gen(el, i)), -1)
+                              for i in range(ngens)])
+            table[base:base + ngens] = row
+        return row
+
+    def neighbours(self) -> array:
+        """The whole neighbour table (see the module docstring), with every
+        row computed."""
+        for x in range(self._lazy_from, len(self.keys)):
+            self.row(x)
+        self._lazy_from = len(self.keys)
+        return self._table
 
     def geodesic_word(self, key: bytes) -> list[str]:
         """Generator labels of one geodesic from the identity, following
         the BFS parent links."""
-        if not self.parents and self.dist.get(key, 0) > 0:
+        i = self.ids[key]
+        if not self.parent and i > 0:
             raise CacheError("ball was loaded from cache and has no parent links")
         names = self.model.generator_names()
         out: list[str] = []
-        while self.dist[key] > 0:
-            key, gen_idx = self.parents[key]
-            out.append(names[gen_idx])
+        while i > 0:
+            out.append(names[self.parent_gen[i]])
+            i = self.parent[i]
         out.reverse()
         return out
 
 
+def _renumber_sphere(ball: BallIndex, lo: int, hi: int) -> None:
+    """Give the sphere just discovered (ids hi and up, in discovery order)
+    ids in sorted key order, and remap the table rows of the sphere before
+    it (ids lo:hi), the only rows that point into it."""
+    keys, n = ball.keys, len(ball.keys)
+    order = sorted(range(hi, n), key=keys.__getitem__)  # old id per new id
+    renum = [0] * (n - hi)  # new id per old id, offset by hi
+    for new, old in enumerate(order, hi):
+        renum[old - hi] = new
+    keys[hi:] = [keys[o] for o in order]
+    ball.ids.update(zip(keys[hi:], range(hi, n)))
+    ball.elements[hi:] = [ball.elements[o] for o in order]
+    ball.parent[hi:] = array("i", [ball.parent[o] for o in order])
+    ball.parent_gen[hi:] = array("b", [ball.parent_gen[o] for o in order])
+    table, start = ball._table, lo * ball.ngens
+    table[start:] = array("i", [j if j < hi else renum[j - hi] for j in table[start:]])
+
+
 def build_ball(model, radius: int, cap: int = DEFAULT_CAP) -> BallIndex:
-    """BFS the ball of the given radius around the identity."""
+    """BFS the ball of the given radius around the identity, recording the
+    neighbour rows of every sphere it expands."""
     ball = BallIndex(model, radius)
+    apply_gen, key, ngens = model.apply_gen, model.key, ball.ngens
+    ids, keys, elements = ball.ids, ball.keys, ball.elements
+    parent, parent_gen, table = ball.parent, ball.parent_gen, ball._table
     ident = model.identity()
-    k0 = model.key(ident)
-    ball.dist[k0] = 0
-    ball.elements[k0] = ident
-    ball.spheres.append([k0])
-    ngens = len(model.generator_names())
+    ids[key(ident)] = 0
+    keys.append(key(ident))
+    elements.append(ident)
+    parent.append(-1)
+    parent_gen.append(-1)
+    ball.starts.append(1)
     for d in range(radius):
-        nxt: list[bytes] = []
-        for key in ball.spheres[d]:
-            el = ball.elements[key]
+        lo, hi = ball.starts[d], ball.starts[d + 1]
+        for x in range(lo, hi):
+            el = elements[x]
             for i in range(ngens):
-                nb = model.apply_gen(el, i)
-                nk = model.key(nb)
-                if nk in ball.dist:
-                    continue
-                ball.dist[nk] = d + 1
-                ball.elements[nk] = nb
-                ball.parents[nk] = (key, i)
-                nxt.append(nk)
-                if len(ball.dist) > cap:
-                    raise BallCapError(
-                        f"ball of {model.name} exceeded cap {cap} at radius {d + 1}")
-        nxt.sort()
-        ball.spheres.append(nxt)
+                nb = apply_gen(el, i)
+                nk = key(nb)
+                j = ids.get(nk)
+                if j is None:
+                    j = len(keys)
+                    if j >= cap:
+                        raise BallCapError(
+                            f"ball of {model.name} exceeded cap {cap} at radius {d + 1}")
+                    ids[nk] = j
+                    keys.append(nk)
+                    elements.append(nb)
+                    parent.append(x)
+                    parent_gen.append(i)
+                table.append(j)
+        _renumber_sphere(ball, lo, hi)
+        ball.starts.append(len(keys))
+    ball._lazy_from = ball.starts[radius]
     return ball
 
 
 def distance(ball: BallIndex, el) -> Optional[int]:
     """Distance of an element from the identity, None outside the ball."""
-    return ball.dist.get(ball.model.key(el))
+    return ball.distance(ball.model.key(el))
 
 
 def bridge_length(ball: BallIndex, src, dst, forbid_identity: bool = False) -> Optional[int]:
     """Shortest path length from src to dst staying inside the ball
     (optionally avoiding the identity as an interior vertex), or None."""
-    model = ball.model
-    ks, kd = model.key(src), model.key(dst)
-    if ks not in ball.dist or kd not in ball.dist:
+    s = ball.ids.get(ball.model.key(src))
+    t = ball.ids.get(ball.model.key(dst))
+    if s is None or t is None:
         raise ValueError("bridge endpoints must lie inside the ball")
-    if ks == kd:
+    if s == t:
         return 0
-    ident_key = model.key(model.identity())
-    ngens = len(model.generator_names())
-    seen = {ks}
-    queue = deque([(src, 0)])
-    while queue:
-        el, d = queue.popleft()
-        for i in range(ngens):
-            nb = model.apply_gen(el, i)
-            nk = model.key(nb)
-            if nk == kd:
-                return d + 1
-            if nk in seen or nk not in ball.dist:
-                continue
-            if forbid_identity and nk == ident_key:
-                continue
-            seen.add(nk)
-            queue.append((nb, d + 1))
+    row = ball.row
+    seen = bytearray(len(ball))
+    seen[s] = 1
+    if forbid_identity:
+        seen[0] = 1  # the identity is id 0
+    frontier = [s]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for w in row(v):
+                if w == t:
+                    return d
+                if w < 0 or seen[w]:
+                    continue
+                seen[w] = 1
+                nxt.append(w)
+        frontier = nxt
     return None
 
 
 def save_ball(ball: BallIndex, path: str) -> None:
     """Dump distances as NDJSON: one header line, then one line per element
-    in BFS sphere order."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps({"fmt": CACHE_FORMAT, "group": ball.model.name,
-                             "r": ball.radius}) + "\n")
-        for sphere in ball.spheres:
-            for key in sphere:
-                fh.write(json.dumps({"k": key.decode("ascii"),
-                                     "d": ball.dist[key]}) + "\n")
+    in BFS sphere order.  The file appears under its name only once it is
+    complete."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(json.dumps({"fmt": CACHE_FORMAT, "group": ball.model.name,
+                                 "r": ball.radius, "n": len(ball),
+                                 "spheres": ball.sphere_sizes()}) + "\n")
+            for r in range(len(ball.starts) - 1):
+                for key in ball.sphere(r):
+                    fh.write(json.dumps({"k": key.decode("ascii"), "d": r}) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def load_ball(path: str, model) -> BallIndex:
-    """Rebuild a distance-only BallIndex from an NDJSON cache."""
+    """Rebuild a distance-only BallIndex from an NDJSON cache.  Raises
+    CacheError unless the rows match the header's sphere sizes exactly."""
     try:
         fh = open(path, "r", encoding="ascii")
     except OSError as exc:
@@ -169,33 +308,49 @@ def load_ball(path: str, model) -> BallIndex:
     with fh:
         try:
             header = json.loads(fh.readline())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CacheError(f"bad ball cache header in {path}") from exc
-        if header.get("fmt") != CACHE_FORMAT:
-            raise CacheError(f"unknown cache format {header.get('fmt')!r}")
+        if not isinstance(header, dict) or header.get("fmt") != CACHE_FORMAT:
+            fmt = header.get("fmt") if isinstance(header, dict) else None
+            raise CacheError(f"unknown cache format {fmt!r}")
         if header.get("group") != model.name:
             raise CacheError(
                 f"cache is for group {header.get('group')!r}, not {model.name!r}")
         radius = header.get("r")
         if not isinstance(radius, int) or radius < 0:
             raise CacheError("cache header has no usable radius")
-        ball = BallIndex(model, radius)
-        ball.spheres = [[] for _ in range(radius + 1)]
-        for line in fh:
-            if not line.strip():
-                continue
-            try:
+        sizes = header.get("spheres")
+        if (not isinstance(sizes, list) or len(sizes) != radius + 1
+                or not all(isinstance(s, int) and s >= 0 for s in sizes)
+                or sum(sizes) != header.get("n")):
+            raise CacheError("cache header has no usable element count and sphere sizes")
+        by_sphere: list[list[bytes]] = [[] for _ in range(radius + 1)]
+        try:
+            for line in fh:
+                if not line.strip():
+                    continue
                 row = json.loads(line)
                 key = row["k"].encode("ascii")
                 d = row["d"]
-            except (json.JSONDecodeError, KeyError, AttributeError) as exc:
-                raise CacheError(f"bad ball cache row in {path}") from exc
-            if not 0 <= d <= radius:
-                raise CacheError(f"cache row distance {d} outside radius {radius}")
-            ball.dist[key] = d
-            ball.spheres[d].append(key)
-    for sphere in ball.spheres:
+                if not isinstance(d, int) or not 0 <= d <= radius:
+                    raise CacheError(f"cache row distance {d!r} outside radius {radius}")
+                by_sphere[d].append(key)
+        except (json.JSONDecodeError, UnicodeError, KeyError, TypeError,
+                AttributeError) as exc:
+            raise CacheError(f"bad ball cache row in {path}") from exc
+    found = [len(s) for s in by_sphere]
+    if found != sizes:
+        raise CacheError(
+            f"ball cache {path} holds sphere sizes {found}, its header says {sizes}")
+    ball = BallIndex(model, radius)
+    for sphere in by_sphere:
         sphere.sort()
+        ball.keys.extend(sphere)
+        ball.starts.append(len(ball.keys))
+    ball.ids = {k: i for i, k in enumerate(ball.keys)}
+    if len(ball.ids) != len(ball.keys):
+        raise CacheError(f"ball cache {path} repeats a key")
+    ball.elements = [None] * len(ball.keys)
     return ball
 
 

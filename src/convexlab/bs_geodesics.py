@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .bs_arith import BsElement, BsParams, bs_eval
+from .errors import InvariantError
 from .words import Word, WordClass, classify, gen_power
 
 _INF = float("inf")
@@ -155,7 +156,8 @@ def geodesic_length(g: Union[BsElement, Word], params: BsParams) -> int:
         total = c + _core_cost(m, params)
         if total < best:
             best = total
-    assert best != _INF
+    if best == _INF:
+        raise InvariantError(f"digit walk found no path to {el}")
     return walk + int(best)
 
 
@@ -350,7 +352,8 @@ def _solve(el: BsElement, params: BsParams) -> GeodesicNormalForm:
             raise AssertionError("below-stage reconstruction lost the optimum")
     core = _reconstruct_core(m, params)
     nf = GeodesicNormalForm(params, el, bottom, tuple(digits), core)
-    assert nf.length == el.texp - 2 * bottom + back[0][m0]
+    if nf.length != el.texp - 2 * bottom + back[0][m0]:
+        raise InvariantError("normal form length differs from the digit cost")
     return nf
 
 
@@ -395,7 +398,8 @@ def _reconstruct_core(m: int, params: BsParams) -> Union[int, XBlock]:
                 break
         else:
             raise AssertionError("climb digit reconstruction lost the optimum")
-    assert cur == top
+    if cur != top:
+        raise InvariantError(f"climb digits end at {cur}, not the top digit {top}")
     return XBlock(h_star, top, tuple(ks))
 
 

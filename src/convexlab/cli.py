@@ -122,7 +122,10 @@ def cmd_ball(cfg: CliConfig) -> int:
     path = _cache_path(cfg, cfg.radius)
     ball = None
     if path.exists() and not cfg.params.get("rebuild"):
-        ball = load_ball(str(path), model)
+        try:
+            ball = load_ball(str(path), model)
+        except CacheError as exc:
+            print(f"note: rebuilding the ball: {exc}", file=sys.stderr)
     if ball is None:
         ball = build_ball(model, cfg.radius, cap=cfg.cap)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -5,8 +5,8 @@ S(r) at group distance <= 2 (reached by a product of at most two
 generators) and measures the shortest connecting path that stays inside
 B(r).  fmax(r) is the worst such detour; the group is minimally almost
 convex at r when fmax <= 2r - 1 and M'-convex when fmax <= 2r - 2.  A path
-through the identity always exists, so fmax <= 2r is asserted as a hard
-sanity bound.
+through the identity always exists, so fmax <= 2r is checked as a hard
+sanity bound (InvariantError).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import statistics
 from dataclasses import dataclass
 
 from .ball_engine import DEFAULT_CAP, BallIndex, build_ball
+from .errors import InvariantError
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,31 @@ class ScanReport:
         raise KeyError(r)
 
 
+def _shared_outside(ball: BallIndex, table, lo: int, hi: int) -> dict[int, list[int]]:
+    """For each x of the sphere lo:hi, the later members of the sphere that
+    share a neighbour outside the ball with x.  Such middles exist only on
+    the outermost sphere.  Generators are closed under inverses, so y is
+    the middle m times a generator exactly when m is a neighbour of y."""
+    model, ngens = ball.model, ball.ngens
+    groups: dict[bytes, list[int]] = {}
+    for x in range(lo, hi):
+        row = table[x * ngens:(x + 1) * ngens]
+        if -1 in row:
+            el = ball.element_at(x)
+            for i, m in enumerate(row):
+                if m < 0:
+                    groups.setdefault(model.key(model.apply_gen(el, i)), []).append(x)
+    later: dict[int, list[int]] = {}
+    for group in groups.values():
+        for idx, x in enumerate(group):
+            later.setdefault(x, []).extend(group[idx + 1:])
+    return later
+
+
 def scan(model, r_min: int, r_max: int, cap: int = DEFAULT_CAP,
          ball: BallIndex | None = None) -> ScanReport:
-    """Scan radii r_min..r_max in one ball build."""
+    """Scan radii r_min..r_max in one ball build, on the ball's neighbour
+    table."""
     if r_min < 1 or r_max < r_min:
         raise ValueError("need 1 <= r_min <= r_max")
     if ball is None:
@@ -72,77 +95,58 @@ def scan(model, r_min: int, r_max: int, cap: int = DEFAULT_CAP,
     if ball.radius < r_max:
         raise ValueError("prebuilt ball is smaller than r_max")
 
-    keys = [k for sphere in ball.spheres for k in sphere]
-    idx = {k: i for i, k in enumerate(keys)}
-    dist = [ball.dist[k] for k in keys]
-    ngens = len(model.generator_names())
-    adj: list[list[int]] = []
-    for k in keys:
-        el = ball.element(k)
-        row = []
-        for i in range(ngens):
-            j = idx.get(model.key(model.apply_gen(el, i)))
-            if j is not None:
-                row.append(j)
-        adj.append(row)
-
-    products = [(i,) for i in range(ngens)]
-    products += [(i, j) for i in range(ngens) for j in range(ngens)]
-
-    visited = [0] * len(keys)
+    table, ngens = ball.neighbours(), ball.ngens
+    visited = [0] * len(ball)
     stamp = 0
     rows = []
     for r in range(r_min, r_max + 1):
-        roster = ball.spheres[r] if r < len(ball.spheres) else []
+        # B(r) is the id range 0:hi and S(r) is lo:hi, in key order, so
+        # "y after x on S(r)" is x < y < hi.
+        lo, hi = ball.starts[r], ball.starts[r + 1]
+        shared = _shared_outside(ball, table, lo, hi)
         fmax = 0
         npairs = 0
-        witness: tuple[bytes, bytes] | None = None
-        for xk in roster:
-            x = idx[xk]
-            el = ball.element(xk)
-            targets: dict[int, bytes] = {}
-            for prod in products:
-                y = el
-                for i in prod:
-                    y = model.apply_gen(y, i)
-                yk = model.key(y)
-                if yk <= xk:
+        witness: tuple[int, int] | None = None
+        for x in range(lo, hi):
+            targets = set(shared.get(x, ()))
+            for m in table[x * ngens:(x + 1) * ngens]:
+                if m < 0:
                     continue
-                j = idx.get(yk)
-                if j is not None and dist[j] == r:
-                    targets[j] = yk
+                if x < m < hi:
+                    targets.add(m)
+                for y in table[m * ngens:(m + 1) * ngens]:
+                    if x < y < hi:
+                        targets.add(y)
             if not targets:
                 continue
             npairs += len(targets)
             stamp += 1
             visited[x] = stamp
             frontier = [x]
-            todo = set(targets)
             depth = 0
-            while todo:
+            while targets:
                 depth += 1
-                assert depth <= 2 * r, "in-ball detour exceeded 2r"
+                if depth > 2 * r:
+                    raise InvariantError(f"in-ball detour exceeded 2r = {2 * r}")
                 nxt = []
                 for v in frontier:
-                    for w in adj[v]:
-                        if visited[w] == stamp or dist[w] > r:
-                            continue
-                        visited[w] = stamp
-                        nxt.append(w)
-                        if w in todo:
-                            todo.discard(w)
-                            pair = (xk, targets[w])
-                            if depth > fmax or (depth == fmax and
-                                                witness is not None and pair < witness):
-                                fmax = depth
-                                witness = pair
-                if not nxt and todo:
-                    raise AssertionError("sphere pair disconnected inside the ball")
+                    for w in table[v * ngens:(v + 1) * ngens]:
+                        if 0 <= w < hi and visited[w] != stamp:
+                            visited[w] = stamp
+                            nxt.append(w)
+                            if w in targets:
+                                targets.discard(w)
+                                if depth > fmax or (depth == fmax and (x, w) < witness):
+                                    fmax = depth
+                                    witness = (x, w)
+                if not nxt and targets:
+                    raise InvariantError(
+                        f"sphere pair disconnected inside B({r})")
                 frontier = nxt
         rows.append(ScanRow(
             r, fmax, npairs,
-            witness[0].decode("ascii") if witness else "",
-            witness[1].decode("ascii") if witness else ""))
+            ball.keys[witness[0]].decode("ascii") if witness else "",
+            ball.keys[witness[1]].decode("ascii") if witness else ""))
     return ScanReport(model.name, r_min, r_max, tuple(rows))
 
 

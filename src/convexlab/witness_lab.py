@@ -26,6 +26,7 @@ from typing import Optional, Union
 from .ball_engine import DEFAULT_CAP, BallIndex, bridge_length, build_ball
 from .bs_arith import BsElement, BsGroupModel, BsParams, bs_eval, bs_inv, bs_key, bs_mul
 from .bs_geodesics import XBlock, element_class, geodesic_length, is_geodesic, normalize
+from .errors import InvariantError
 from .words import Word, WordClass, classify, gen_power, parse_word, sigma_t
 
 BS2 = BsParams(2)
@@ -130,11 +131,12 @@ def _ascent_with(digits: list) -> Word:
 
 def random_filler(rng: random.Random, sigma: int, params: BsParams = BS2) -> Word:
     """Random geodesic ascent word with sigma_t = sigma (class P, or E when
-    sigma = 0).  Sparse digits keep it geodesic; asserted anyway."""
+    sigma = 0).  Sparse digits keep it geodesic; checked anyway."""
     if sigma < 0:
         raise ConstructionError(f"filler needs sigma >= 0, got {sigma}")
     w = _ascent_with(_naf_digits(rng, sigma + 1))
-    assert is_geodesic(w, params)
+    if not is_geodesic(w, params):
+        raise InvariantError(f"sparse-digit filler {w} is not geodesic")
     return w
 
 
@@ -268,39 +270,66 @@ def _build_5(rng: random.Random, o: dict) -> CaseWitness:
     raise ConstructionError("case 5: sampling found no equal-length instance")
 
 
+# Same-mode combinations (i, sigma, g, gamma_kind) of case 6 that have no
+# instance: no digit string in {-1, 0, 1}^sigma with digits[0] = i yields a
+# pair.  Enumerating every string for sigma <= 7 finds exactly these; the
+# tests repeat the enumeration for sigma <= 4.  The default draw avoids them.
+_CASE6_SAME_EMPTY = frozenset({
+    (-1, 1, -1, "a2"), (-1, 1, -1, "at"), (-1, 1, 1, "a2"),
+    (1, 1, -1, "a2"), (1, 1, 1, "a2"), (1, 1, 1, "at"),
+    (1, 2, -1, "a2"),
+})
+
+
+def _case6_same_instance(digits: list, g: int, kind: str) -> Optional[CaseWitness]:
+    """The same-mode case 6 witness whose w climbs through the given digits
+    (digits[0] = i) to the core -g, or None when that w yields none."""
+    i = digits[0]
+    gamma = _ap(2 * g) if kind == "a2" else _ap(g) * _tp(1)
+    # core -g: gamma = a^(2g) flips it to +g, gamma = a^g t melts it
+    body = Word()
+    for d in digits:
+        body = body * _ap(d) * _tp(1)
+    w = body * _ap(-g)
+    if not is_geodesic(w, BS2):
+        return None
+    u_el = bs_mul(_gel(w), _gel(gamma), BS2)
+    if element_class(u_el) != 3 or geodesic_length(u_el, BS2) != len(w):
+        return None
+    u = normalize(u_el, BS2).render("PN")
+    if _leading_adigit(u) != i:
+        return None
+    wr = w.suffix(len(w) - 1 - abs(i))
+    ur = u.suffix(len(u) - 1 - abs(i))
+    delta = wr.inverse() * ur
+    params = {"mode": "same", "i": i, "j": i, "g": g, "gamma_kind": kind}
+    return CaseWitness("6", params, w, u, gamma, delta, len(w))
+
+
 def _build_6(rng: random.Random, o: dict) -> CaseWitness:
     # both words climb: w = a^i t w1 w0, u = a^j t u1 u0 with i = j or i = -j.
     mode = o.get("mode") or rng.choice(("same", "same", "opposite"))
     _require(mode in ("same", "opposite"), "case 6 mode must be same or opposite")
     if mode == "same":
-        i = int(o.get("i", rng.choice((-1, 0, 1))))
-        _require(abs(i) <= 1, "case 6 needs |i| <= 1")
-        sig = int(o.get("sigma", rng.randint(2, 10)))
-        _require(sig >= 1, "case 6 needs sigma_t(w) >= 1")
-        g = int(o.get("g", rng.choice((-1, 1))))
-        kind = o.get("gamma_kind") or rng.choice(("a2", "at"))
-        gamma = _ap(2 * g) if kind == "a2" else _ap(g) * _tp(1)
+        # redraw whatever is not pinned until the combination has instances
+        for _ in range(_TRIES):
+            i = int(o.get("i", rng.choice((-1, 0, 1))))
+            _require(abs(i) <= 1, "case 6 needs |i| <= 1")
+            sig = int(o.get("sigma", rng.randint(2, 10)))
+            _require(sig >= 1, "case 6 needs sigma_t(w) >= 1")
+            g = int(o.get("g", rng.choice((-1, 1))))
+            kind = o.get("gamma_kind") or rng.choice(("a2", "at"))
+            if (i, sig, g, kind) not in _CASE6_SAME_EMPTY:
+                break
+        else:
+            raise ConstructionError(
+                f"case 6 has no instance with i={i}, sigma={sig}, g={g}, gamma_kind={kind}")
         for _ in range(_TRIES):
             digits = _naf_digits(rng, sig)
             digits[0] = i
-            # core -g: gamma = a^(2g) flips it to +g, gamma = a^g t melts it
-            body = Word()
-            for d in digits:
-                body = body * _ap(d) * _tp(1)
-            w = body * _ap(-g)
-            if not is_geodesic(w, BS2):
-                continue
-            u_el = bs_mul(_gel(w), _gel(gamma), BS2)
-            if element_class(u_el) != 3 or geodesic_length(u_el, BS2) != len(w):
-                continue
-            u = normalize(u_el, BS2).render("PN")
-            if _leading_adigit(u) != i:
-                continue
-            wr = w.suffix(len(w) - 1 - abs(i))
-            ur = u.suffix(len(u) - 1 - abs(i))
-            delta = wr.inverse() * ur
-            params = {"mode": "same", "i": i, "j": i, "g": g, "gamma_kind": kind}
-            return CaseWitness("6", params, w, u, gamma, delta, len(w))
+            cw = _case6_same_instance(digits, g, kind)
+            if cw is not None:
+                return cw
         raise ConstructionError("case 6: sampling found no equal-length instance")
     # opposite: only sigma_t = 1 pairs exist; the block below level 1 is shared
     g = int(o.get("g", rng.choice((-1, 1))))
@@ -1027,6 +1056,13 @@ def _geodesic_word_tags(radius: int, params: BsParams, ball: BallIndex) -> dict:
     return tags
 
 
+def _ball_ids(ball: BallIndex):
+    """(id, distance) for every element of the ball but the identity."""
+    for r in range(1, ball.radius + 1):
+        for x in ball.sphere_ids(r):
+            yield x, r
+
+
 def impossibility_search(case: str, radius: int = 7, params: BsParams = BS2,
                          ball: Optional[BallIndex] = None) -> list:
     """Exhaustively hunt for a geodesic pair realizing an impossible case.
@@ -1045,10 +1081,8 @@ def impossibility_search(case: str, radius: int = 7, params: BsParams = BS2,
         target = 1 if case == "1" else 3
         gammas = [gw for gw in _gamma_words()
                   if geodesic_length(bs_eval(gw, params), params) == len(gw)]
-        for key, el in ball.elements.items():
-            r = ball.distance(key)
-            if r == 0:
-                continue
+        for x, r in _ball_ids(ball):
+            el = ball.element_at(x)
             if element_class(el) != 4:
                 continue
             for gw in gammas:
@@ -1057,12 +1091,12 @@ def impossibility_search(case: str, radius: int = 7, params: BsParams = BS2,
                     continue
                 if geodesic_length(y, params) != r:
                     continue
-                hits.append({"case": case, "x": key.decode("ascii"),
+                hits.append({"case": case, "x": ball.keys[x].decode("ascii"),
                              "gamma": str(gw), "r": r})
     elif case == "3":
         tags = _geodesic_word_tags(radius, params, ball)
-        for key, el in ball.elements.items():
-            r = ball.distance(key)
+        for x, r in _ball_ids(ball):
+            el, key = ball.element_at(x), ball.keys[x]
             if el.texp != -1 or WordClass.XN not in tags.get(key, ()):
                 continue
             y = bs_mul(el, tsq, params)
@@ -1072,10 +1106,8 @@ def impossibility_search(case: str, radius: int = 7, params: BsParams = BS2,
                 hits.append({"case": case, "w_el": key.decode("ascii"), "r": r})
     elif case == "7.1":
         gammas = (_tp(1), _ap(1) * _tp(1), _ap(-1) * _tp(1))
-        for key, el in ball.elements.items():
-            r = ball.distance(key)
-            if r == 0:
-                continue
+        for x, r in _ball_ids(ball):
+            el = ball.element_at(x)
             if element_class(el) != 2:
                 continue
             for gw in gammas:
@@ -1084,7 +1116,7 @@ def impossibility_search(case: str, radius: int = 7, params: BsParams = BS2,
                     continue
                 if geodesic_length(y, params) != r:
                     continue
-                hits.append({"case": case, "x": key.decode("ascii"),
+                hits.append({"case": case, "x": ball.keys[x].decode("ascii"),
                              "gamma": str(gw), "r": r})
     else:  # 10.3.2: w = a^k t^-p a^i t^(p-1) alongside u = w t^2 at equal length
         for p in range(2, radius):

@@ -1,5 +1,8 @@
 """Ball BFS, caching, bridging, and geodesic word extraction."""
 
+import json
+import random
+
 import pytest
 
 import reference
@@ -146,3 +149,143 @@ def test_bridge_forbid_identity(ball_bs2_r8):
     assert bridge_length(ball_bs2_r8, x, y) == 2
     detour = bridge_length(ball_bs2_r8, x, y, forbid_identity=True)
     assert detour is not None and detour > 2
+
+
+# -- the dense-id core: neighbour table, cache integrity, bridges -------------
+
+
+@pytest.mark.parametrize("fixture", ["ball_bs2_r8", "ball_bs7_r6", "ball_st_r4"])
+def test_neighbour_table_matches_model(fixture, request):
+    ball = request.getfixturevalue(fixture)
+    model, ngens = ball.model, ball.ngens
+    table = ball.neighbours()
+    assert len(table) == len(ball) * ngens
+    for x, key in enumerate(ball.keys):
+        el = ball.element(key)
+        for i in range(ngens):
+            nk = model.key(model.apply_gen(el, i))
+            want = ball.ids[nk] if nk in ball else -1
+            assert table[x * ngens + i] == want, (key, i)
+    # only rows of the outermost sphere reach outside the ball
+    inner = ball.sphere_ids(ball.radius).start * ngens
+    assert -1 not in table[:inner]
+    assert -1 in table[inner:]
+
+
+def test_build_leaves_outer_rows_for_first_use():
+    class Counting(BsGroupModel):
+        calls = 0
+
+        def apply_gen(self, g, i):
+            self.calls += 1
+            return super().apply_gen(g, i)
+
+    model = Counting(BsParams(2))
+    ball = build_ball(model, 6)
+    outer = ball.sphere_ids(6)
+    assert model.calls == 4 * outer.start  # each inner element once per generator
+    ball.row(outer.start)
+    ball.row(outer.start)
+    assert model.calls == 4 * outer.start + 4
+
+
+def test_ids_follow_sphere_and_key_order(ball_bs2_r8):
+    assert ball_bs2_r8.keys == [k for sphere in ball_bs2_r8.spheres for k in sphere]
+    for sphere in ball_bs2_r8.spheres:
+        assert sphere == sorted(sphere)
+    for x in (0, 1, 100, len(ball_bs2_r8) - 1):
+        assert ball_bs2_r8.ids[ball_bs2_r8.keys[x]] == x
+
+
+def test_loaded_ball_has_the_built_table(tmp_path, ball_st_r4):
+    path = tmp_path / "st4.ndjson"
+    save_ball(ball_st_r4, str(path))
+    loaded = load_ball(str(path), ball_st_r4.model)
+    assert loaded.keys == ball_st_r4.keys
+    assert loaded.neighbours() == ball_st_r4.neighbours()
+
+
+def test_cache_header_counts_elements(tmp_path, ball_bs2_r8):
+    path = tmp_path / "b8.ndjson"
+    save_ball(ball_bs2_r8, str(path))
+    header = json.loads(path.read_text().splitlines()[0])
+    assert header == {"fmt": "ball-v2", "group": "bs:q=2", "r": 8,
+                      "n": len(ball_bs2_r8), "spheres": ball_bs2_r8.sphere_sizes()}
+    assert not [p for p in tmp_path.iterdir() if p.name != "b8.ndjson"]
+
+
+@pytest.mark.parametrize("cut", [1, 60, -1])
+def test_cache_rejects_truncation(tmp_path, ball_bs2_r8, cut):
+    path = tmp_path / "b8.ndjson"
+    save_ball(ball_bs2_r8, str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:cut]))
+    with pytest.raises(CacheError):
+        load_ball(str(path), ball_bs2_r8.model)
+
+
+def test_cache_rejects_header_mismatch(tmp_path, ball_bs2_r8):
+    path = tmp_path / "b8.ndjson"
+    save_ball(ball_bs2_r8, str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["spheres"][3] += 1
+    header["spheres"][4] -= 1
+    path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    with pytest.raises(CacheError):
+        load_ball(str(path), ball_bs2_r8.model)
+    path.write_text('{"fmt": "ball-v1", "group": "bs:q=2", "r": 8}\n' + "".join(lines[1:]))
+    with pytest.raises(CacheError):
+        load_ball(str(path), ball_bs2_r8.model)
+
+
+def test_failed_save_keeps_the_old_cache(tmp_path, ball_bs2_r8, monkeypatch):
+    path = tmp_path / "b8.ndjson"
+    path.write_text("old\n")
+
+    def broken(r):
+        raise OSError("disk full")
+    monkeypatch.setattr(ball_bs2_r8, "sphere", broken)
+    with pytest.raises(OSError):
+        save_ball(ball_bs2_r8, str(path))
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["b8.ndjson"]
+
+
+def _bridge_by_keys(ball, src, dst, forbid_identity):
+    """Key-based BFS inside the ball, the way bridges were first computed."""
+    model = ball.model
+    ks, kd = model.key(src), model.key(dst)
+    if ks == kd:
+        return 0
+    ident = model.key(model.identity())
+    seen, frontier, d = {ks}, [src], 0
+    while frontier:
+        d += 1
+        nxt = []
+        for el in frontier:
+            for i in range(ball.ngens):
+                nb = model.apply_gen(el, i)
+                nk = model.key(nb)
+                if nk == kd:
+                    return d
+                if nk in seen or nk not in ball or (forbid_identity and nk == ident):
+                    continue
+                seen.add(nk)
+                nxt.append(nb)
+        frontier = nxt
+    return None
+
+
+@pytest.mark.parametrize("fixture", ["ball_bs2_r8", "ball_st_r4"])
+def test_bridge_matches_key_bfs(fixture, request):
+    ball = request.getfixturevalue(fixture)
+    rng = random.Random(5)
+    outer = ball.sphere(ball.radius)
+    pairs = [(rng.choice(outer), rng.choice(outer)) for _ in range(6)]
+    pairs += [(rng.choice(ball.keys), rng.choice(ball.keys)) for _ in range(6)]
+    pairs.append((ball.keys[0], outer[0]))
+    for kx, ky in pairs:
+        x, y = ball.element(kx), ball.element(ky)
+        for forbid in (False, True):
+            assert bridge_length(ball, x, y, forbid) == _bridge_by_keys(ball, x, y, forbid)

@@ -47,6 +47,19 @@ def test_ball_builds_and_caches(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_ball_rebuilds_truncated_cache(tmp_path, capsys):
+    assert main(["ball", "--group", "bs:q=2", "--r", "6"]) == 0
+    first = capsys.readouterr().out
+    cache = tmp_path / "cache" / "bs_q2-r6.ndjson"
+    whole = cache.read_text()
+    cache.write_text("".join(whole.splitlines(keepends=True)[:60]))
+    assert main(["ball", "--group", "bs:q=2", "--r", "6"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == first
+    assert "rebuilding" in captured.err
+    assert cache.read_text() == whole
+
+
 def test_ball_usage_error(capsys):
     assert main(["ball", "--group", "bs:q=1", "--r", "3"]) == 2
     assert "q must be at least 2" in capsys.readouterr().err

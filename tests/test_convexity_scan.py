@@ -1,12 +1,15 @@
 """Almost-convexity scan: frozen regression table, CSV output, probe."""
 
 import csv
+from array import array
 
 import pytest
 
 import reference
+from convexlab.ball_engine import build_ball, load_ball, save_ball
 from convexlab.bs_arith import BsGroupModel, BsParams
 from convexlab.convexity_scan import ScanReport, ScanRow, scan, sublinearity_probe, write_csv
+from convexlab.errors import InvariantError
 
 # (fmax, pairs) per radius, pinned by reference.fmax_scan for q=2
 FROZEN_BS2 = {
@@ -91,3 +94,22 @@ def test_probe_needs_three_points(report_r8):
     small = ScanReport("bs:q=2", 3, 4, report_r8.rows[:2])
     with pytest.raises(ValueError):
         sublinearity_probe(small)
+
+
+def test_scan_on_loaded_ball_equals_built(tmp_path, report_r8, ball_bs2_r8):
+    path = tmp_path / "b8.ndjson"
+    save_ball(ball_bs2_r8, str(path))
+    loaded = load_ball(str(path), ball_bs2_r8.model)
+    assert scan(loaded.model, 3, 8, ball=loaded) == report_r8
+
+
+def test_scan_raises_on_disconnected_pair():
+    model = BsGroupModel(BsParams(2))
+    ball = build_ball(model, 4)
+    table = ball.neighbours()
+    # The first element of S(4) shares an out-of-ball neighbour with a later
+    # one, so the pair is found; with its row blanked, no path leaves it.
+    x = ball.sphere_ids(4).start
+    table[x * ball.ngens:(x + 1) * ball.ngens] = array("i", [-1] * ball.ngens)
+    with pytest.raises(InvariantError, match="disconnected"):
+        scan(model, 4, 4, ball=ball)

@@ -1,0 +1,47 @@
+"""Smoke runs of the scripts under scripts/ with tiny arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(script, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_case_sweep():
+    proc = _run("case_sweep.py", "--case", "4", "--case", "6", "--instances", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("case\t")
+    assert [line.split("\t")[0] for line in lines[1:]] == ["4", "6"]
+    assert all(line.endswith("\tok") for line in lines[1:])
+
+
+def test_case_sweep_refuses_impossible_case():
+    proc = _run("case_sweep.py", "--case", "1", "--instances", "2")
+    assert proc.returncode == 2
+    assert "invalid choice" in proc.stderr
+
+
+def test_scan_bs2():
+    proc = _run("scan_bs2.py", "--r-max", "5")
+    assert proc.returncode == 0, proc.stderr
+    assert "3\t3\t34\t4\t" in proc.stdout
+    assert "probe: slope" in proc.stdout
+
+
+def test_witness_sweep():
+    # the n = 2 notpac row is the known failing instance, so the sweep exits 1
+    proc = _run("witness_sweep.py", "--family", "notpac", "--notpac-max", "3")
+    assert proc.returncode == 1, proc.stderr
+    assert "n=3\tR=8\tbridge=7\tok" in proc.stdout
+    assert "1/2 witnesses ok" in proc.stdout

@@ -1,6 +1,7 @@
 """Case witnesses, impossibility searchers, and the ball-scale theorems."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,8 @@ from convexlab.witness_lab import (
     verify_bs1q_notmac,
     verify_case,
     verify_notpac,
+    _CASE6_SAME_EMPTY,
+    _case6_same_instance,
 )
 from convexlab.words import Word, parse_word, sigma_t
 
@@ -213,3 +216,31 @@ def test_bs1q_q7_n2():
     assert report["bridge_no_identity"] == 12
     with pytest.raises(ValueError):
         verify_bs1q_notmac(3, 2)
+
+
+# -- case 6: combinations without instances -----------------------------------
+
+
+def test_case6_empty_combinations_match_enumeration():
+    empty = set()
+    for sig in range(1, 5):
+        for i, g, kind in itertools.product((-1, 0, 1), (-1, 1), ("a2", "at")):
+            if not any(_case6_same_instance([i, *rest], g, kind) is not None
+                       for rest in itertools.product((-1, 0, 1), repeat=sig - 1)):
+                empty.add((i, sig, g, kind))
+    assert empty == _CASE6_SAME_EMPTY
+
+
+def test_case6_default_draw_always_constructs():
+    cw = build_case("6", random.Random(124))
+    assert verify_case(cw)["ok"]
+    for seed in range(200):
+        assert verify_case(build_case("6", random.Random(seed)))["ok"], seed
+
+
+def test_case6_pinned_empty_combination_raises():
+    with pytest.raises(ConstructionError, match="no instance"):
+        build_case("6", random.Random(0), mode="same", i=1, sigma=2, g=-1,
+                   gamma_kind="a2")
+    cw = build_case("6", random.Random(0), mode="same", i=1, sigma=2, g=-1)
+    assert cw.params["gamma_kind"] == "at"

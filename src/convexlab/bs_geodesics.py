@@ -95,7 +95,7 @@ def _climb_frontiers(m0: int, params: BsParams) -> list[dict[int, int]]:
         # bounds the height, but keep a hard stop anyway
         cur = {m: c for m, c in nxt.items() if not _climb_dead(m, q)}
         if len(frontiers) > abs(m0).bit_length() + 8:
-            raise AssertionError("climb DP failed to terminate")
+            raise InvariantError("climb DP failed to terminate")
     return frontiers
 
 
@@ -289,37 +289,37 @@ class GeodesicNormalForm:
         el, params = self.element, self.params
         expect_bottom = min(0, el.texp, -el.dpow)
         if self.bottom != expect_bottom:
-            raise AssertionError(f"bottom {self.bottom} != {expect_bottom}")
+            raise InvariantError(f"bottom {self.bottom} != {expect_bottom}")
         if len(self.digits) != max(0, el.texp) - self.bottom:
-            raise AssertionError("digit vector has the wrong span")
+            raise InvariantError("digit vector has the wrong span")
         for i, d in enumerate(self.digits):
             if abs(d) > params.half:
-                raise AssertionError(f"interior digit {d} out of range")
+                raise InvariantError(f"interior digit {d} out of range")
             if self.bottom + i < -el.dpow and d != 0:
-                raise AssertionError("nonzero digit below the support")
+                raise InvariantError("nonzero digit below the support")
         if isinstance(self.core, int):
             if abs(self.core) > params.core_cap:
-                raise AssertionError(f"core {self.core} above cap")
+                raise InvariantError(f"core {self.core} above cap")
         else:
             xb = self.core
             if xb.height < 1 or len(xb.digits) != xb.height:
-                raise AssertionError("malformed climb block")
+                raise InvariantError("malformed climb block")
             if not params.top_digit_ok(xb.top):
-                raise AssertionError(f"top digit {xb.top} out of range")
+                raise InvariantError(f"top digit {xb.top} out of range")
             if any(abs(k) > params.half for k in xb.digits):
-                raise AssertionError("climb digit out of range")
+                raise InvariantError("climb digit out of range")
         cls = self.class_tag
         if cls == 2 and self.dip_count < 1:
-            raise AssertionError("class 2 without a dip")
+            raise InvariantError("class 2 without a dip")
         if cls == 3 and self.rise_count < 1:
-            raise AssertionError("class 3 without a rise")
+            raise InvariantError("class 3 without a rise")
         if cls == 4 and (self.dip_count < 1 or self.rise_count < 1):
-            raise AssertionError("class 4 needs a dip and a rise")
+            raise InvariantError("class 4 needs a dip and a rise")
         rendered = self.render()
         if bs_eval(rendered, params) != el:
-            raise AssertionError("rendering evaluates to a different element")
+            raise InvariantError("rendering evaluates to a different element")
         if len(rendered) != self.length:
-            raise AssertionError("rendering length != digit cost")
+            raise InvariantError("rendering length != digit cost")
 
 
 def _solve(el: BsElement, params: BsParams) -> GeodesicNormalForm:
@@ -349,7 +349,7 @@ def _solve(el: BsElement, params: BsParams) -> GeodesicNormalForm:
                 m = (m - d) // params.q
                 break
         else:
-            raise AssertionError("below-stage reconstruction lost the optimum")
+            raise InvariantError("below-stage reconstruction lost the optimum")
     core = _reconstruct_core(m, params)
     nf = GeodesicNormalForm(params, el, bottom, tuple(digits), core)
     if nf.length != el.texp - 2 * bottom + back[0][m0]:
@@ -360,7 +360,7 @@ def _solve(el: BsElement, params: BsParams) -> GeodesicNormalForm:
 def _reconstruct_core(m: int, params: BsParams) -> Union[int, XBlock]:
     cost = _core_cost(m, params)
     if cost is _INF or cost == _INF:
-        raise AssertionError(f"remainder {m} admits no core block")
+        raise InvariantError(f"remainder {m} admits no core block")
     if abs(m) <= params.core_cap and abs(m) == cost:
         return m
     frontiers = _climb_frontiers(m, params)
@@ -373,7 +373,7 @@ def _reconstruct_core(m: int, params: BsParams) -> Union[int, XBlock]:
         if pick:
             break
     if pick is None:
-        raise AssertionError("climb reconstruction lost the optimum")
+        raise InvariantError("climb reconstruction lost the optimum")
     h_star, top = pick
     # backward over climb levels, then forward choosing smallest digits
     back: list[dict[int, Union[int, float]]] = [dict() for _ in range(h_star + 1)]
@@ -397,7 +397,7 @@ def _reconstruct_core(m: int, params: BsParams) -> Union[int, XBlock]:
                 cur = (cur - d) // params.q
                 break
         else:
-            raise AssertionError("climb digit reconstruction lost the optimum")
+            raise InvariantError("climb digit reconstruction lost the optimum")
     if cur != top:
         raise InvariantError(f"climb digits end at {cur}, not the top digit {top}")
     return XBlock(h_star, top, tuple(ks))
@@ -414,7 +414,7 @@ def normalize(w: Union[Word, BsElement], params: BsParams) -> GeodesicNormalForm
             raise NotGeodesicError(
                 f"word of length {len(w)} spells an element at distance {nf.length}")
         if len(w) < nf.length:
-            raise AssertionError("word shorter than the computed distance")
+            raise InvariantError("word shorter than the computed distance")
         return nf
     return _solve(w, params)
 

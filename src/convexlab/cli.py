@@ -75,13 +75,10 @@ class CliConfig:
     fmt: str = "text"
     cache_dir: Optional[str] = None
     cap: int = DEFAULT_CAP
-    jobs: int = 1
 
     def __post_init__(self):
         if self.cap < 1000:
             raise UsageError("cap must be at least 1000")
-        if self.jobs < 1:
-            raise UsageError("jobs must be at least 1")
         model = parse_group(self.group)
         if model.name != self.group:
             raise UsageError(f"group descriptor {self.group!r} does not round-trip")
@@ -101,12 +98,6 @@ def _cache_path(cfg: CliConfig, radius: int) -> Path:
     return _cache_dir(cfg) / f"{stem}-r{radius}.ndjson"
 
 
-def _note_jobs(cfg: CliConfig) -> None:
-    if cfg.jobs > 1:
-        print("note: exact kernels run single-process; --jobs > 1 is reserved",
-              file=sys.stderr)
-
-
 def _sphere_table(ball: BallIndex) -> str:
     lines = ["r\t|S(r)|\t|B(r)|"]
     total = 0
@@ -118,7 +109,6 @@ def _sphere_table(ball: BallIndex) -> str:
 
 def cmd_ball(cfg: CliConfig) -> int:
     model = parse_group(cfg.group)
-    _note_jobs(cfg)
     path = _cache_path(cfg, cfg.radius)
     ball = None
     if path.exists() and not cfg.params.get("rebuild"):
@@ -139,7 +129,6 @@ def cmd_ball(cfg: CliConfig) -> int:
 
 def cmd_scan(cfg: CliConfig) -> int:
     model = parse_group(cfg.group)
-    _note_jobs(cfg)
     r_min = cfg.params["r_min"]
     r_max = cfg.params["r_max"]
     report = scan(model, r_min, r_max, cap=cfg.cap)
@@ -244,7 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="bs:q=K or stallings (default bs:q=2)")
         p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                        help="element cap for ball builds")
-        p.add_argument("--jobs", type=int, default=1, help="parallel degree")
 
     p = sub.add_parser("ball", help="build or load a Cayley ball")
     common(p)
@@ -266,7 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="witness scale (default: notpac 3, bs1q 2, stallings 1)")
     p.add_argument("--q", type=int, default=7, help="bs1q only: q >= 7")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("case", help="build and verify one theorem-case witness")
     p.add_argument("--id", required=True, dest="case_id",
@@ -295,12 +282,12 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
     sc = args.subcommand
     if sc == "ball":
         return CliConfig(sc, group=args.group, radius=args.r, cap=args.cap,
-                         jobs=args.jobs, cache_dir=args.cache_dir, out=args.out,
+                         cache_dir=args.cache_dir, out=args.out,
                          params={"rebuild": args.rebuild})
     if sc == "scan":
         if args.r_min < 1 or args.r_max < args.r_min:
             raise UsageError("need 1 <= r-min <= r-max")
-        return CliConfig(sc, group=args.group, cap=args.cap, jobs=args.jobs,
+        return CliConfig(sc, group=args.group, cap=args.cap,
                          out=args.csv, params={"r_min": args.r_min,
                                                "r_max": args.r_max})
     if sc == "witness":
@@ -309,7 +296,7 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
         group = f"bs:q={args.q}" if args.kind == "bs1q" else "bs:q=2"
         if args.kind == "stallings":
             group = "stallings"
-        return CliConfig(sc, group=group, n=n, cap=args.cap, jobs=args.jobs,
+        return CliConfig(sc, group=group, n=n, cap=args.cap,
                          params={"kind": args.kind, "q": args.q})
     if sc == "case":
         params = {"seed": args.seed}

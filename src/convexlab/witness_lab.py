@@ -9,19 +9,25 @@ are gamma apart, delta evaluates to gamma, l(delta) <= 2r - 2, and every
 prefix of delta stays inside the ball B(r).  No breadth-first search is
 involved, so parameters in the hundreds are cheap.
 
+The builders share two helpers.  _sample retries a builder's random
+attempt (free digits, core and fillers drawn in a fixed order) until one
+yields a witness.  _partner checks that w is geodesic and that w gamma
+lies in the wanted class at the same length, and returns the normal-form
+rendering of w gamma as the other endpoint.
+
 Class combinations that admit no valid pair get exhaustive searchers over
 a small ball instead of builders (impossibility_search).
 
 Also here: the a^m reachability jump (verify_boundingm) and the two
 ball-witness checks driven by restricted BFS (verify_notpac,
-verify_bs1q_notmac).
+verify_bs1q_notmac), which share one section-four verifier.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional
 
 from .ball_engine import DEFAULT_CAP, BallIndex, bridge_length, build_ball
 from .bs_arith import BsElement, BsGroupModel, BsParams, bs_eval, bs_inv, bs_key, bs_mul
@@ -174,8 +180,8 @@ def _sample_core_word(rng: random.Random, allow_empty: bool = True) -> Word:
 
 
 def _leading_trun(w: Word) -> int:
-    """Length of the leading positive t-run, 0 if absent."""
-    if w.runs and w.runs[0][0] == "t" and w.runs[0][1] > 0:
+    """Signed exponent of the leading t-run, 0 if w starts with an a."""
+    if w.runs and w.runs[0][0] == "t":
         return w.runs[0][1]
     return 0
 
@@ -186,16 +192,10 @@ def _leading_adigit(w: Word) -> int:
     return 0
 
 
-def _last_run(w: Word):
-    return w.runs[-1] if w.runs else None
-
-
 def _bottom_digit_of_descent(w: Word) -> int:
     """Signed exponent of the final a-run of a class-2 word, 0 if it ends t^-1."""
-    run = _last_run(w)
-    if run is not None and run[0] == "a":
-        return run[1]
-    return 0
+    gen, exp = w.runs[-1]
+    return exp if gen == "a" else 0
 
 
 def _require(cond: bool, message: str) -> None:
@@ -206,9 +206,40 @@ def _require(cond: bool, message: str) -> None:
 # ---------------------------------------------------------------------------
 # case builders
 #
-# Every builder returns a CaseWitness whose words validate against the DP
-# (is_geodesic) and whose lengths agree.  Random pieces are resampled up to
-# _TRIES times; explicit fillers fail hard instead of resampling.
+# Every builder pins its parameters, then hands _sample an attempt: one
+# random draw of the free digits and fillers that returns a CaseWitness, or
+# None when the draw misses.  _sample retries up to _TRIES times.  Most
+# attempts find the other endpoint with _partner: w must be geodesic, and
+# w gamma must sit in the wanted class at the same length; its normal-form
+# rendering is the second word.  Explicit fillers fail hard instead of
+# resampling.
+
+
+def _sample(case: str, attempt: Callable[[], Optional[CaseWitness]],
+            what: str = "equal-length") -> CaseWitness:
+    for _ in range(_TRIES):
+        cw = attempt()
+        if cw is not None:
+            return cw
+    raise ConstructionError(f"case {case}: sampling found no {what} instance")
+
+
+def _partner(w: Word, gamma: Word, cls: Optional[int], w_cls: Optional[int] = None,
+             class4_form: Optional[str] = None) -> Optional[Word]:
+    """The PN rendering of w gamma, provided w is geodesic (of class w_cls
+    when given) and w gamma lies in class cls (any class for None) at
+    distance l(w); None otherwise."""
+    if not is_geodesic(w, BS2):
+        return None
+    w_el = _gel(w)
+    if w_cls is not None and element_class(w_el) != w_cls:
+        return None
+    u_el = bs_mul(w_el, _gel(gamma), BS2)
+    if cls is not None and element_class(u_el) != cls:
+        return None
+    if geodesic_length(u_el, BS2) != len(w):
+        return None
+    return normalize(u_el, BS2).render("PN", class4_form=class4_form)
 
 
 def _build_4(rng: random.Random, o: dict) -> CaseWitness:
@@ -218,7 +249,8 @@ def _build_4(rng: random.Random, o: dict) -> CaseWitness:
     g = int(o.get("g", rng.choice((-2, -1, 1, 2))))
     _require(1 <= abs(g) <= 2, "case 4 needs gamma = a^g with 1 <= |g| <= 2")
     gamma = _ap(g)
-    for _ in range(_TRIES):
+
+    def attempt():
         digits = _naf_digits(rng, h)
         if abs(g) == 2:
             digits[0] = -g // 2  # a^(2s): digit -s flips to +s, weight kept
@@ -227,20 +259,14 @@ def _build_4(rng: random.Random, o: dict) -> CaseWitness:
             if h >= 2:
                 digits[1] = 0
         w = XBlock(h, rng.choice((-3, -2, 2, 3)), tuple(digits)).render("PN")
-        if not is_geodesic(w, BS2):
-            continue
-        u_el = bs_mul(_gel(w), _gel(gamma), BS2)
-        if element_class(u_el) != 1 or geodesic_length(u_el, BS2) != len(w):
-            continue
-        u = normalize(u_el, BS2).render("PN")
+        u = _partner(w, gamma, 1)
+        if u is None or _leading_trun(u) < 1:
+            return None
         iu = _leading_trun(u)
-        if iu < 1:
-            continue
-        w1 = w.suffix(len(w) - h)
-        u1 = u.suffix(len(u) - iu)
-        delta = w1.inverse() * _tp(-(h - 1)) * _tp(iu - 1) * u1
+        delta = (w.suffix(len(w) - h).inverse() * _tp(-(h - 1)) * _tp(iu - 1)
+                 * u.suffix(len(u) - iu))
         return CaseWitness("4", {"h": h, "i": iu, "g": g}, w, u, gamma, delta, len(w))
-    raise ConstructionError("case 4: sampling found no equal-length instance")
+    return _sample("4", attempt)
 
 
 def _build_5(rng: random.Random, o: dict) -> CaseWitness:
@@ -249,25 +275,20 @@ def _build_5(rng: random.Random, o: dict) -> CaseWitness:
     g = int(o.get("g", rng.choice((-1, 1))))
     _require(abs(g) == 1, "case 5 needs gamma = a^g t^-1 with |g| = 1")
     gamma = _ap(g) * _tp(-1)
-    for _ in range(_TRIES):
+
+    def attempt():
         digits = _naf_digits(rng, h)
         digits[0] = -g  # a^g zeroes the bottom digit, paying for the extra t^-1
         w = XBlock(h, rng.choice((-3, -2, 2, 3)), tuple(digits)).render("PN")
-        if not is_geodesic(w, BS2):
-            continue
-        u_el = bs_mul(_gel(w), _gel(gamma), BS2)
-        if element_class(u_el) != 2 or geodesic_length(u_el, BS2) != len(w):
-            continue
-        u = normalize(u_el, BS2).render("PN")
+        u = _partner(w, gamma, 2)
+        if u is None or _leading_trun(u) < 1 or classify(u) is not WordClass.XN:
+            return None
         iu = _leading_trun(u)
-        if iu < 1 or classify(u) is not WordClass.XN:
-            continue
-        w1 = w.suffix(len(w) - h)
-        u1 = u.suffix(len(u) - iu)
-        delta = w1.inverse() * _tp(-(h - 1)) * _tp(iu - 1) * u1
+        delta = (w.suffix(len(w) - h).inverse() * _tp(-(h - 1)) * _tp(iu - 1)
+                 * u.suffix(len(u) - iu))
         params = {"h": h, "i": iu, "g": g, "delegates_to": "4"}
         return CaseWitness("5", params, w, u, gamma, delta, len(w))
-    raise ConstructionError("case 5: sampling found no equal-length instance")
+    return _sample("5", attempt)
 
 
 # Same-mode combinations (i, sigma, g, gamma_kind) of case 6 that have no
@@ -287,23 +308,14 @@ def _case6_same_instance(digits: list, g: int, kind: str) -> Optional[CaseWitnes
     i = digits[0]
     gamma = _ap(2 * g) if kind == "a2" else _ap(g) * _tp(1)
     # core -g: gamma = a^(2g) flips it to +g, gamma = a^g t melts it
-    body = Word()
-    for d in digits:
-        body = body * _ap(d) * _tp(1)
-    w = body * _ap(-g)
-    if not is_geodesic(w, BS2):
-        return None
-    u_el = bs_mul(_gel(w), _gel(gamma), BS2)
-    if element_class(u_el) != 3 or geodesic_length(u_el, BS2) != len(w):
-        return None
-    u = normalize(u_el, BS2).render("PN")
-    if _leading_adigit(u) != i:
+    w = _ascent_with(digits + [-g])
+    u = _partner(w, gamma, 3)
+    if u is None or _leading_adigit(u) != i:
         return None
     wr = w.suffix(len(w) - 1 - abs(i))
     ur = u.suffix(len(u) - 1 - abs(i))
-    delta = wr.inverse() * ur
     params = {"mode": "same", "i": i, "j": i, "g": g, "gamma_kind": kind}
-    return CaseWitness("6", params, w, u, gamma, delta, len(w))
+    return CaseWitness("6", params, w, u, gamma, wr.inverse() * ur, len(w))
 
 
 def _build_6(rng: random.Random, o: dict) -> CaseWitness:
@@ -324,34 +336,32 @@ def _build_6(rng: random.Random, o: dict) -> CaseWitness:
         else:
             raise ConstructionError(
                 f"case 6 has no instance with i={i}, sigma={sig}, g={g}, gamma_kind={kind}")
-        for _ in range(_TRIES):
+
+        def same():
             digits = _naf_digits(rng, sig)
             digits[0] = i
-            cw = _case6_same_instance(digits, g, kind)
-            if cw is not None:
-                return cw
-        raise ConstructionError("case 6: sampling found no equal-length instance")
+            return _case6_same_instance(digits, g, kind)
+        return _sample("6", same)
     # opposite: only sigma_t = 1 pairs exist; the block below level 1 is shared
     g = int(o.get("g", rng.choice((-1, 1))))
     i, j = -g, g
     h = int(o.get("h", rng.randint(1, 10)))
     gamma = _ap(g)
-    for _ in range(_TRIES):
+
+    def opposite():
         digits = _naf_digits(rng, h)
         digits[0] = 0  # keep the block value even so a^g only flips the unit digit
         block = XBlock(h, rng.choice((-3, -2, 2, 3)), tuple(digits)).render("PN")
         w = _ap(i) * _tp(1) * block
         u = _ap(j) * _tp(1) * block
         if not (is_geodesic(w, BS2) and is_geodesic(u, BS2)):
-            continue
+            return None
         if bs_mul(_gel(w), _gel(gamma), BS2) != _gel(u):
-            continue
-        wr = w.suffix(len(w) - 2)
-        ur = u.suffix(len(u) - 2)
-        delta = wr.inverse() * _ap(-i) * ur
+            return None
+        delta = w.suffix(len(w) - 2).inverse() * _ap(-i) * u.suffix(len(u) - 2)
         params = {"mode": "opposite", "i": i, "j": j, "g": g, "h": h}
         return CaseWitness("6", params, w, u, gamma, delta, len(w))
-    raise ConstructionError("case 6: sampling found no equal-length instance")
+    return _sample("6", opposite)
 
 
 def _build_72(rng: random.Random, o: dict) -> CaseWitness:
@@ -361,22 +371,18 @@ def _build_72(rng: random.Random, o: dict) -> CaseWitness:
     k = int(o.get("k", rng.choice((-1, 1))))
     _require(abs(k) == 1, "case 7.2 needs gamma = t a^k with |k| = 1")
     gamma = _tp(1) * _ap(k)
-    for _ in range(_TRIES):
+
+    def attempt():
         digits = _naf_digits(rng, e)
         digits[e - 1] = 0  # bottom letter is t^-1
         digits[e - 2] = 0  # the new digit k lands here at equal weight
         w = _descent_word(_sample_core_word(rng), digits)
-        if not w or not is_geodesic(w, BS2):
-            continue
-        if element_class(_gel(w)) != 2:
-            continue
-        u_el = bs_mul(_gel(w), _gel(gamma), BS2)
-        if element_class(u_el) != 2 or geodesic_length(u_el, BS2) != len(w):
-            continue
-        u = normalize(u_el, BS2).render("PN")
+        u = _partner(w, gamma, 2, w_cls=2)
+        if u is None:
+            return None
         params = {"e": e, "k": k, "i": 0, "delta_is": "gamma"}
         return CaseWitness("7.2", params, w, u, gamma, gamma, len(w))
-    raise ConstructionError("case 7.2: sampling found no equal-length instance")
+    return _sample("7.2", attempt)
 
 
 def _build_73(rng: random.Random, o: dict) -> CaseWitness:
@@ -385,55 +391,38 @@ def _build_73(rng: random.Random, o: dict) -> CaseWitness:
     _require(mode in ("i0", "i1"), "case 7.3 mode must be i0 or i1")
     e = int(o.get("e", rng.randint(3, 12)))
     _require(e >= 2, "case 7.3 needs descent depth e >= 2")
+    # the endpoint whose descent ends in a^bottom is drawn; its partner, one
+    # letter a^bottom further, must end in t^-1
     if mode == "i0":
         j = int(o.get("j", rng.choice((-1, 1))))
         _require(abs(j) == 1, "case 7.3 (i=0) needs |j| = 1")
-        gamma = _ap(-j)
-        for _ in range(_TRIES):
-            digits = _naf_digits(rng, e)
-            digits[e - 1] = j
-            digits[e - 2] = 0
-            u = _descent_word(_sample_core_word(rng), digits)
-            if not is_geodesic(u, BS2) or element_class(_gel(u)) != 2:
-                continue
-            w_el = bs_mul(_gel(u), _ap_el(j), BS2)
-            if element_class(w_el) != 2 or geodesic_length(w_el, BS2) != len(u):
-                continue
-            w = normalize(w_el, BS2).render("PN")
-            if _bottom_digit_of_descent(w) != 0:
-                continue
-            delta = _tp(1) * _ap(-j) * _tp(-1) * _ap(j)
-            params = {"e": e, "i": 0, "j": j}
-            return CaseWitness("7.3", params, w, u, gamma, delta, len(w))
-        raise ConstructionError("case 7.3: sampling found no equal-length instance")
-    i = int(o.get("i", rng.choice((-1, 1))))
-    _require(abs(i) == 1, "case 7.3 (|i|=1) needs |i| = 1")
-    gamma = _ap(i)
-    for _ in range(_TRIES):
-        digits = _naf_digits(rng, e)
-        digits[e - 1] = i
-        digits[e - 2] = 0
-        w = _descent_word(_sample_core_word(rng), digits)
-        if not is_geodesic(w, BS2) or element_class(_gel(w)) != 2:
-            continue
-        u_el = bs_mul(_gel(w), _gel(gamma), BS2)
-        if element_class(u_el) != 2 or geodesic_length(u_el, BS2) != len(w):
-            continue
-        u = normalize(u_el, BS2).render("PN")
-        if _bottom_digit_of_descent(u) != 0:
-            continue
+        gamma, bottom = _ap(-j), j  # u is drawn, w = u a^j
+        delta = _tp(1) * _ap(-j) * _tp(-1) * _ap(j)
+        params = {"e": e, "i": 0, "j": j}
+    else:
+        i = int(o.get("i", rng.choice((-1, 1))))
+        _require(abs(i) == 1, "case 7.3 (|i|=1) needs |i| = 1")
+        gamma, bottom = _ap(i), i  # w is drawn, u = w a^i
         delta = _ap(-i) * _tp(1) * _ap(i) * _tp(-1)
         params = {"e": e, "i": i, "j": 0}
+
+    def attempt():
+        digits = _naf_digits(rng, e)
+        digits[e - 1] = bottom
+        digits[e - 2] = 0
+        drawn = _descent_word(_sample_core_word(rng), digits)
+        other = _partner(drawn, _ap(bottom), 2, w_cls=2)
+        if other is None or _bottom_digit_of_descent(other) != 0:
+            return None
+        w, u = (other, drawn) if mode == "i0" else (drawn, other)
         return CaseWitness("7.3", params, w, u, gamma, delta, len(w))
-    raise ConstructionError("case 7.3: sampling found no equal-length instance")
-
-
-def _ap_el(n: int, params: BsParams = BS2) -> BsElement:
-    return bs_eval(_ap(n), params)
+    return _sample("7.3", attempt)
 
 
 def _build_74(rng: random.Random, o: dict) -> CaseWitness:
-    # both class 2, gamma = a^(2k).
+    # both class 2, gamma = a^(2k).  The digits at the bottom levels are
+    # pinned by the mode (tail is bottom-up: tail[0] at level -e); the bottom
+    # digit of u must come out as j.
     mode = o.get("mode") or rng.choice(("i0", "i1_neg", "i1_same", "i1_opp"))
     _require(
         mode in ("i0", "i1_neg", "i1_same", "i1_opp"),
@@ -441,62 +430,39 @@ def _build_74(rng: random.Random, o: dict) -> CaseWitness:
     )
     e = int(o.get("e", rng.randint(4, 12)))
     _require(e >= 3, "case 7.4 needs descent depth e >= 3")
-
-    def attempt(tail: list, k: int, gamma: Word, want_j, delta: Word, mode_params):
-        # tail is bottom-up: tail[0] at level -e, tail[1] at -(e-1), ...
-        for _ in range(_TRIES):
-            digits = _naf_digits(rng, e)
-            for idx, d in enumerate(tail):
-                digits[e - 1 - idx] = d
-            w = _descent_word(_sample_core_word(rng), digits)
-            if not is_geodesic(w, BS2) or element_class(_gel(w)) != 2:
-                continue
-            u_el = bs_mul(_gel(w), _gel(gamma), BS2)
-            if element_class(u_el) != 2 or geodesic_length(u_el, BS2) != len(w):
-                continue
-            u = normalize(u_el, BS2).render("PN")
-            if want_j is not None and _bottom_digit_of_descent(u) != want_j:
-                continue
-            params = dict(mode_params)
-            params["e"] = e
-            return CaseWitness("7.4", params, w, u, gamma, delta, len(w))
-        return None
-
     if mode == "i0":
         k = int(o.get("k", rng.choice((-1, 1))))
         _require(abs(k) == 1, "case 7.4 needs |k| = 1")
-        cw = attempt([0, k, 0], k, _ap(2 * k), 0, _tp(1) * _ap(k) * _tp(-1),
-                     {"mode": mode, "i": 0, "j": 0, "k": k})
-        if cw:
-            return cw
-    elif mode == "i1_neg":
-        i = int(o.get("i", rng.choice((-1, 1))))
-        gamma = _ap(-2 * i)
-        cw = attempt([i], -i, gamma, -i, gamma,
-                     {"mode": mode, "i": i, "j": -i, "k": -i, "delta_is": "gamma"})
-        if cw:
-            return cw
-    elif mode == "i1_same":
-        i = int(o.get("i", rng.choice((-1, 1))))
-        gamma = _ap(2 * i)
-        cw = attempt([i, i, 0], i, gamma, i, gamma,
-                     {"mode": mode, "i": i, "j": i, "k": i, "delta_is": "gamma"})
-        if cw:
-            return cw
+        tail, gamma, delta = [0, k, 0], _ap(2 * k), _tp(1) * _ap(k) * _tp(-1)
+        params = {"mode": mode, "i": 0, "j": 0, "k": k}
     else:
-        # j = -i needs a low-digit flip in the balancing; search small tails
-        _require(e >= 4, "case 7.4 (i1_opp) needs descent depth e >= 4")
+        _require(mode != "i1_opp" or e >= 4,
+                 "case 7.4 (i1_opp) needs descent depth e >= 4")
         i = int(o.get("i", rng.choice((-1, 1))))
-        gamma = _ap(2 * i)
-        delta = _ap(-i) * _tp(1) * _ap(2 * i) * _tp(-1) * _ap(-i)
-        patterns = [(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)]
-        rng.shuffle(patterns)
-        for pat in patterns:
-            cw = attempt([i] + list(pat), i, gamma, -i, delta,
-                         {"mode": mode, "i": i, "j": -i, "k": i, "tail": pat})
-            if cw:
-                return cw
-    raise ConstructionError(f"case 7.4 ({mode}): sampling found no equal-length instance")
+        _require(abs(i) == 1, "case 7.4 (|i|=1) needs |i| = 1")
+        # per mode: the tail, k, and u's bottom digit j.  For j = -i, a^(2i)
+        # makes the bottom digit 3i, which rebalances to -i; the carry runs
+        # up the tail (i, 0, i, 0) and leaves (-i, 0, 0, i) at the same weight
+        tail, k, j = {"i1_neg": ([i], -i, -i), "i1_same": ([i, i, 0], i, i),
+                      "i1_opp": ([i, 0, i, 0], i, -i)}[mode]
+        gamma = _ap(2 * k)
+        params = {"mode": mode, "i": i, "j": j, "k": k}
+        if mode == "i1_opp":
+            delta = _ap(-i) * _tp(1) * _ap(2 * i) * _tp(-1) * _ap(-i)
+            params["tail"] = tuple(tail[1:])
+        else:
+            delta = gamma
+            params["delta_is"] = "gamma"
+
+    def attempt():
+        digits = _naf_digits(rng, e)
+        digits[e - len(tail):] = reversed(tail)
+        w = _descent_word(_sample_core_word(rng), digits)
+        u = _partner(w, gamma, 2, w_cls=2)
+        if u is None or _bottom_digit_of_descent(u) != params["j"]:
+            return None
+        return CaseWitness("7.4", {**params, "e": e}, w, u, gamma, delta, len(w))
+    return _sample(f"7.4 ({mode})", attempt)
 
 
 def _build_81(rng: random.Random, o: dict) -> CaseWitness:
@@ -512,7 +478,8 @@ def _build_81(rng: random.Random, o: dict) -> CaseWitness:
     gamma = _ap(j) * _tp(1)
     delta = (_tp(p) * _ap(-2 * s) * _tp(-p) * _ap(j)
              * _tp(p) * _ap(2 * s) * _tp(-(p - 1)))
-    for _ in range(_TRIES):
+
+    def attempt():
         v = _as_word(v_given) if v_given is not None else random_filler(rng, p - 1)
         _require(sigma_t(v) == p - 1, f"case 8.1 needs sigma_t(v) = p - 1 = {p - 1}")
         w = _tp(1) * v * _tp(1) * _ap(k) * _tp(-(p + 1))
@@ -521,7 +488,8 @@ def _build_81(rng: random.Random, o: dict) -> CaseWitness:
             params = {"p": p, "k": k, "s": s, "j": j, "v": v}
             return CaseWitness("8.1", params, w, u, gamma, delta, len(w))
         _require(v_given is None, "case 8.1: supplied filler v is not geodesic here")
-    raise ConstructionError("case 8.1: sampling found no geodesic instance")
+        return None
+    return _sample("8.1", attempt, "geodesic")
 
 
 def _build_82(rng: random.Random, o: dict) -> CaseWitness:
@@ -529,15 +497,13 @@ def _build_82(rng: random.Random, o: dict) -> CaseWitness:
     p = int(o.get("p", rng.randint(2, 16)))
     _require(p >= 2, "case 8.2 needs p >= 2")
     k_given, j_given = o.get("k"), o.get("j")
-    for _ in range(_TRIES):
+
+    def attempt():
         k = int(k_given) if k_given is not None else rng.choice((-3, -2, 2, 3))
         _require(2 <= abs(k) <= 3, "case 8.2 needs 2 <= |k| <= 3")
         j = int(j_given) if j_given is not None else rng.choice((-1, 1))
         _require(abs(j) == 1, "case 8.2 needs |j| = 1")
         s = 1 if k > 0 else -1
-        gamma = _ap(-j) * _tp(1)
-        delta = (_tp(p) * _ap(-2 * s) * _tp(-p) * _ap(-j)
-                 * _tp(p) * _ap(2 * s) * _tp(-(p - 1)))
         digits = _naf_digits(rng, p)
         digits[0] = -j  # a^-j cancels into the unit digit without a carry chain
         digits[1] = 0
@@ -545,20 +511,22 @@ def _build_82(rng: random.Random, o: dict) -> CaseWitness:
         w0 = v * _tp(1) * _ap(k) * _tp(-p)
         w = _tp(1) * w0 * _tp(-1)
         if not is_geodesic(w, BS2):
-            continue
-        u0_el = bs_mul(_ap_el(-j), _gel(w0), BS2)
+            return None
+        u0_el = bs_mul(_gel(_ap(-j)), _gel(w0), BS2)
         if element_class(u0_el) != 1 or geodesic_length(u0_el, BS2) != len(w0):
-            continue
+            return None
         u0 = normalize(u0_el, BS2).render("PN")
         if classify(u0) is not WordClass.X:
-            continue
+            return None
         u = _ap(j) * _tp(1) * u0
         if len(u) != len(w) or not is_geodesic(u, BS2):
-            continue
+            return None
+        delta = (_tp(p) * _ap(-2 * s) * _tp(-p) * _ap(-j)
+                 * _tp(p) * _ap(2 * s) * _tp(-(p - 1)))
         params = {"p": p, "k": k, "s": s, "j": j, "v": v, "u0": u0,
                   "delegates_to": "8.1"}
-        return CaseWitness("8.2", params, w, u, gamma, delta, len(w))
-    raise ConstructionError("case 8.2: sampling found no equal-length instance")
+        return CaseWitness("8.2", params, w, u, _ap(-j) * _tp(1), delta, len(w))
+    return _sample("8.2", attempt)
 
 
 def _build_911(rng: random.Random, o: dict) -> CaseWitness:
@@ -566,19 +534,17 @@ def _build_911(rng: random.Random, o: dict) -> CaseWitness:
     e = int(o.get("e", rng.randint(3, 12)))
     _require(e >= 2, "case 9.1.1 needs descent depth e >= 2")
     gamma = _tp(2)
-    for _ in range(_TRIES):
+
+    def attempt():
         digits = _naf_digits(rng, e)
         digits[e - 1] = rng.choice((-1, 1))  # nonzero bottom keeps u class 4
         u = _descent_word(_sample_core_word(rng), digits, rise=1)
-        if not is_geodesic(u, BS2) or element_class(_gel(u)) != 4:
-            continue
-        w_el = bs_mul(_gel(u), _gel(_tp(-2)), BS2)
-        if element_class(w_el) != 2 or geodesic_length(w_el, BS2) != len(u):
-            continue
-        w = normalize(w_el, BS2).render("PN")
+        w = _partner(u, gamma.inverse(), 2, w_cls=4)
+        if w is None:
+            return None
         params = {"e": e, "f": 1, "m_e": digits[e - 1], "delta_is": "gamma"}
         return CaseWitness("9.1.1", params, w, u, gamma, gamma, len(w))
-    raise ConstructionError("case 9.1.1: sampling found no equal-length instance")
+    return _sample("9.1.1", attempt)
 
 
 def _build_912(rng: random.Random, o: dict) -> CaseWitness:
@@ -597,28 +563,22 @@ def _build_912(rng: random.Random, o: dict) -> CaseWitness:
     k = int(o.get("k", rng.choice((-1, 1))))
     _require(abs(k) == 1, "case 9.1.2 needs gamma = t a^k with |k| = 1")
     gamma = _tp(1) * _ap(k)
-    for _ in range(_TRIES):
+
+    def attempt():
         digits = _naf_digits(rng, e)
         digits[e - 2] = -k  # the lifted digit melts, paying for the extra t
         digits[e - 1] = rng.choice((k, -k))
         digits[e - 3] = 0
         w = _descent_word(_sample_core_word(rng), digits)
-        if not is_geodesic(w, BS2) or element_class(_gel(w)) != 2:
-            continue
-        u_el = bs_mul(_gel(w), _gel(gamma), BS2)
-        if element_class(u_el) != 4 or geodesic_length(u_el, BS2) != len(w):
-            continue
-        u = normalize(u_el, BS2).render("PN", class4_form="core_first")
-        run = _last_run(u)
-        if run != ("t", 1):
-            continue
+        u = _partner(w, gamma, 4, w_cls=2, class4_form="core_first")
+        if u is None or u.runs[-1] != ("t", 1):
+            return None
         v = u.prefix(len(u) - 1) * _ap(-k)
         if geodesic_length(_gel(v), BS2) > len(u) - 1:
-            continue
-        delta = _ap(2 * k) * _tp(1)
+            return None
         params = {"e": e, "k": k, "f": 1, "branch": "near", "v": v}
-        return CaseWitness("9.1.2", params, w, u, gamma, delta, len(w))
-    raise ConstructionError("case 9.1.2: sampling found no equal-length instance")
+        return CaseWitness("9.1.2", params, w, u, gamma, _ap(2 * k) * _tp(1), len(w))
+    return _sample("9.1.2", attempt)
 
 
 def _build_92(rng: random.Random, o: dict) -> CaseWitness:
@@ -635,23 +595,22 @@ def _build_92(rng: random.Random, o: dict) -> CaseWitness:
     gamma = _tp(2)
     delta = (_ap(-i) * _tp(p + 1) * _ap(-2 * s) * _tp(-(p + 1))
              * _ap(i) * _tp(p + 1) * _ap(2 * s) * _tp(-(p - 1)))
-    for _ in range(_TRIES):
+
+    def attempt():
         v = _as_word(v_given) if v_given is not None else random_filler(rng, p)
         _require(sigma_t(v) == p, f"case 9.2 needs sigma_t(v) = p = {p}")
         w = v * _tp(1) * _ap(k) * _tp(-(p + 2)) * _ap(i)
-        if not is_geodesic(w, BS2):
-            _require(v_given is None, "case 9.2: supplied filler v is not geodesic here")
-            continue
-        u_el = bs_mul(_gel(w), _gel(gamma), BS2)
-        if geodesic_length(u_el, BS2) != len(w):
-            continue
-        u = normalize(u_el, BS2).render("PN")
+        u = _partner(w, gamma, None)
+        if u is None:
+            _require(v_given is None or is_geodesic(w, BS2),
+                     "case 9.2: supplied filler v is not geodesic here")
+            return None
         x = _tp(-1) * _ap(i) * _tp(1) * v * _tp(1) * _ap(k) * _tp(-p)
         if len(x) != len(w) or not is_geodesic(x, BS2):
-            continue
+            return None
         params = {"p": p, "k": k, "s": s, "i": i, "v": v, "x": x}
         return CaseWitness("9.2", params, w, u, gamma, delta, len(w))
-    raise ConstructionError("case 9.2: sampling found no equal-length instance")
+    return _sample("9.2", attempt)
 
 
 def _build_101(rng: random.Random, o: dict) -> CaseWitness:
@@ -673,7 +632,8 @@ def _build_101(rng: random.Random, o: dict) -> CaseWitness:
         gamma = _tp(-1) * _ap(g)
     else:
         gamma = _ap(g) * _tp(-1)
-    for _ in range(_TRIES):
+
+    def attempt():
         digits = _naf_digits(rng, p1 + extra)
         digits[0] = rng.choice((-1, 1))  # nonzero bottom digit keeps the dip
         if kind in ("a2", "at"):
@@ -687,29 +647,15 @@ def _build_101(rng: random.Random, o: dict) -> CaseWitness:
             core = _ap(-3 * g)
             digits[-1] = 0
         w = _downfirst_word(p1, digits, core)
-        if not is_geodesic(w, BS2) or element_class(_gel(w)) != 4:
-            continue
-        u_el = bs_mul(_gel(w), _gel(gamma), BS2)
-        if element_class(u_el) != 4 or u_el.texp < 0:
-            continue
-        if geodesic_length(u_el, BS2) != len(w):
-            continue
-        u = normalize(u_el, BS2).render("PN")
-        p2 = -_leading_trun_signed(u)
-        if p2 < 1:
-            continue
-        wp = w.suffix(len(w) - p1)
-        up = u.suffix(len(u) - p2)
-        delta = wp.inverse() * _tp(p1 - 1) * _tp(-(p2 - 1)) * up
+        u = _partner(w, gamma, 4, w_cls=4)
+        if u is None or sigma_t(u) < 0 or _leading_trun(u) > -1:
+            return None
+        p2 = -_leading_trun(u)
+        delta = (w.suffix(len(w) - p1).inverse() * _tp(p1 - 1) * _tp(-(p2 - 1))
+                 * u.suffix(len(u) - p2))
         params = {"p1": p1, "p2": p2, "g": g, "gamma_kind": kind, "extra": extra}
         return CaseWitness("10.1", params, w, u, gamma, delta, len(w))
-    raise ConstructionError("case 10.1: sampling found no equal-length instance")
-
-
-def _leading_trun_signed(w: Word) -> int:
-    if w.runs and w.runs[0][0] == "t":
-        return w.runs[0][1]
-    return 0
+    return _sample("10.1", attempt)
 
 
 def _build_102(rng: random.Random, o: dict, sub: str) -> CaseWitness:
@@ -728,7 +674,8 @@ def _build_102(rng: random.Random, o: dict, sub: str) -> CaseWitness:
                  "case 10.2.3 near branch needs f1 >= 2 (at f1 = 1 the pinned "
                  "digits collide with the bottom one)")
     itex = e - f1 - 1  # index of the digit at level texp = f1 - e
-    for _ in range(_TRIES):
+
+    def attempt():
         i1 = int(i1_given) if i1_given is not None else rng.choice((-1, 1))
         _require(abs(i1) == 1, "case 10.2 needs |i1| = 1")
         k = int(k_given) if k_given is not None else rng.choice((-1, 1))
@@ -756,18 +703,12 @@ def _build_102(rng: random.Random, o: dict, sub: str) -> CaseWitness:
             digits[itex - 1] = k  # a^(2k) carries into the slot above texp
             digits[itex - 2] = 0
         w = _descent_word(_sample_core_word(rng), digits, rise=f1)
-        if not is_geodesic(w, BS2) or element_class(_gel(w)) != 4:
-            continue
-        u_el = bs_mul(_gel(w), _gel(gamma), BS2)
-        if element_class(u_el) != 4 or geodesic_length(u_el, BS2) != len(w):
-            continue
-        u = normalize(u_el, BS2).render("PN", class4_form="core_first")
-        run = _last_run(u)
+        u = _partner(w, gamma, 4, w_cls=4, class4_form="core_first")
         f2 = f1 + sigma_t(gamma)
-        if run != ("t", f2):
-            continue
+        if u is None or u.runs[-1] != ("t", f2):
+            return None
         if len(u.runs) < 2 or u.runs[-2][0] != "a" or abs(u.runs[-2][1]) != 1:
-            continue
+            return None
         i2 = u.runs[-2][1]
         params = {"f1": f1, "f2": f2, "e": e, "i1": i1, "i2": i2, "k": k}
         if sub == "10.2.1":
@@ -782,18 +723,18 @@ def _build_102(rng: random.Random, o: dict, sub: str) -> CaseWitness:
             params["v"] = v
             if branch == "near":
                 if v_dist > len(u) - 1:
-                    continue
+                    return None
                 delta = _ap(2 * k) * _tp(1)
             else:
                 if v_dist != len(u):
-                    continue
+                    return None
                 delta = _tp(-1) * _ap(2 * k) * _tp(1) * _ap(k) * _tp(1)
         else:
             _require(len(w) >= 2 * f1 + 3, "case 10.2.4 needs r >= 2 f1 + 3")
             delta = (_tp(-f1) * _ap(-i1) * _tp(f1) * _ap(2 * k)
                      * _tp(-f1) * _ap(i1) * _tp(f1))
         return CaseWitness(sub, params, w, u, gamma, delta, len(w))
-    raise ConstructionError(f"case {sub}: sampling found no equal-length instance")
+    return _sample(sub, attempt)
 
 
 def _build_1031(rng: random.Random, o: dict, sub: str) -> CaseWitness:
@@ -814,7 +755,8 @@ def _build_1031(rng: random.Random, o: dict, sub: str) -> CaseWitness:
     s = 1 if m > 0 else -1
     w3_given, w2_given = o.get("w3"), o.get("w2")
     gamma = _tp(2)
-    for _ in range(_TRIES):
+
+    def attempt():
         w3 = _as_word(w3_given) if w3_given is not None else random_filler(rng, l - 1)
         w2 = _as_word(w2_given) if w2_given is not None else random_filler(rng, p - 2)
         _require(sigma_t(w3) == l - 1, f"case {sub} needs sigma_t(w3) = l - 1")
@@ -822,19 +764,20 @@ def _build_1031(rng: random.Random, o: dict, sub: str) -> CaseWitness:
         w = w3 * _tp(1) * _ap(m) * _tp(-(l + p)) * _ap(i) * _tp(1) * w2
         u = (_tp(-p) * _ap(i) * _tp(1) * w2 * _tp(1) * w3 * _tp(1) * _ap(m)
              * _tp(-(l - 1)))
-        if is_geodesic(w, BS2) and is_geodesic(u, BS2) and len(w) == len(u):
-            head = w2.inverse() * _tp(-1) * _ap(-i) * _tp(p - 1)
-            if sub == "10.3.1.1":
-                delta = (head * _tp(l) * _ap(-2 * s) * _tp(-l) * _tp(-(p - 1))
-                         * _ap(i) * _tp(1) * w2 * _tp(l) * _ap(2 * s) * _tp(-(l - 2)))
-            else:
-                delta = (head * _tp(1) * _ap(-2 * s) * _tp(-1) * _tp(-(p - 1))
-                         * _ap(i) * _tp(1) * w2 * _tp(2) * _ap(s))
-            params = {"p": p, "l": l, "m": m, "s": s, "i": i, "w3": w3, "w2": w2}
-            return CaseWitness(sub, params, w, u, gamma, delta, len(w))
-        _require(w3_given is None or w2_given is None,
-                 f"case {sub}: supplied fillers give a non-geodesic pair")
-    raise ConstructionError(f"case {sub}: sampling found no geodesic instance")
+        if not (is_geodesic(w, BS2) and is_geodesic(u, BS2) and len(w) == len(u)):
+            _require(w3_given is None or w2_given is None,
+                     f"case {sub}: supplied fillers give a non-geodesic pair")
+            return None
+        head = w2.inverse() * _tp(-1) * _ap(-i) * _tp(p - 1)
+        if sub == "10.3.1.1":
+            delta = (head * _tp(l) * _ap(-2 * s) * _tp(-l) * _tp(-(p - 1))
+                     * _ap(i) * _tp(1) * w2 * _tp(l) * _ap(2 * s) * _tp(-(l - 2)))
+        else:
+            delta = (head * _tp(1) * _ap(-2 * s) * _tp(-1) * _tp(-(p - 1))
+                     * _ap(i) * _tp(1) * w2 * _tp(2) * _ap(s))
+        params = {"p": p, "l": l, "m": m, "s": s, "i": i, "w3": w3, "w2": w2}
+        return CaseWitness(sub, params, w, u, gamma, delta, len(w))
+    return _sample(sub, attempt, "geodesic")
 
 
 def _build_1033(rng: random.Random, o: dict, sub: str) -> CaseWitness:
@@ -854,7 +797,8 @@ def _build_1033(rng: random.Random, o: dict, sub: str) -> CaseWitness:
                          "carry must land two clear levels under the top pair)")
     s_given, i_given = o.get("s"), o.get("i")
     gamma = _tp(2)
-    for _ in range(_TRIES):
+
+    def attempt():
         s = int(s_given) if s_given is not None else rng.choice((-1, 1))
         _require(s in (-1, 1), "case 10.3.3 needs s = +-1")
         k = 3 * s
@@ -874,37 +818,29 @@ def _build_1033(rng: random.Random, o: dict, sub: str) -> CaseWitness:
         for idx in range(4, free_hi):
             if m[idx - 1] == 0 and rng.random() < 0.4:
                 m[idx] = rng.choice((-1, 1))
-        w2 = Word()
-        for j in range(p - 1, 0, -1):
-            w2 = w2 * _ap(m[j])
-            if j > 1:
-                w2 = w2 * _tp(1)
+        w2 = _ascent_with(m[p - 1:0:-1])
         w = _ap(k) * _tp(-p) * _ap(i) * _tp(1) * w2
         if not is_geodesic(w, BS2):
-            continue
+            return None
         r = len(w)
         u_el = bs_mul(_gel(w), _gel(gamma), BS2)
         if geodesic_length(u_el, BS2) != r:
-            continue
+            return None
         gnf = normalize(u_el, BS2)
         if gnf.element.texp != 1 or gnf.bottom != -p:
-            continue
+            return None
         jd = gnf.digit_at(-p)
-        want = i if sub == "10.3.3.1" else -i
-        if jd != want:
-            continue
+        if jd != (i if sub == "10.3.3.1" else -i):
+            return None
         u = gnf.render("PN", class4_form="down_first")
         if len(u) != r:
-            continue
+            return None
         u_rest = u.suffix(r - p - 2)
         head = w2.inverse() * _tp(p - 1) * _ap(-k) * _tp(-(p - 1))
-        if sub == "10.3.3.1":
-            delta = head * u_rest
-        else:
-            delta = head * _ap(jd) * u_rest
+        delta = head * u_rest if sub == "10.3.3.1" else head * _ap(jd) * u_rest
         params = {"p": p, "k": k, "s": s, "i": i, "j": jd, "w2": w2}
         return CaseWitness(sub, params, w, u, gamma, delta, r)
-    raise ConstructionError(f"case {sub}: sampling found no equal-length instance")
+    return _sample(sub, attempt)
 
 
 _BUILDERS = {
@@ -1186,52 +1122,13 @@ def section_four_witness(q: int, n: int) -> SectionFourWitness:
     return SectionFourWitness(q, n, radius, w, u)
 
 
-def verify_notpac(n: int, cap: int = DEFAULT_CAP,
-                  ball: Optional[BallIndex] = None) -> dict:
-    """Bridge w-bar to u-bar inside B(2n + 2) for q = 2 and record the cost.
-
-    The pair sits distance 2 apart on the sphere; the checks confirm the
-    geodesy bookkeeping and that the in-ball bridge exceeds R - 8, the
-    threshold that defeats a linear bridging bound with slope 1.
-    """
-    params = BsParams(2)
-    wit = section_four_witness(2, n)
-    checks: dict = {}
-    w, u, radius = wit.w, wit.u, wit.R
-    tagged = (("w", w), ("u", u), ("wa", w * _ap(1)),
-              ("wa^-1", w * _ap(-1)), ("wt^-1", w * _tp(-1)))
-    detail = {tag: is_geodesic(x, params) for tag, x in tagged}
-    checks["geodesic"] = all(detail.values())
-    w_el, u_el = bs_eval(w, params), bs_eval(u, params)
-    gamma = _ap(1) * _tp(1)
-    diff = bs_mul(bs_inv(w_el, params), u_el, params)
-    checks["distance"] = (bs_mul(w_el, bs_eval(gamma, params), params) == u_el
-                          and geodesic_length(diff, params) == 2)
-    if ball is None:
-        ball = build_ball(BsGroupModel(params), radius, cap=cap)
-    bridge = bridge_length(ball, w_el, u_el)
-    checks["bridge_exceeds"] = bridge is not None and bridge > radius - 8
-    return {
-        "witness": "notpac",
-        "q": 2,
-        "n": n,
-        "R": radius,
-        "w": str(w),
-        "u": str(u),
-        "bridge": bridge,
-        "geodesic_detail": detail,
-        "checks": checks,
-        "ok": all(checks.values()),
-    }
-
-
-def verify_bs1q_notmac(q: int, n: int, cap: int = DEFAULT_CAP,
-                       ball: Optional[BallIndex] = None) -> dict:
-    """For q >= 7: the bridge inside B(2n + 1) costs exactly 2R, and every
-    minimal bridge runs through the identity (forbidding it lengthens or
-    disconnects the route)."""
-    if q < 7:
-        raise ValueError("q must be at least 7")
+def _verify_section_four(q: int, n: int, cap: int,
+                         ball: Optional[BallIndex]) -> dict:
+    """The section-four checks on section_four_witness(q, n): the five
+    geodesic tags, w gamma = u at distance 2 for gamma = a t, and the
+    bridge from w-bar to u-bar inside B(R).  For q = 2 the bridge must
+    exceed R - 8; for q >= 7 it must cost exactly 2R and run through the
+    identity."""
     params = BsParams(q)
     wit = section_four_witness(q, n)
     checks: dict = {}
@@ -1248,19 +1145,35 @@ def verify_bs1q_notmac(q: int, n: int, cap: int = DEFAULT_CAP,
     if ball is None:
         ball = build_ball(BsGroupModel(params), radius, cap=cap)
     bridge = bridge_length(ball, w_el, u_el)
-    checks["bridge_is_2R"] = bridge == 2 * radius
-    detour = bridge_length(ball, w_el, u_el, forbid_identity=True)
-    checks["through_identity"] = detour is None or detour > 2 * radius
-    return {
-        "witness": "bs1q_notmac",
-        "q": q,
-        "n": n,
-        "R": radius,
-        "w": str(w),
-        "u": str(u),
-        "bridge": bridge,
-        "bridge_no_identity": detour,
-        "geodesic_detail": detail,
-        "checks": checks,
-        "ok": all(checks.values()),
-    }
+    report = {"witness": "notpac" if q == 2 else "bs1q_notmac", "q": q, "n": n,
+              "R": radius, "w": str(w), "u": str(u), "bridge": bridge}
+    if q == 2:
+        checks["bridge_exceeds"] = bridge is not None and bridge > radius - 8
+    else:
+        checks["bridge_is_2R"] = bridge == 2 * radius
+        detour = bridge_length(ball, w_el, u_el, forbid_identity=True)
+        checks["through_identity"] = detour is None or detour > 2 * radius
+        report["bridge_no_identity"] = detour
+    report.update(geodesic_detail=detail, checks=checks, ok=all(checks.values()))
+    return report
+
+
+def verify_notpac(n: int, cap: int = DEFAULT_CAP,
+                  ball: Optional[BallIndex] = None) -> dict:
+    """Bridge w-bar to u-bar inside B(2n + 2) for q = 2 and record the cost.
+
+    The pair sits distance 2 apart on the sphere; the checks confirm the
+    geodesy bookkeeping and that the in-ball bridge exceeds R - 8, the
+    threshold that defeats a linear bridging bound with slope 1.
+    """
+    return _verify_section_four(2, n, cap, ball)
+
+
+def verify_bs1q_notmac(q: int, n: int, cap: int = DEFAULT_CAP,
+                       ball: Optional[BallIndex] = None) -> dict:
+    """For q >= 7: the bridge inside B(2n + 1) costs exactly 2R, and every
+    minimal bridge runs through the identity (forbidding it lengthens or
+    disconnects the route)."""
+    if q < 7:
+        raise ValueError("q must be at least 7")
+    return _verify_section_four(q, n, cap, ball)

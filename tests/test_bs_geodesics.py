@@ -5,6 +5,7 @@ tests/reference.py over whole balls, then the normal form is checked for
 soundness on every element the oracle saw.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from convexlab.bs_geodesics import (
     normalize,
     tilde,
 )
+from convexlab.errors import InvariantError
 from convexlab.words import Word, WordClass, classify, parse_word
 
 BS2 = BsParams(2)
@@ -116,6 +118,18 @@ def test_normalize_class4_forms_agree():
     assert bs_eval(down, BS2) == el
     assert bs_eval(core, BS2) == el
     assert len(down) == len(core) == geodesic_length(el, BS2)
+
+
+def test_validate_raises_invariant_error_on_corruption():
+    gnf = normalize(bs_eval(parse_word("T^2 a t^3 a T"), BS2), BS2)
+    gnf.validate()
+    assert gnf.digits
+    bad_digit = dataclasses.replace(gnf, digits=(5,) + gnf.digits[1:])
+    with pytest.raises(InvariantError, match="out of range"):
+        bad_digit.validate()
+    bad_bottom = dataclasses.replace(gnf, bottom=gnf.bottom - 1)
+    with pytest.raises(InvariantError, match="bottom"):
+        bad_bottom.validate()
 
 
 def test_element_class_table():

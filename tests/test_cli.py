@@ -28,8 +28,6 @@ def test_config_validation():
     with pytest.raises(UsageError):
         CliConfig("ball", cap=10)
     with pytest.raises(UsageError):
-        CliConfig("ball", jobs=0)
-    with pytest.raises(UsageError):
         CliConfig("ball", group="nope")
 
 

@@ -117,6 +117,9 @@ def test_build_case_rejects_bad_values():
         build_case("10.3.3.2", random.Random(0), p=5)
     with pytest.raises(ConstructionError):
         build_case("10.3.3.1", random.Random(0), s=2)
+    for mode in ("i1_neg", "i1_same", "i1_opp"):
+        with pytest.raises(ConstructionError, match=r"needs \|i\| = 1"):
+            build_case("7.4", random.Random(0), mode=mode, i=0)
 
 
 def test_reduction_ids_report_requested_case():
@@ -244,3 +247,30 @@ def test_case6_pinned_empty_combination_raises():
                    gamma_kind="a2")
     cw = build_case("6", random.Random(0), mode="same", i=1, sigma=2, g=-1)
     assert cw.params["gamma_kind"] == "at"
+
+
+# -- case 7.4: every mode and sign --------------------------------------------
+
+
+@pytest.mark.parametrize("mode,pin,j", [
+    ("i0", {"k": -1}, 0), ("i0", {"k": 1}, 0),
+    ("i1_neg", {"i": -1}, 1), ("i1_neg", {"i": 1}, -1),
+    ("i1_same", {"i": -1}, -1), ("i1_same", {"i": 1}, 1),
+    ("i1_opp", {"i": -1}, 1), ("i1_opp", {"i": 1}, -1),
+])
+def test_case74_modes_construct(mode, pin, j):
+    for seed in range(20):
+        cw = build_case("7.4", random.Random(seed), mode=mode, **pin)
+        report = verify_case(cw)
+        assert report["ok"], (mode, pin, seed, report["checks"])
+        assert cw.params["mode"] == mode and cw.params["j"] == j
+
+
+@pytest.mark.parametrize("e", [4, 200])
+def test_case74_i1_opp_depths(e):
+    for i in (-1, 1):
+        cw = build_case("7.4", random.Random(0), mode="i1_opp", i=i, e=e)
+        assert verify_case(cw)["ok"], (e, i)
+        assert cw.params["e"] == e and cw.params["j"] == -i
+    with pytest.raises(ConstructionError, match="e >= 4"):
+        build_case("7.4", random.Random(0), mode="i1_opp", e=3)

@@ -14,8 +14,7 @@ A group model is any object with the duck-typed surface used below:
     element_from_key(k)  -> element
 
 Balls are built breadth-first, sphere by sphere.  Every element gets a
-dense integer id: ids run through the spheres in order and, inside a
-sphere, in sorted key order, so sphere r is the id range
+dense integer id in BFS discovery order, so sphere r is the id range
 starts[r]:starts[r+1] and ids, parent links and rosters are byte-stable
 across runs.  A loaded cache yields the same ids as the build it came from.
 
@@ -28,11 +27,12 @@ cache; a ball that is only built and saved does no extra work.  The scan, bridge
 and the impossibility searchers all read this one table.  Byte keys are
 used only at the I/O edge: the cache, witness strings and scan rows.
 
-The NDJSON cache ("ball-v2") holds one header line with the group, radius,
-element count and sphere sizes, then one line per element in sphere order.
-It is written to a temporary file and renamed into place, and a file that
-disagrees with its header is refused with CacheError.  Parent links are not
-cached, so word extraction needs a freshly built ball.
+The plain-text cache ("ball-v3") holds one JSON header line with the group,
+radius, element count and sphere sizes, then one "<distance> <key>" row per
+element in id order.  It is written to a temporary file and renamed into
+place, and a file that disagrees with its header is refused with
+CacheError.  Parent links are not cached, so word extraction needs a
+freshly built ball.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Iterable, Iterator, Optional
 
 DEFAULT_CAP = 50_000_000
 
-CACHE_FORMAT = "ball-v2"
+CACHE_FORMAT = "ball-v3"
 
 _UNKNOWN = -2  # table entry of a row not computed yet
 
@@ -183,24 +183,6 @@ class BallIndex:
         return out
 
 
-def _renumber_sphere(ball: BallIndex, lo: int, hi: int) -> None:
-    """Give the sphere just discovered (ids hi and up, in discovery order)
-    ids in sorted key order, and remap the table rows of the sphere before
-    it (ids lo:hi), the only rows that point into it."""
-    keys, n = ball.keys, len(ball.keys)
-    order = sorted(range(hi, n), key=keys.__getitem__)  # old id per new id
-    renum = [0] * (n - hi)  # new id per old id, offset by hi
-    for new, old in enumerate(order, hi):
-        renum[old - hi] = new
-    keys[hi:] = [keys[o] for o in order]
-    ball.ids.update(zip(keys[hi:], range(hi, n)))
-    ball.elements[hi:] = [ball.elements[o] for o in order]
-    ball.parent[hi:] = array("i", [ball.parent[o] for o in order])
-    ball.parent_gen[hi:] = array("b", [ball.parent_gen[o] for o in order])
-    table, start = ball._table, lo * ball.ngens
-    table[start:] = array("i", [j if j < hi else renum[j - hi] for j in table[start:]])
-
-
 def build_ball(model, radius: int, cap: int = DEFAULT_CAP) -> BallIndex:
     """BFS the ball of the given radius around the identity, recording the
     neighbour rows of every sphere it expands."""
@@ -234,7 +216,6 @@ def build_ball(model, radius: int, cap: int = DEFAULT_CAP) -> BallIndex:
                     parent.append(x)
                     parent_gen.append(i)
                 table.append(j)
-        _renumber_sphere(ball, lo, hi)
         ball.starts.append(len(keys))
     ball._lazy_from = ball.starts[radius]
     return ball
@@ -277,18 +258,18 @@ def bridge_length(ball: BallIndex, src, dst, forbid_identity: bool = False) -> O
 
 
 def save_ball(ball: BallIndex, path: str) -> None:
-    """Dump distances as NDJSON: one header line, then one line per element
-    in BFS sphere order.  The file appears under its name only once it is
-    complete."""
+    """Write the ball as plain text: one JSON header line, then one
+    "<distance> <key>" row per element in id order.  The file appears
+    under its name only once it is complete."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="ascii") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(json.dumps({"fmt": CACHE_FORMAT, "group": ball.model.name,
                                  "r": ball.radius, "n": len(ball),
-                                 "spheres": ball.sphere_sizes()}) + "\n")
+                                 "spheres": ball.sphere_sizes()}).encode("ascii") + b"\n")
             for r in range(len(ball.starts) - 1):
-                for key in ball.sphere(r):
-                    fh.write(json.dumps({"k": key.decode("ascii"), "d": r}) + "\n")
+                prefix = b"%d " % r
+                fh.writelines(prefix + key + b"\n" for key in ball.sphere(r))
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -299,58 +280,51 @@ def save_ball(ball: BallIndex, path: str) -> None:
 
 
 def load_ball(path: str, model) -> BallIndex:
-    """Rebuild a distance-only BallIndex from an NDJSON cache.  Raises
-    CacheError unless the rows match the header's sphere sizes exactly."""
+    """Rebuild a distance-only BallIndex from a cache, taking file order as
+    id order.  Raises CacheError unless every row's distance matches the
+    header's sphere sizes and nothing follows the last row."""
     try:
-        fh = open(path, "r", encoding="ascii")
+        with open(path, "rb") as fh:
+            head, body = fh.readline(), fh.read()
     except OSError as exc:
         raise CacheError(f"cannot open ball cache {path}: {exc}") from exc
-    with fh:
-        try:
-            header = json.loads(fh.readline())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CacheError(f"bad ball cache header in {path}") from exc
-        if not isinstance(header, dict) or header.get("fmt") != CACHE_FORMAT:
-            fmt = header.get("fmt") if isinstance(header, dict) else None
-            raise CacheError(f"unknown cache format {fmt!r}")
-        if header.get("group") != model.name:
-            raise CacheError(
-                f"cache is for group {header.get('group')!r}, not {model.name!r}")
-        radius = header.get("r")
-        if not isinstance(radius, int) or radius < 0:
-            raise CacheError("cache header has no usable radius")
-        sizes = header.get("spheres")
-        if (not isinstance(sizes, list) or len(sizes) != radius + 1
-                or not all(isinstance(s, int) and s >= 0 for s in sizes)
-                or sum(sizes) != header.get("n")):
-            raise CacheError("cache header has no usable element count and sphere sizes")
-        by_sphere: list[list[bytes]] = [[] for _ in range(radius + 1)]
-        try:
-            for line in fh:
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                key = row["k"].encode("ascii")
-                d = row["d"]
-                if not isinstance(d, int) or not 0 <= d <= radius:
-                    raise CacheError(f"cache row distance {d!r} outside radius {radius}")
-                by_sphere[d].append(key)
-        except (json.JSONDecodeError, UnicodeError, KeyError, TypeError,
-                AttributeError) as exc:
-            raise CacheError(f"bad ball cache row in {path}") from exc
-    found = [len(s) for s in by_sphere]
-    if found != sizes:
+    try:
+        header = json.loads(head)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CacheError(f"bad ball cache header in {path}") from exc
+    if not isinstance(header, dict) or header.get("fmt") != CACHE_FORMAT:
+        fmt = header.get("fmt") if isinstance(header, dict) else None
+        raise CacheError(f"unknown cache format {fmt!r}")
+    if header.get("group") != model.name:
         raise CacheError(
-            f"ball cache {path} holds sphere sizes {found}, its header says {sizes}")
+            f"cache is for group {header.get('group')!r}, not {model.name!r}")
+    radius = header.get("r")
+    if not isinstance(radius, int) or radius < 0:
+        raise CacheError("cache header has no usable radius")
+    sizes = header.get("spheres")
+    if (not isinstance(sizes, list) or len(sizes) != radius + 1
+            or not all(isinstance(s, int) and s >= 0 for s in sizes)
+            or sum(sizes) != header.get("n")):
+        raise CacheError("cache header has no usable element count and sphere sizes")
+    if not body.isascii():
+        raise CacheError(f"ball cache {path} holds non-ascii bytes")
+    rows = body.split(b"\n")
     ball = BallIndex(model, radius)
-    for sphere in by_sphere:
-        sphere.sort()
-        ball.keys.extend(sphere)
-        ball.starts.append(len(ball.keys))
-    ball.ids = {k: i for i, k in enumerate(ball.keys)}
-    if len(ball.ids) != len(ball.keys):
+    keys = ball.keys
+    for r, size in enumerate(sizes):
+        prefix, start = b"%d " % r, len(keys)
+        sphere = rows[start:start + size]
+        if len(sphere) != size or not all(row.startswith(prefix) for row in sphere):
+            raise CacheError(
+                f"ball cache {path} disagrees with its header on sphere {r}")
+        keys.extend(row[len(prefix):] for row in sphere)
+        ball.starts.append(len(keys))
+    if rows[len(keys):] != [b""]:
+        raise CacheError(f"ball cache {path} has data after its last row")
+    ball.ids = dict(zip(keys, range(len(keys))))
+    if len(ball.ids) != len(keys):
         raise CacheError(f"ball cache {path} repeats a key")
-    ball.elements = [None] * len(ball.keys)
+    ball.elements = [None] * len(keys)
     return ball
 
 

@@ -42,7 +42,7 @@ class BsParams:
         return 1 <= abs(s) <= self.q - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BsElement:
     """Affine map x |-> q^texp * x + num * q^-dpow, with dpow = 0 or q !| num."""
 

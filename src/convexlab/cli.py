@@ -240,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", help="override cache directory")
     p.add_argument("--rebuild", action="store_true",
                    help="ignore any cached ball")
-    p.add_argument("--out", help="also write the NDJSON dump here")
+    p.add_argument("--out", help="also write the ball cache file here")
 
     p = sub.add_parser("scan", help="almost-convexity scan over a radius range")
     common(p)
@@ -325,10 +325,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = _config_from_args(args)
         return _COMMANDS[cfg.subcommand](cfg)
     except (UsageError, WordError, ConstructionError, NotGeodesicError,
-            ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (BallCapError, CacheError, OSError) as exc:
+            ValueError, BallCapError, CacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -95,18 +95,18 @@ def scan(model, r_min: int, r_max: int, cap: int = DEFAULT_CAP,
     if ball.radius < r_max:
         raise ValueError("prebuilt ball is smaller than r_max")
 
-    table, ngens = ball.neighbours(), ball.ngens
+    table, ngens, keys = ball.neighbours(), ball.ngens, ball.keys
     visited = [0] * len(ball)
     stamp = 0
     rows = []
     for r in range(r_min, r_max + 1):
-        # B(r) is the id range 0:hi and S(r) is lo:hi, in key order, so
-        # "y after x on S(r)" is x < y < hi.
+        # B(r) is the id range 0:hi and S(r) is lo:hi, so each unordered
+        # pair is searched once, from its smaller id: x < y < hi.
         lo, hi = ball.starts[r], ball.starts[r + 1]
         shared = _shared_outside(ball, table, lo, hi)
         fmax = 0
         npairs = 0
-        witness: tuple[int, int] | None = None
+        witness: tuple[bytes, bytes] | None = None
         for x in range(lo, hi):
             targets = set(shared.get(x, ()))
             for m in table[x * ngens:(x + 1) * ngens]:
@@ -136,17 +136,19 @@ def scan(model, r_min: int, r_max: int, cap: int = DEFAULT_CAP,
                             nxt.append(w)
                             if w in targets:
                                 targets.discard(w)
-                                if depth > fmax or (depth == fmax and (x, w) < witness):
-                                    fmax = depth
-                                    witness = (x, w)
+                                if depth >= fmax:
+                                    pair = tuple(sorted((keys[x], keys[w])))
+                                    if depth > fmax or pair < witness:
+                                        fmax = depth
+                                        witness = pair
                 if not nxt and targets:
                     raise InvariantError(
                         f"sphere pair disconnected inside B({r})")
                 frontier = nxt
         rows.append(ScanRow(
             r, fmax, npairs,
-            ball.keys[witness[0]].decode("ascii") if witness else "",
-            ball.keys[witness[1]].decode("ascii") if witness else ""))
+            witness[0].decode("ascii") if witness else "",
+            witness[1].decode("ascii") if witness else ""))
     return ScanReport(model.name, r_min, r_max, tuple(rows))
 
 

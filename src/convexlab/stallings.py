@@ -32,7 +32,7 @@ RELATORS = ("acAC", "adAD", "bcBC", "bdBD", "sAbSBa", "sAcSCa", "sAdSDa")
 _GEN_NAMES = ("a", "A", "b", "B", "c", "C", "d", "D", "s", "S")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StallingsElement:
     """Canonical triple: quo over {a,s}, u over F(a,b), v over F(c,d)."""
 

@@ -245,7 +245,7 @@ def _partner(w: Word, gamma: Word, cls: Optional[int], w_cls: Optional[int] = No
 def _build_4(rng: random.Random, o: dict) -> CaseWitness:
     # both endpoints are a-powers: w is an X-block word t^h w1, u = t^i u1.
     h = int(o.get("h", rng.randint(2, 12)))
-    _require(h >= 1, "case 4 needs X-height h >= 1")
+    _require(h >= 2, "case 4 needs X-height h >= 2")
     g = int(o.get("g", rng.choice((-2, -1, 1, 2))))
     _require(1 <= abs(g) <= 2, "case 4 needs gamma = a^g with 1 <= |g| <= 2")
     gamma = _ap(g)
@@ -256,8 +256,7 @@ def _build_4(rng: random.Random, o: dict) -> CaseWitness:
             digits[0] = -g // 2  # a^(2s): digit -s flips to +s, weight kept
         else:
             digits[0] = g  # a^g: 2g carries, digit g moves one level up
-            if h >= 2:
-                digits[1] = 0
+            digits[1] = 0
         w = XBlock(h, rng.choice((-3, -2, 2, 3)), tuple(digits)).render("PN")
         u = _partner(w, gamma, 1)
         if u is None or _leading_trun(u) < 1:
@@ -272,6 +271,7 @@ def _build_4(rng: random.Random, o: dict) -> CaseWitness:
 def _build_5(rng: random.Random, o: dict) -> CaseWitness:
     # w an a-power, u class 2 with an X-head; same detour assembly as case 4.
     h = int(o.get("h", rng.randint(2, 12)))
+    _require(h >= 1, "case 5 needs X-height h >= 1")
     g = int(o.get("g", rng.choice((-1, 1))))
     _require(abs(g) == 1, "case 5 needs gamma = a^g t^-1 with |g| = 1")
     gamma = _ap(g) * _tp(-1)
@@ -346,6 +346,7 @@ def _build_6(rng: random.Random, o: dict) -> CaseWitness:
     g = int(o.get("g", rng.choice((-1, 1))))
     i, j = -g, g
     h = int(o.get("h", rng.randint(1, 10)))
+    _require(h >= 1, "case 6 needs X-height h >= 1")
     gamma = _ap(g)
 
     def opposite():

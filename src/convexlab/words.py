@@ -71,7 +71,7 @@ def _canonical_runs(runs: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], .
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """Run-length encoded word.  Adjacent runs of the same letter are merged
     only when they share a sign, so the letter sequence is stored losslessly

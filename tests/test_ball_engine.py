@@ -189,10 +189,11 @@ def test_build_leaves_outer_rows_for_first_use():
     assert model.calls == 4 * outer.start + 4
 
 
-def test_ids_follow_sphere_and_key_order(ball_bs2_r8):
+def test_ids_follow_sphere_and_discovery_order(ball_bs2_r8):
     assert ball_bs2_r8.keys == [k for sphere in ball_bs2_r8.spheres for k in sphere]
-    for sphere in ball_bs2_r8.spheres:
-        assert sphere == sorted(sphere)
+    # BFS discovers the children of each element before those of the next
+    parents = list(ball_bs2_r8.parent[1:])
+    assert parents == sorted(parents)
     for x in (0, 1, 100, len(ball_bs2_r8) - 1):
         assert ball_bs2_r8.ids[ball_bs2_r8.keys[x]] == x
 
@@ -209,7 +210,7 @@ def test_cache_header_counts_elements(tmp_path, ball_bs2_r8):
     path = tmp_path / "b8.ndjson"
     save_ball(ball_bs2_r8, str(path))
     header = json.loads(path.read_text().splitlines()[0])
-    assert header == {"fmt": "ball-v2", "group": "bs:q=2", "r": 8,
+    assert header == {"fmt": "ball-v3", "group": "bs:q=2", "r": 8,
                       "n": len(ball_bs2_r8), "spheres": ball_bs2_r8.sphere_sizes()}
     assert not [p for p in tmp_path.iterdir() if p.name != "b8.ndjson"]
 
@@ -237,6 +238,15 @@ def test_cache_rejects_header_mismatch(tmp_path, ball_bs2_r8):
     path.write_text('{"fmt": "ball-v1", "group": "bs:q=2", "r": 8}\n' + "".join(lines[1:]))
     with pytest.raises(CacheError):
         load_ball(str(path), ball_bs2_r8.model)
+    header = json.loads(lines[0])
+    header["fmt"] = "ball-v2"
+    path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    with pytest.raises(CacheError, match="ball-v2"):
+        load_ball(str(path), ball_bs2_r8.model)
+    for tail in ("\n", lines[-1]):
+        path.write_text("".join(lines) + tail)
+        with pytest.raises(CacheError, match="after its last row"):
+            load_ball(str(path), ball_bs2_r8.model)
 
 
 def test_failed_save_keeps_the_old_cache(tmp_path, ball_bs2_r8, monkeypatch):

@@ -6,13 +6,14 @@ soundness on every element the oracle saw.
 """
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from convexlab.bs_arith import BsElement, BsParams, bs_eval
+from convexlab.bs_arith import BsElement, BsGroupModel, BsParams, bs_eval
 from convexlab.bs_geodesics import (
     GeodesicNormalForm,
     NotGeodesicError,
@@ -37,22 +38,40 @@ def words_strategy(max_size=12):
 
 
 def _ref_element(q: int, ref_el) -> BsElement:
+    """The element of a reference (texp, Fraction) pair: the smallest dpow
+    with c * q^dpow integral (for composite q, den need not be a power of q)."""
     texp, c = ref_el
-    num, den = c.numerator, c.denominator
     dpow = 0
-    while den > 1:
-        den //= q
+    while (c * q ** dpow).denominator > 1:
         dpow += 1
-    return BsElement(texp, num, dpow)
+    return BsElement(texp, int(c * q ** dpow), dpow)
 
 
-@pytest.mark.parametrize("q,radius", [(2, 8), (7, 5)])
+@pytest.mark.parametrize("q,radius", [(2, 8), (7, 5)] + [
+    (q, 7) for q in (3, 4, 5, 6, 8, 9, 10)])
 def test_length_matches_reference_bfs(q, radius):
     params = BsParams(q)
     dist, _ = reference.ball(q, radius)
     for ref_el, d in dist.items():
         el = _ref_element(q, ref_el)
         assert geodesic_length(el, params) == d, (ref_el, d)
+
+
+@pytest.mark.parametrize("q", [2, 3, 7])
+def test_length_is_a_local_certificate(q):
+    # With d(1) = 0, these two conditions characterise graph distance, so
+    # they check the DP on long words far beyond the reach of BFS.
+    params = BsParams(q)
+    model = BsGroupModel(params)
+    rng = random.Random(q)
+    for _ in range(300):
+        w = Word.from_letters((rng.choice("at"), rng.choice((-1, 1)))
+                              for _ in range(rng.randint(60, 200)))
+        g = bs_eval(w, params)
+        d = geodesic_length(g, params)
+        near = [geodesic_length(model.apply_gen(g, i), params) for i in range(4)]
+        assert all(abs(dn - d) <= 1 for dn in near), (str(w), d, near)
+        assert g.is_identity() or d - 1 in near, (str(w), d, near)
 
 
 def test_length_word_overload():

@@ -124,6 +124,8 @@ def test_case_errors(capsys):
     assert "does not take" in capsys.readouterr().err
     assert main(["case", "--id", "10.3.3.2", "--p", "5"]) == 2
     assert "p >= 6" in capsys.readouterr().err
+    assert main(["case", "--id", "5", "--opt", "h=0"]) == 2
+    assert "h >= 1" in capsys.readouterr().err
 
 
 def test_case_string_opt(capsys):

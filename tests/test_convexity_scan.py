@@ -23,6 +23,16 @@ FROZEN_BS2 = {
     10: (11, 2932),
 }
 
+# the lexicographically smallest fmax pair per radius, as ascii keys
+FROZEN_BS2_WITNESSES = {
+    3: ("-1:-3:1", "0:-1:1"),
+    4: ("-1:-1:2", "-2:-3:2"),
+    5: ("-1:-3:2", "0:1:2"),
+    6: ("-1:-9:1", "1:-9:1"),
+    7: ("-1:-13:1", "1:-13:1"),
+    8: ("-1:-17:1", "1:-17:1"),
+}
+
 
 @pytest.fixture(scope="module")
 def report_r8(ball_bs2_r8):
@@ -41,6 +51,11 @@ def test_scan_matches_reference_directly():
     assert (row.fmax, row.pairs) == ref
     grouped = reference.fmax_scan_grouped(2, 4)
     assert (row.fmax, row.pairs) == grouped
+
+
+def test_scan_witnesses_match_frozen(report_r8):
+    for row in report_r8.rows:
+        assert (row.witness_x, row.witness_y) == FROZEN_BS2_WITNESSES[row.r], row.r
 
 
 def test_scan_witness_pair_is_valid(report_r8, ball_bs2_r8):

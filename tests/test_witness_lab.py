@@ -120,6 +120,16 @@ def test_build_case_rejects_bad_values():
     for mode in ("i1_neg", "i1_same", "i1_opp"):
         with pytest.raises(ConstructionError, match=r"needs \|i\| = 1"):
             build_case("7.4", random.Random(0), mode=mode, i=0)
+    for case, pins in (("5", {"h": 0}), ("6", {"mode": "opposite", "h": 0})):
+        with pytest.raises(ConstructionError, match="h >= 1"):
+            build_case(case, random.Random(0), **pins)
+    with pytest.raises(ConstructionError, match="h >= 2"):
+        build_case("4", random.Random(0), h=1)
+
+
+def test_case4_lowest_height_builds():
+    for seed in range(20):
+        assert verify_case(build_case("4", random.Random(seed), h=2))["ok"]
 
 
 def test_reduction_ids_report_requested_case():

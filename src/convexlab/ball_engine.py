@@ -7,9 +7,6 @@ A group model is any object with the duck-typed surface used below:
     generator_names()    -> tuple of generator labels, fixed order; the
                             generators are closed under inverses
     apply_gen(el, i)     -> element * generator i
-    gen_word(i)          -> one-letter Word for generator i
-    invert(el)           -> element inverse
-    multiply(g, h)       -> element product
     key(el)              -> ascii bytes, injective on elements
     element_from_key(k)  -> element
 
@@ -41,8 +38,7 @@ import json
 import os
 from array import array
 from bisect import bisect_right
-from collections.abc import Mapping
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 DEFAULT_CAP = 50_000_000
 
@@ -58,25 +54,6 @@ class BallCapError(RuntimeError):
 class CacheError(RuntimeError):
     """Cache file missing, malformed, truncated, or for a different
     group/radius."""
-
-
-class _Distances(Mapping):
-    """Read-only key -> distance view of a ball."""
-
-    def __init__(self, ball: "BallIndex"):
-        self._ball = ball
-
-    def __getitem__(self, key: bytes) -> int:
-        return self._ball.depth(self._ball.ids[key])
-
-    def __contains__(self, key) -> bool:
-        return key in self._ball.ids
-
-    def __iter__(self) -> Iterator[bytes]:
-        return iter(self._ball.keys)
-
-    def __len__(self) -> int:
-        return len(self._ball.keys)
 
 
 class BallIndex:
@@ -107,16 +84,13 @@ class BallIndex:
     def __contains__(self, key: bytes) -> bool:
         return key in self.ids
 
-    @property
-    def dist(self) -> Mapping:
-        """Key -> distance mapping over the whole ball."""
-        return _Distances(self)
-
     def depth(self, i: int) -> int:
         """Distance from the identity of the element with id i."""
         return bisect_right(self.starts, i) - 1
 
     def distance(self, key: bytes) -> Optional[int]:
+        """Distance from the identity of the element with this key, None
+        outside the ball."""
         i = self.ids.get(key)
         return None if i is None else self.depth(i)
 
@@ -186,6 +160,8 @@ class BallIndex:
 def build_ball(model, radius: int, cap: int = DEFAULT_CAP) -> BallIndex:
     """BFS the ball of the given radius around the identity, recording the
     neighbour rows of every sphere it expands."""
+    if radius < 0:
+        raise ValueError(f"ball radius must be >= 0, got {radius}")
     ball = BallIndex(model, radius)
     apply_gen, key, ngens = model.apply_gen, model.key, ball.ngens
     ids, keys, elements = ball.ids, ball.keys, ball.elements
@@ -219,11 +195,6 @@ def build_ball(model, radius: int, cap: int = DEFAULT_CAP) -> BallIndex:
         ball.starts.append(len(keys))
     ball._lazy_from = ball.starts[radius]
     return ball
-
-
-def distance(ball: BallIndex, el) -> Optional[int]:
-    """Distance of an element from the identity, None outside the ball."""
-    return ball.distance(ball.model.key(el))
 
 
 def bridge_length(ball: BallIndex, src, dst, forbid_identity: bool = False) -> Optional[int]:
@@ -326,8 +297,3 @@ def load_ball(path: str, model) -> BallIndex:
         raise CacheError(f"ball cache {path} repeats a key")
     ball.elements = [None] * len(keys)
     return ball
-
-
-def geodesic_words(ball: BallIndex, keys: Iterable[bytes]) -> dict[bytes, list[str]]:
-    """Geodesic generator-label words for a batch of ball keys."""
-    return {k: ball.geodesic_word(k) for k in keys}

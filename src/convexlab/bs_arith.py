@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Word, gen_power
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,7 @@ def bs_eval(w: Word, params: BsParams) -> BsElement:
                 dpow += -e
         else:
             raise ValueError(f"letter {gen!r} is not a BS(1,q) generator")
-    while dpow > 0 and num % q == 0:
-        num //= q
-        dpow -= 1
-    if num == 0:
-        dpow = 0
-    return BsElement(texp, num, dpow)
+    return _make(params, texp, num, -dpow)
 
 
 def bs_key(g: BsElement) -> bytes:
@@ -143,34 +138,15 @@ class BsGroupModel:
 
     def apply_gen(self, g: BsElement, i: int) -> BsElement:
         """Right-multiply by the i-th generator letter."""
-        q = self.params.q
-        if i < 2:  # a or A
+        if i < 2:  # a or A: add +-q^texp to the translation part
             eps = 1 if i == 0 else -1
+            q = self.params.q
             e = g.texp + g.dpow
             if e >= 0:
-                num = g.num + eps * q ** e
-                dpow = g.dpow
-            else:
-                num = g.num * q ** (-e) + eps
-                dpow = g.dpow - e
-            while dpow > 0 and num % q == 0:
-                num //= q
-                dpow -= 1
-            if num == 0:
-                dpow = 0
-            return BsElement(g.texp, num, dpow)
+                return _make(self.params, g.texp, g.num + eps * q ** e, -g.dpow)
+            return _make(self.params, g.texp, g.num * q ** -e + eps, g.texp)
         eps = 1 if i == 2 else -1
         return BsElement(g.texp + eps, g.num, g.dpow)
-
-    def gen_word(self, i: int) -> Word:
-        gen, sign = [("a", 1), ("a", -1), ("t", 1), ("t", -1)][i]
-        return gen_power(gen, sign)
-
-    def multiply(self, g: BsElement, h: BsElement) -> BsElement:
-        return bs_mul(g, h, self.params)
-
-    def invert(self, g: BsElement) -> BsElement:
-        return bs_inv(g, self.params)
 
     def key(self, g: BsElement) -> bytes:
         return bs_key(g)

@@ -13,16 +13,22 @@ texp - 2B + 2h t-letters; a-letters pay for the digits:
     that writes one balanced digit per climbed level and a top digit s with
     2 <= |s| <= 3 (q = 2) or 1 <= |s| <= q - 1 (q > 2).
 
-Minimizing digit cost over these shapes gives the distance in the Cayley
-graph; correctness is pinned against brute-force BFS in the tests.  Ties are
-broken deterministically: plain core before climb block, then smaller climb,
-then lexicographically smallest digit vector (bottom level first).
+Both stages are loops over _step, which writes one balanced digit under
+every state and divides by q; the climb stops once no state can reach a
+top digit.  The minimal digit cost gives the Cayley-graph distance (pinned
+against brute-force BFS in the tests).  _trace reconstructs a minimal
+form: backward costs, then a forward pass taking the smallest optimal
+digit.  Ties go to the lexicographically least below digits (bottom level
+first), then plain core before climb block, smaller climb, smaller top
+digit, least climb digits.  Words are laid out by descent_word (core,
+t^-1 a^d per level down, t^rise) or ascent_word (t^-dip, a^d t per level
+up, core); every class and both climb-block orientations use these two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 from .bs_arith import BsElement, BsParams, bs_eval
 from .errors import InvariantError
@@ -75,74 +81,99 @@ def _climb_dead(m: int, q: int) -> bool:
     return m == 0 or (q == 2 and abs(m) == 1)
 
 
-def _climb_frontiers(m0: int, params: BsParams) -> list[dict[int, int]]:
-    """Forward frontiers of the climb DP: frontiers[h] maps the remainder
-    after h climbed levels to the minimal digit cost spent so far."""
+def _step(frontier: dict[int, int], params: BsParams) -> dict[int, int]:
+    """One level of the digit walk: write a balanced digit under each state
+    and divide by q, keeping the cheapest cost of every remainder."""
     q = params.q
+    nxt: dict[int, int] = {}
+    for m, c in frontier.items():
+        for d in _balanced_digits(m, params):
+            m2 = (m - d) // q
+            c2 = c + abs(d)
+            if c2 < nxt.get(m2, _INF):
+                nxt[m2] = c2
+    return nxt
+
+
+def _below_frontiers(m0: int, levels: int, params: BsParams) -> list[dict[int, int]]:
+    """Forward frontiers of the below stage: frontiers[j] maps the remainder
+    after j levels to the minimal digit cost spent so far."""
     frontiers = [{m0: 0}]
-    cur = {} if _climb_dead(m0, q) else {m0: 0}
-    while cur:
-        nxt: dict[int, int] = {}
-        for m, c in cur.items():
-            for d in _balanced_digits(m, params):
-                m2 = (m - d) // q
-                c2 = c + abs(d)
-                if c2 < nxt.get(m2, _INF):
-                    nxt[m2] = c2
-        frontiers.append(nxt)
-        # dead states never stop, so dropping them from the live frontier
-        # only trims doomed branches; remainders shrink toward 0, which
-        # bounds the height, but keep a hard stop anyway
-        cur = {m: c for m, c in nxt.items() if not _climb_dead(m, q)}
-        if len(frontiers) > abs(m0).bit_length() + 8:
-            raise InvariantError("climb DP failed to terminate")
+    for _ in range(levels):
+        frontiers.append(_step(frontiers[-1], params))
     return frontiers
 
 
-def _climb_cost(m0: int, params: BsParams) -> Union[int, float]:
-    """Minimal 2h + sum|k_j| + |s| over climb blocks writing m0, or inf."""
-    best: Union[int, float] = _INF
-    frontiers = _climb_frontiers(m0, params)
-    for h in range(1, len(frontiers)):
-        for m, c in frontiers[h].items():
-            if params.top_digit_ok(m):
-                total = 2 * h + c + abs(m)
-                if total < best:
-                    best = total
-    return best
+def _climb_frontiers(m0: int, params: BsParams) -> list[dict[int, int]]:
+    """Forward frontiers of a climb block, frontiers[h] after h climbed
+    levels.  The climb stops once no state can still reach a top digit."""
+    q = params.q
+    frontiers = [{m0: 0}]
+    live = {} if _climb_dead(m0, q) else frontiers[0]
+    while live:
+        frontiers.append(_step(live, params))
+        # dead states never stop, so dropping them only trims doomed
+        # branches; remainders shrink toward 0, which bounds the height,
+        # but keep a hard stop anyway
+        live = {m: c for m, c in frontiers[-1].items() if not _climb_dead(m, q)}
+        if len(frontiers) > abs(m0).bit_length() + 8:
+            raise InvariantError("climb DP failed to terminate")
+    return frontiers
 
 
 _CORE_CACHE: dict[tuple[int, int], Union[int, float]] = {}
 
 
 def _core_cost(m: int, params: BsParams) -> Union[int, float]:
-    """Minimal a-letter + climb cost of absorbing remainder m at the base."""
+    """Minimal cost of absorbing remainder m at the base: |m| for a plain
+    core, 2h + sum|k_j| + |s| for a climb block, inf when neither fits."""
     key = (params.q, m)
-    hit = _CORE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    best = abs(m) if abs(m) <= params.core_cap else _INF
-    climb = _climb_cost(m, params)
-    cost = best if best <= climb else climb
+    cost = _CORE_CACHE.get(key)
+    if cost is not None:
+        return cost
+    cost = abs(m) if abs(m) <= params.core_cap else _INF
+    for h, frontier in enumerate(_climb_frontiers(m, params)[1:], 1):
+        for top, c in frontier.items():
+            if params.top_digit_ok(top) and 2 * h + c + abs(top) < cost:
+                cost = 2 * h + c + abs(top)
     _CORE_CACHE[key] = cost
     return cost
 
 
-def _below_frontiers(m0: int, levels: int, params: BsParams) -> list[dict[int, int]]:
-    """Forward frontiers of the below-stage DP, one balanced digit per level."""
-    frontiers = [{m0: 0}]
+def _trace(frontiers: list[dict[int, int]], last: dict[int, Union[int, float]],
+           params: BsParams) -> tuple[list[int], int, Union[int, float]]:
+    """Cheapest digit path through the levels of `frontiers`, whose top
+    level is priced by `last` (remaining cost per state) instead.
+
+    Backward costs are computed over the reachable states; the forward pass
+    from the single start state then takes the smallest digit among the
+    optimal ones.  Returns (digits, end state, cost)."""
     q = params.q
-    for _ in range(levels):
-        cur = frontiers[-1]
-        nxt: dict[int, int] = {}
-        for m, c in cur.items():
+    back = [last]
+    for frontier in reversed(frontiers[:-1]):
+        above = back[-1]
+        here: dict[int, Union[int, float]] = {}
+        for m in frontier:
+            best: Union[int, float] = _INF
             for d in _balanced_digits(m, params):
-                m2 = (m - d) // q
-                c2 = c + abs(d)
-                if c2 < nxt.get(m2, _INF):
-                    nxt[m2] = c2
-        frontiers.append(nxt)
-    return frontiers
+                c = abs(d) + above.get((m - d) // q, _INF)
+                if c < best:
+                    best = c
+            here[m] = best
+        back.append(here)
+    back.reverse()
+    (start,) = frontiers[0]
+    digits = []
+    m = start
+    for j in range(len(frontiers) - 1):
+        for d in _balanced_digits(m, params):
+            if abs(d) + back[j + 1].get((m - d) // q, _INF) == back[j][m]:
+                digits.append(d)
+                m = (m - d) // q
+                break
+        else:
+            raise InvariantError("digit reconstruction lost the optimum")
+    return digits, m, back[0][start]
 
 
 def geodesic_length(g: Union[BsElement, Word], params: BsParams) -> int:
@@ -165,6 +196,26 @@ def is_geodesic(w: Word, params: BsParams) -> bool:
     return len(w) == geodesic_length(bs_eval(w, params), params)
 
 
+def descent_word(core: Word, digits_down: Sequence[int], rise: int = 0) -> Word:
+    """core, then t^-1 a^d for each d (digits_down[j] sits j + 1 levels
+    below the core), then t^rise."""
+    runs = list(core.runs)
+    for d in digits_down:
+        runs += (("t", -1), ("a", d))
+    runs.append(("t", rise))
+    return Word.from_runs(runs)
+
+
+def ascent_word(dip: int, digits_up: Sequence[int], core: Word) -> Word:
+    """t^-dip, then a^d t for each d (digits_up[j] sits j levels above the
+    bottom), then core."""
+    runs = [("t", -dip)]
+    for d in digits_up:
+        runs += (("a", d), ("t", 1))
+    runs += core.runs
+    return Word.from_runs(runs)
+
+
 @dataclass(frozen=True)
 class XBlock:
     """Climb block: ascend `height` levels above its base, write the top
@@ -182,15 +233,11 @@ class XBlock:
         """PN: t^h a^top t^-1 a^{k_(h-1)} ... t^-1 a^{k_0}.
         NP mirror: a^{k_0} t a^{k_1} ... t a^{k_(h-1)} t a^top t^-h."""
         if orientation == "PN":
-            w = gen_power("t", self.height) * gen_power("a", self.top)
-            for j in range(self.height - 1, -1, -1):
-                w = w * gen_power("t", -1) * gen_power("a", self.digits[j])
-            return w
+            return descent_word(Word.from_runs((("t", self.height), ("a", self.top))),
+                                self.digits[::-1])
         if orientation == "NP":
-            w = Word()
-            for j in range(self.height):
-                w = w * gen_power("a", self.digits[j]) * gen_power("t", 1)
-            return w * gen_power("a", self.top) * gen_power("t", -self.height)
+            return ascent_word(0, self.digits,
+                               Word.from_runs((("a", self.top), ("t", -self.height))))
         raise ValueError(f"unknown orientation {orientation!r}")
 
 
@@ -242,45 +289,26 @@ class GeodesicNormalForm:
         return self.core.render(x_orientation)
 
     def render(self, x_orientation: str = "PN", class4_form: str | None = None) -> Word:
-        """Geodesic word spelling the element.
-
-        Class (1): the core block alone.  Class (2): core, then descend
-        writing a digit after each t^-1.  Class (3): ascend writing a digit
-        before each t, core on top.  Class (4) has two layouts: 'down_first'
-        (t^-e, then ascend with digits, core on top; needs texp >= 0) and
-        'core_first' (core, descend with digits, then bare t^f; needs
-        texp <= 0).  The default picks down_first iff texp >= 0."""
-        cls = self.class_tag
-        core_at_top = self._core_word(x_orientation)
-        if cls == 1:
-            return core_at_top
-        if cls == 2:
-            w = core_at_top
-            for height in range(-1, self.bottom - 1, -1):
-                w = w * gen_power("t", -1) * gen_power("a", self.digit_at(height))
-            return w
-        if cls == 3:
-            w = Word()
-            for height in range(0, self.base):
-                w = w * gen_power("a", self.digit_at(height)) * gen_power("t", 1)
-            return w * core_at_top
-        form = class4_form
+        """Geodesic word spelling the element, in one of two layouts:
+        'down_first' (t^-e, then ascend writing a digit before each t, core
+        on top; needs texp >= 0) and 'core_first' (core, then descend
+        writing a digit after each t^-1, then bare t^f; needs texp <= 0).
+        Classes (1) and (3) are down_first words and class (2) a core_first
+        word.  Only class (4) takes class4_form; its default, like every
+        other class, is down_first iff texp >= 0."""
+        texp = self.element.texp
+        core = self._core_word(x_orientation)
+        form = class4_form if self.class_tag == 4 else None
         if form is None:
-            form = "down_first" if self.element.texp >= 0 else "core_first"
+            form = "down_first" if texp >= 0 else "core_first"
         if form == "down_first":
-            if self.element.texp < 0:
+            if texp < 0:
                 raise ValueError("down_first layout needs texp >= 0")
-            w = gen_power("t", self.bottom)
-            for height in range(self.bottom, self.base):
-                w = w * gen_power("a", self.digit_at(height)) * gen_power("t", 1)
-            return w * core_at_top
+            return ascent_word(-self.bottom, self.digits, core)
         if form == "core_first":
-            if self.element.texp > 0:
+            if texp > 0:
                 raise ValueError("core_first layout needs texp <= 0")
-            w = self._core_word(x_orientation)
-            for height in range(-1, self.bottom - 1, -1):
-                w = w * gen_power("t", -1) * gen_power("a", self.digit_at(height))
-            return w * gen_power("t", self.element.texp - self.bottom)
+            return descent_word(core, self.digits[::-1], texp - self.bottom)
         raise ValueError(f"unknown class-4 form {form!r}")
 
     def validate(self) -> None:
@@ -325,82 +353,34 @@ class GeodesicNormalForm:
 def _solve(el: BsElement, params: BsParams) -> GeodesicNormalForm:
     """Run the digit DP and reconstruct the deterministic minimal form."""
     bottom, base, m0 = _walk_parts(el, params)
-    levels = base - bottom
-    frontiers = _below_frontiers(m0, levels, params)
-    # backward costs over the reachable states
-    back: list[dict[int, Union[int, float]]] = [dict() for _ in range(levels + 1)]
-    for m in frontiers[levels]:
-        back[levels][m] = _core_cost(m, params)
-    for j in range(levels - 1, -1, -1):
-        for m in frontiers[j]:
-            best: Union[int, float] = _INF
-            for d in _balanced_digits(m, params):
-                c = abs(d) + back[j + 1][(m - d) // params.q]
-                if c < best:
-                    best = c
-            back[j][m] = best
-    # forward reconstruction, smallest digit first on ties
-    digits = []
-    m = m0
-    for j in range(levels):
-        for d in _balanced_digits(m, params):
-            if abs(d) + back[j + 1][(m - d) // params.q] == back[j][m]:
-                digits.append(d)
-                m = (m - d) // params.q
-                break
-        else:
-            raise InvariantError("below-stage reconstruction lost the optimum")
-    core = _reconstruct_core(m, params)
-    nf = GeodesicNormalForm(params, el, bottom, tuple(digits), core)
-    if nf.length != el.texp - 2 * bottom + back[0][m0]:
+    frontiers = _below_frontiers(m0, base - bottom, params)
+    last = {m: _core_cost(m, params) for m in frontiers[-1]}
+    digits, m, cost = _trace(frontiers, last, params)
+    nf = GeodesicNormalForm(params, el, bottom, tuple(digits), _reconstruct_core(m, params))
+    if nf.length != el.texp - 2 * bottom + cost:
         raise InvariantError("normal form length differs from the digit cost")
     return nf
 
 
 def _reconstruct_core(m: int, params: BsParams) -> Union[int, XBlock]:
+    """The core block absorbing remainder m: the plain a^m when it is
+    optimal, else the climb block of least (height, top digit)."""
     cost = _core_cost(m, params)
-    if cost is _INF or cost == _INF:
+    if cost == _INF:
         raise InvariantError(f"remainder {m} admits no core block")
     if abs(m) <= params.core_cap and abs(m) == cost:
         return m
     frontiers = _climb_frontiers(m, params)
-    pick = None
-    for h in range(1, len(frontiers)):
-        for mm, c in sorted(frontiers[h].items()):
-            if params.top_digit_ok(mm) and 2 * h + c + abs(mm) == cost:
-                pick = (h, mm)
-                break
-        if pick:
-            break
-    if pick is None:
+    picks = [(h, top) for h in range(1, len(frontiers))
+             for top, c in frontiers[h].items()
+             if params.top_digit_ok(top) and 2 * h + c + abs(top) == cost]
+    if not picks:
         raise InvariantError("climb reconstruction lost the optimum")
-    h_star, top = pick
-    # backward over climb levels, then forward choosing smallest digits
-    back: list[dict[int, Union[int, float]]] = [dict() for _ in range(h_star + 1)]
-    back[h_star] = {top: abs(top)}
-    for j in range(h_star - 1, -1, -1):
-        for mm in frontiers[j]:
-            best: Union[int, float] = _INF
-            for d in _balanced_digits(mm, params):
-                nxt = back[j + 1].get((mm - d) // params.q)
-                if nxt is not None and abs(d) + nxt < best:
-                    best = abs(d) + nxt
-            if best is not _INF:
-                back[j][mm] = best
-    ks = []
-    cur = m
-    for j in range(h_star):
-        for d in _balanced_digits(cur, params):
-            nxt = back[j + 1].get((cur - d) // params.q)
-            if nxt is not None and abs(d) + nxt == back[j][cur]:
-                ks.append(d)
-                cur = (cur - d) // params.q
-                break
-        else:
-            raise InvariantError("climb digit reconstruction lost the optimum")
-    if cur != top:
-        raise InvariantError(f"climb digits end at {cur}, not the top digit {top}")
-    return XBlock(h_star, top, tuple(ks))
+    h, top = min(picks)
+    digits, end, _ = _trace(frontiers[:h + 1], {top: abs(top)}, params)
+    if end != top:
+        raise InvariantError(f"climb digits end at {end}, not the top digit {top}")
+    return XBlock(h, top, tuple(digits))
 
 
 def normalize(w: Union[Word, BsElement], params: BsParams) -> GeodesicNormalForm:

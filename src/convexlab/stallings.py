@@ -130,19 +130,9 @@ class StallingsModel:
     def generator_names(self) -> tuple[str, ...]:
         return _GEN_NAMES
 
-    def gen_word(self, i: int) -> Word:
-        name = _GEN_NAMES[i]
-        return gen_power(name.lower(), -1 if name.isupper() else 1)
-
     def apply_gen(self, el: StallingsElement, i: int) -> StallingsElement:
         name = _GEN_NAMES[i]
         return _letter(el, name.lower(), -1 if name.isupper() else 1)
-
-    def multiply(self, g: StallingsElement, h: StallingsElement) -> StallingsElement:
-        return st_mul(g, h)
-
-    def invert(self, g: StallingsElement) -> StallingsElement:
-        return st_inv(g)
 
     def key(self, el: StallingsElement) -> bytes:
         return f"{el.quo}|{el.u}|{el.v}".encode("ascii")
@@ -160,7 +150,7 @@ def verify_stallings_witness(n: int = 1, cap: Optional[int] = None) -> dict:
     the length-2 element of "sA", yet every connecting path inside B(R)
     spends 2R steps, which beats the almost-convexity budget 4n + 4 is
     compared against.  Returns a JSON-ready report."""
-    from .ball_engine import DEFAULT_CAP, build_ball, bridge_length, distance
+    from .ball_engine import DEFAULT_CAP, build_ball, bridge_length
 
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -175,10 +165,11 @@ def verify_stallings_witness(n: int = 1, cap: Optional[int] = None) -> dict:
     checks["gamma_alpha"] = gamma_length_special(alpha) == R
     checks["gamma_beta"] = gamma_length_special(beta) == R
     checks["difference"] = st_mul(st_inv(alpha), beta) == st_eval("sA")
-    ball = build_ball(StallingsModel(), R, cap if cap is not None else DEFAULT_CAP)
-    checks["radius_alpha"] = distance(ball, alpha) == R
-    checks["radius_beta"] = distance(ball, beta) == R
-    checks["difference_dist"] = distance(ball, st_eval("sA")) == 2
+    model = StallingsModel()
+    ball = build_ball(model, R, cap if cap is not None else DEFAULT_CAP)
+    checks["radius_alpha"] = ball.distance(model.key(alpha)) == R
+    checks["radius_beta"] = ball.distance(model.key(beta)) == R
+    checks["difference_dist"] = ball.distance(model.key(st_eval("sA"))) == 2
     bridge = bridge_length(ball, alpha, beta)
     checks["bridge"] = bridge is not None and bridge == 2 * R and bridge >= 4 * n + 4
     first_violation = next((k for k, ok in checks.items() if not ok), None)

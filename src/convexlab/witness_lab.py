@@ -31,7 +31,8 @@ from typing import Callable, Optional
 
 from .ball_engine import DEFAULT_CAP, BallIndex, bridge_length, build_ball
 from .bs_arith import BsElement, BsGroupModel, BsParams, bs_eval, bs_inv, bs_key, bs_mul
-from .bs_geodesics import XBlock, element_class, geodesic_length, is_geodesic, normalize
+from .bs_geodesics import (XBlock, ascent_word, descent_word, element_class,
+                           geodesic_length, is_geodesic, normalize)
 from .errors import InvariantError
 from .words import Word, WordClass, classify, gen_power, parse_word, sigma_t
 
@@ -129,10 +130,7 @@ def _naf_digits(rng: random.Random, n: int, density: float = 0.45) -> list:
 
 def _ascent_with(digits: list) -> Word:
     """digit, t, digit, t, ..., digit; sigma_t = len(digits) - 1."""
-    w = Word()
-    for d in digits[:-1]:
-        w = w * _ap(d) * _tp(1)
-    return w * _ap(digits[-1])
+    return ascent_word(0, digits[:-1], _ap(digits[-1]))
 
 
 def random_filler(rng: random.Random, sigma: int, params: BsParams = BS2) -> Word:
@@ -144,22 +142,6 @@ def random_filler(rng: random.Random, sigma: int, params: BsParams = BS2) -> Wor
     if not is_geodesic(w, params):
         raise InvariantError(f"sparse-digit filler {w} is not geodesic")
     return w
-
-
-def _descent_word(core_word: Word, digits_down: list, rise: int = 0) -> Word:
-    """core, then t^-1 a^(d) for each d (d[j] sits at level -(j+1)), then t^rise."""
-    w = core_word
-    for d in digits_down:
-        w = w * _tp(-1) * _ap(d)
-    return w * _tp(rise)
-
-
-def _downfirst_word(dip: int, digits_up: list, core_word: Word) -> Word:
-    """t^-dip, then a^(d) t for each d ascending from level -dip, then core."""
-    w = _tp(-dip)
-    for d in digits_up:
-        w = w * _ap(d) * _tp(1)
-    return w * core_word
 
 
 def _random_xblock(rng: random.Random, height: int, top: Optional[int] = None) -> XBlock:
@@ -377,7 +359,7 @@ def _build_72(rng: random.Random, o: dict) -> CaseWitness:
         digits = _naf_digits(rng, e)
         digits[e - 1] = 0  # bottom letter is t^-1
         digits[e - 2] = 0  # the new digit k lands here at equal weight
-        w = _descent_word(_sample_core_word(rng), digits)
+        w = descent_word(_sample_core_word(rng), digits)
         u = _partner(w, gamma, 2, w_cls=2)
         if u is None:
             return None
@@ -411,7 +393,7 @@ def _build_73(rng: random.Random, o: dict) -> CaseWitness:
         digits = _naf_digits(rng, e)
         digits[e - 1] = bottom
         digits[e - 2] = 0
-        drawn = _descent_word(_sample_core_word(rng), digits)
+        drawn = descent_word(_sample_core_word(rng), digits)
         other = _partner(drawn, _ap(bottom), 2, w_cls=2)
         if other is None or _bottom_digit_of_descent(other) != 0:
             return None
@@ -458,7 +440,7 @@ def _build_74(rng: random.Random, o: dict) -> CaseWitness:
     def attempt():
         digits = _naf_digits(rng, e)
         digits[e - len(tail):] = reversed(tail)
-        w = _descent_word(_sample_core_word(rng), digits)
+        w = descent_word(_sample_core_word(rng), digits)
         u = _partner(w, gamma, 2, w_cls=2)
         if u is None or _bottom_digit_of_descent(u) != params["j"]:
             return None
@@ -539,7 +521,7 @@ def _build_911(rng: random.Random, o: dict) -> CaseWitness:
     def attempt():
         digits = _naf_digits(rng, e)
         digits[e - 1] = rng.choice((-1, 1))  # nonzero bottom keeps u class 4
-        u = _descent_word(_sample_core_word(rng), digits, rise=1)
+        u = descent_word(_sample_core_word(rng), digits, rise=1)
         w = _partner(u, gamma.inverse(), 2, w_cls=4)
         if w is None:
             return None
@@ -570,7 +552,7 @@ def _build_912(rng: random.Random, o: dict) -> CaseWitness:
         digits[e - 2] = -k  # the lifted digit melts, paying for the extra t
         digits[e - 1] = rng.choice((k, -k))
         digits[e - 3] = 0
-        w = _descent_word(_sample_core_word(rng), digits)
+        w = descent_word(_sample_core_word(rng), digits)
         u = _partner(w, gamma, 4, w_cls=2, class4_form="core_first")
         if u is None or u.runs[-1] != ("t", 1):
             return None
@@ -647,7 +629,7 @@ def _build_101(rng: random.Random, o: dict) -> CaseWitness:
             # X-block t a^-2g t^-1 one level down, one letter longer
             core = _ap(-3 * g)
             digits[-1] = 0
-        w = _downfirst_word(p1, digits, core)
+        w = ascent_word(p1, digits, core)
         u = _partner(w, gamma, 4, w_cls=4)
         if u is None or sigma_t(u) < 0 or _leading_trun(u) > -1:
             return None
@@ -703,7 +685,7 @@ def _build_102(rng: random.Random, o: dict, sub: str) -> CaseWitness:
         else:
             digits[itex - 1] = k  # a^(2k) carries into the slot above texp
             digits[itex - 2] = 0
-        w = _descent_word(_sample_core_word(rng), digits, rise=f1)
+        w = descent_word(_sample_core_word(rng), digits, rise=f1)
         u = _partner(w, gamma, 4, w_cls=4, class4_form="core_first")
         f2 = f1 + sigma_t(gamma)
         if u is None or u.runs[-1] != ("t", f2):
@@ -1081,12 +1063,16 @@ def verify_boundingm(n: int, q: int = 2) -> dict:
     directly, no ball is built.
     """
     if q == 2:
+        if n < 2:
+            raise ValueError("q = 2 needs n >= 2")
         radius = 2 * n + 2
         bound = 2 ** n + 2 ** (n - 1) + 2 ** (n - 2)
         expected = [2 ** (n + 1)]
     else:
         if q < 7:
             raise ValueError("q must be 2 or at least 7")
+        if n < 1:
+            raise ValueError("q >= 7 needs n >= 1")
         radius = 2 * n + 1
         bound = 3 * q ** (n - 1)
         expected = [q ** n]

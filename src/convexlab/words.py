@@ -175,10 +175,8 @@ def gen_power(gen: str, exp: int) -> Word:
 
 
 def concat(*ws: Word) -> Word:
-    out = Word()
-    for w in ws:
-        out = out * w
-    return out
+    """Concatenation of the words in order, without free reduction."""
+    return Word(_canonical_runs(run for w in ws for run in w.runs))
 
 
 def free_reduce(w: Word) -> Word:

@@ -149,3 +149,55 @@ def fmax_scan_grouped(q: int, radius: int):
                 queue.append((nb, d + 1))
         assert not todo, "sphere pair disconnected inside the ball"
     return fmax, npairs
+
+
+def _core_cap(q: int) -> int:
+    return 3 if q == 2 else q // 2 + 1
+
+
+def _top_digit_ok(q: int, s: int) -> bool:
+    return 2 <= abs(s) <= 3 if q == 2 else 1 <= abs(s) <= q - 1
+
+
+def _balanced(q: int, m: int) -> list[int]:
+    half = q // 2
+    return [d for d in range(-half, half + 1) if (m - d) % q == 0]
+
+
+def digit_forms(q: int, el, budget: int) -> list:
+    """Every digit-walk form of length <= budget that spells el, as
+    (length, key) pairs, by exhaustive enumeration of the balanced digits
+    below the base and of every core: a plain a^m or any climb block.
+    key is (below digits bottom first, 0) for a plain core and
+    (below digits, 1, height, top digit, climb digits from the base up)
+    for a climb block, so min() over keys is the tie-break order."""
+    texp, c = el
+    dpow = 0
+    while (c * q ** dpow).denominator > 1:
+        dpow += 1
+    bottom, base = min(0, texp, -dpow), max(0, texp)
+    walk = texp - 2 * bottom
+    out = []
+
+    def climb(m, below, spent, ks):
+        if ks and _top_digit_ok(q, m) and spent + abs(m) <= budget:
+            out.append((spent + abs(m), (below, 1, len(ks), m, tuple(ks))))
+        if spent + 3 > budget:  # one more level costs 2, its top digit >= 1
+            return
+        for k in _balanced(q, m):
+            climb((m - k) // q, below, spent + 2 + abs(k), ks + [k])
+
+    def descend(m, level, digits, spent):
+        if spent > budget:
+            return
+        if level == base:
+            below = tuple(digits)
+            if abs(m) <= _core_cap(q) and spent + abs(m) <= budget:
+                out.append((spent + abs(m), (below, 0)))
+            climb(m, below, spent, [])
+            return
+        for d in _balanced(q, m):
+            descend((m - d) // q, level + 1, digits + [d], spent + abs(d))
+
+    descend(int(c * Fraction(q) ** -bottom), bottom, [], walk)
+    return out

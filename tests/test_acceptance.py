@@ -66,7 +66,8 @@ def test_criterion_01_oracle_equivalence(ball_bs2_r10, ball_bs7_r6, capsys):
     failures = []
     for ball, q in ((ball_bs2_r10, 2), (ball_bs7_r6, 7)):
         params = BsParams(q)
-        for key, d in ball.dist.items():
+        for i, key in enumerate(ball.keys):
+            d = ball.depth(i)
             if geodesic_length(ball.element(key), params) != d:
                 failures.append((q, key, d))
     _verdict(capsys, 1, not failures)
@@ -97,7 +98,8 @@ def _shape_violations(gnf, q: int) -> list:
 
 def test_criterion_02_normal_form_soundness(ball_bs2_r8, capsys):
     failures = []
-    for key, d in ball_bs2_r8.dist.items():
+    for i, key in enumerate(ball_bs2_r8.keys):
+        d = ball_bs2_r8.depth(i)
         w = _word_of(ball_bs2_r8.geodesic_word(key))
         gnf = normalize(w, BS2)
         out = gnf.render()
@@ -222,7 +224,8 @@ def test_criterion_08_stallings(ball_st_r4, ball_st_r5, capsys):
             and report["R"] == 4 and report["checks"]["relators"]):
         failures.append(("witness", report["checks"]))
     for ball in (ball_st_r4, ball_st_r5):
-        for key, d in ball.dist.items():
+        for i, key in enumerate(ball.keys):
+            d = ball.depth(i)
             letters = ball.geodesic_word(key)
             el = ball.element(key)
             if in_H(el) and exp_sum(_word_of(letters)) != 0:

@@ -11,8 +11,6 @@ from convexlab.ball_engine import (
     CacheError,
     bridge_length,
     build_ball,
-    distance,
-    geodesic_words,
     load_ball,
     save_ball,
 )
@@ -48,7 +46,7 @@ def test_stallings_sphere_sizes(ball_st_r4):
 
 def test_distances_match_reference(ball_bs2_r8):
     dist, _ = reference.ball(2, 8)
-    assert len(dist) == len([k for k, d in ball_bs2_r8.dist.items() if d <= 8])
+    assert len(dist) == len(ball_bs2_r8)
     for (texp, c), d in dist.items():
         num, den = c.numerator, c.denominator
         dpow = den.bit_length() - 1
@@ -64,12 +62,14 @@ def test_ball_index_lookups(ball_bs2_r8):
     assert ball_bs2_r8.sphere(0) == [ident_key]
     assert ball_bs2_r8.distance(b"nonsense") is None
     far = bs_eval(parse_word("a^1000"), BsParams(2))
-    assert distance(ball_bs2_r8, far) is None
+    assert ball_bs2_r8.distance(model.key(far)) is None
 
 
 def test_cap_enforced():
     with pytest.raises(BallCapError):
         build_ball(BsGroupModel(BsParams(2)), 8, cap=1000)
+    with pytest.raises(ValueError, match="radius"):
+        build_ball(BsGroupModel(BsParams(2)), -1)
 
 
 def test_cache_round_trip(tmp_path, ball_bs2_r8):
@@ -77,7 +77,9 @@ def test_cache_round_trip(tmp_path, ball_bs2_r8):
     save_ball(ball_bs2_r8, str(path))
     loaded = load_ball(str(path), ball_bs2_r8.model)
     assert loaded.radius == ball_bs2_r8.radius
-    assert loaded.dist == ball_bs2_r8.dist
+    assert len(loaded) == len(ball_bs2_r8)
+    assert all(loaded.distance(key) == ball_bs2_r8.depth(i)
+               for i, key in enumerate(ball_bs2_r8.keys))
     assert loaded.sphere_sizes() == ball_bs2_r8.sphere_sizes()
 
 
@@ -112,9 +114,9 @@ def test_geodesic_words_are_geodesic(ball_bs2_r8):
     params = BsParams(2)
     model = ball_bs2_r8.model
     keys = [s[0] for s in ball_bs2_r8.spheres if s]
-    for key, letters in geodesic_words(ball_bs2_r8, keys).items():
-        w = parse_word("".join(letters))
-        assert len(w) == ball_bs2_r8.dist[key]
+    for key in keys:
+        w = parse_word("".join(ball_bs2_r8.geodesic_word(key)))
+        assert len(w) == ball_bs2_r8.distance(key)
         assert model.key(bs_eval(w, params)) == key
 
 

@@ -86,7 +86,7 @@ def test_key_round_trip(q, w):
 
 def test_key_separates_small_ball(ball_bs2_r8):
     # bijective on B(8): 1317 distinct elements, 1317 distinct keys
-    assert len(set(ball_bs2_r8.dist)) == len(ball_bs2_r8) == 1317
+    assert len(set(ball_bs2_r8.keys)) == len(ball_bs2_r8) == 1317
 
 
 def test_model_generators_match_words():

@@ -48,7 +48,7 @@ def _ref_element(q: int, ref_el) -> BsElement:
 
 
 @pytest.mark.parametrize("q,radius", [(2, 8), (7, 5)] + [
-    (q, 7) for q in (3, 4, 5, 6, 8, 9, 10)])
+    (q, 7) for q in (3, 4, 5, 6, 8, 9, 10)] + [(q, 9) for q in (11, 12, 16)])
 def test_length_matches_reference_bfs(q, radius):
     params = BsParams(q)
     dist, _ = reference.ball(q, radius)
@@ -117,6 +117,28 @@ def test_normalize_soundness_on_ball(q, radius):
         _check_shape(gnf, q)
 
 
+def _form_key(gnf: GeodesicNormalForm) -> tuple:
+    """gnf in the key order of reference.digit_forms."""
+    if isinstance(gnf.core, XBlock):
+        return (gnf.digits, 1, gnf.core.height, gnf.core.top, gnf.core.digits)
+    return (gnf.digits, 0)
+
+
+@pytest.mark.parametrize("q,radius,tied", [(2, 7, 124), (4, 6, 8)])
+def test_normalize_takes_least_minimal_form(q, radius, tied):
+    # tie-break: below digits (bottom first), plain core before climb,
+    # climb height, top digit, climb digits
+    params = BsParams(q)
+    dist, _ = reference.ball(q, radius)
+    seen_ties = 0
+    for ref_el, d in dist.items():
+        minimal = [key for length, key in reference.digit_forms(q, ref_el, d)
+                   if length == d]
+        seen_ties += len(minimal) > 1
+        assert _form_key(normalize(_ref_element(q, ref_el), params)) == min(minimal), ref_el
+    assert seen_ties == tied
+
+
 def test_normalize_rejects_slack_words():
     # a^6 spells in 5 letters as t a^3 T; the element itself still normalizes
     with pytest.raises(NotGeodesicError):
@@ -162,8 +184,8 @@ def test_element_class_table():
 
 def test_class_census_b7(ball_bs2_r8):
     census = {1: 0, 2: 0, 3: 0, 4: 0}
-    for key in list(ball_bs2_r8.dist):
-        if ball_bs2_r8.dist[key] <= 7:
+    for i, key in enumerate(ball_bs2_r8.keys):
+        if ball_bs2_r8.depth(i) <= 7:
             census[element_class(ball_bs2_r8.model.element_from_key(key))] += 1
     assert census == {1: 23, 2: 273, 3: 273, 4: 142}
 

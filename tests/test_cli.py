@@ -58,9 +58,12 @@ def test_ball_rebuilds_truncated_cache(tmp_path, capsys):
     assert cache.read_text() == whole
 
 
-def test_ball_usage_error(capsys):
+def test_ball_usage_error(capsys, isolated_cache):
     assert main(["ball", "--group", "bs:q=1", "--r", "3"]) == 2
     assert "q must be at least 2" in capsys.readouterr().err
+    assert main(["ball", "--group", "bs:q=2", "--r", "-1"]) == 2
+    assert "radius" in capsys.readouterr().err
+    assert not (isolated_cache / "cache").exists()
 
 
 def test_ball_cap_error(capsys):

@@ -34,6 +34,20 @@ FROZEN_BS2_WITNESSES = {
 }
 
 
+# (fmax, pairs) per radius for the q between the paper's two regimes:
+# fmax is 2r at odd r and 2r - 2 at even r, except at r = 3
+FROZEN_BS3_6 = {
+    3: {3: (4, 50), 4: (6, 118), 5: (10, 284), 6: (10, 628),
+        7: (14, 1392), 8: (14, 2948), 9: (18, 6240)},
+    4: {3: (5, 51), 4: (6, 112), 5: (10, 310), 6: (10, 760),
+        7: (14, 1810), 8: (14, 4246), 9: (18, 9710)},
+    5: {3: (6, 52), 4: (6, 140), 5: (10, 354), 6: (10, 948),
+        7: (14, 2324), 8: (14, 5612), 9: (18, 13456)},
+    6: {3: (6, 44), 4: (6, 139), 5: (10, 342), 6: (10, 932),
+        7: (14, 2388), 8: (14, 5904), 9: (18, 14508)},
+}
+
+
 @pytest.fixture(scope="module")
 def report_r8(ball_bs2_r8):
     return scan(BsGroupModel(BsParams(2)), 3, 8, ball=ball_bs2_r8)
@@ -53,6 +67,14 @@ def test_scan_matches_reference_directly():
     assert (row.fmax, row.pairs) == grouped
 
 
+@pytest.mark.parametrize("q", sorted(FROZEN_BS3_6))
+def test_scan_rows_between_regimes(q):
+    report = scan(BsGroupModel(BsParams(q)), 3, 9)
+    assert {row.r: (row.fmax, row.pairs) for row in report.rows} == FROZEN_BS3_6[q]
+    if q in (3, 4):
+        assert reference.fmax_scan_grouped(q, 7) == FROZEN_BS3_6[q][7]
+
+
 def test_scan_witnesses_match_frozen(report_r8):
     for row in report_r8.rows:
         assert (row.witness_x, row.witness_y) == FROZEN_BS2_WITNESSES[row.r], row.r
@@ -63,7 +85,7 @@ def test_scan_witness_pair_is_valid(report_r8, ball_bs2_r8):
     assert row.witness_x and row.witness_y
     kx = row.witness_x.encode("ascii")
     ky = row.witness_y.encode("ascii")
-    assert ball_bs2_r8.dist[kx] == 6 and ball_bs2_r8.dist[ky] == 6
+    assert ball_bs2_r8.distance(kx) == 6 and ball_bs2_r8.distance(ky) == 6
 
 
 def test_flags_and_r0(report_r8):

@@ -139,7 +139,8 @@ def test_gamma_length_special_examples():
 
 def test_gamma_length_matches_ball(ball_st_r4):
     model = ball_st_r4.model
-    for key, d in ball_st_r4.dist.items():
+    for i, key in enumerate(ball_st_r4.keys):
+        d = ball_st_r4.depth(i)
         g = model.element_from_key(key)
         length = gamma_length_special(g)
         if length is not None:
@@ -148,7 +149,7 @@ def test_gamma_length_matches_ball(ball_st_r4):
 
 def test_geodesics_have_no_pinch(ball_st_r4):
     # no BFS geodesic contains s^e u s^-e with the inner segment in H
-    for key in ball_st_r4.dist:
+    for key in ball_st_r4.keys:
         letters = ball_st_r4.geodesic_word(key)
         s_spots = [i for i, name in enumerate(letters) if name in "sS"]
         for left, right in zip(s_spots, s_spots[1:]):

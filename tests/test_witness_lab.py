@@ -186,6 +186,13 @@ def test_boundingm_q7(n):
     assert report["reachable"] == [7 ** n]
 
 
+@pytest.mark.parametrize("n,q", [(1, 2), (0, 2), (0, 7)])
+def test_boundingm_rejects_small_n(n, q):
+    # the bound 2^(n-2) or q^(n-1) would not be an integer
+    with pytest.raises(ValueError, match="needs n >="):
+        verify_boundingm(n, q)
+
+
 # -- section-four witnesses ---------------------------------------------------
 
 def test_section_four_witness_shapes():

@@ -89,6 +89,7 @@ def test_prefix_suffix():
     assert str(w.suffix(3)) == "A^3"
     assert w.prefix(0) == Word()
     assert concat(w.prefix(2), w.suffix(4)) == w
+    assert concat(w.prefix(1), Word(), parse_word("t"), w.suffix(4)) == parse_word("a t^2 A^3")
 
 
 # -- classification --------------------------------------------------------

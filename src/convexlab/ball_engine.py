@@ -24,7 +24,7 @@ cache; a ball that is only built and saved does no extra work.  The scan, bridge
 and the impossibility searchers all read this one table.  Byte keys are
 used only at the I/O edge: the cache, witness strings and scan rows.
 
-The plain-text cache ("ball-v3") holds one JSON header line with the group,
+The plain-text cache ("ball-v4") holds one JSON header line with the group,
 radius, element count and sphere sizes, then one "<distance> <key>" row per
 element in id order.  It is written to a temporary file and renamed into
 place, and a file that disagrees with its header is refused with
@@ -42,7 +42,7 @@ from typing import Optional
 
 DEFAULT_CAP = 50_000_000
 
-CACHE_FORMAT = "ball-v3"
+CACHE_FORMAT = "ball-v4"
 
 _UNKNOWN = -2  # table entry of a row not computed yet
 

@@ -5,9 +5,14 @@ stable letter s centralizes a^-1 b, a^-1 c and a^-1 d.  Killing those three
 elements frees the quotient on the images of a and s, and every element
 factors uniquely as section(quo) * h: quo is the reduced {a,s}-word of the
 quotient image and h lies in the centralized subgroup H, realized inside
-F(a,b) x F(c,d) as a pair (u, v) with total exponent sum zero.  The letter
-rules below keep that factorization reduced at every step, which makes the
-triple (quo, u, v) a canonical form suitable for exhaustive BFS.
+F(a,b) x F(c,d) as a pair (u, v) with total exponent sum zero.
+
+Each part is a freely reduced letter string, uppercase for inverses, and
+one letter changes it only at its ends.  The single letter rule, _letter,
+keeps the factorization reduced with seam-only joins; evaluation, product
+and inverse all fold it, which makes the triple (quo, u, v) a canonical
+form suitable for exhaustive BFS.  A ball key is the ascii text
+"quo|u|v" (cache format "ball-v4").
 """
 
 from __future__ import annotations
@@ -15,17 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .words import (
-    AB_ALPHABET,
-    CD_ALPHABET,
-    STALLINGS_ALPHABET,
-    Word,
-    concat,
-    exp_sum,
-    free_reduce,
-    gen_power,
-    parse_word,
-)
+from .words import STALLINGS_ALPHABET, Word, WordError, gen_power, parse_word
 
 RELATORS = ("acAC", "adAD", "bcBC", "bdBD", "sAbSBa", "sAcSCa", "sAdSDa")
 
@@ -34,11 +29,12 @@ _GEN_NAMES = ("a", "A", "b", "B", "c", "C", "d", "D", "s", "S")
 
 @dataclass(frozen=True, slots=True)
 class StallingsElement:
-    """Canonical triple: quo over {a,s}, u over F(a,b), v over F(c,d)."""
+    """Canonical triple of reduced letter strings (uppercase = inverse):
+    quo over {a,s}, u over F(a,b), v over F(c,d)."""
 
-    quo: Word = Word()
-    u: Word = Word()
-    v: Word = Word()
+    quo: str = ""
+    u: str = ""
+    v: str = ""
 
     def is_identity(self) -> bool:
         return not (self.quo or self.u or self.v)
@@ -47,45 +43,58 @@ class StallingsElement:
 S_IDENTITY = StallingsElement()
 
 
-def _letter(el: StallingsElement, gen: str, sign: int) -> StallingsElement:
-    """Right-multiply by one generator letter."""
-    if gen == "s":
-        return StallingsElement(free_reduce(el.quo * gen_power("s", sign)),
-                                el.u, el.v)
-    aconj = gen_power("a", -sign)
-    if gen in ("a", "b"):
-        u = free_reduce(concat(aconj, el.u, gen_power(gen, sign)))
-        v = el.v
+def _inv(w: str) -> str:
+    return w[::-1].swapcase()
+
+
+def _join(w: str, x: str) -> str:
+    """Reduced product of two reduced letter strings: only the seam can
+    cancel."""
+    if not (w and x) or w[-1] != x[0].swapcase():
+        return w + x
+    n, m = 1, min(len(w), len(x))
+    while n < m and w[-1 - n] == x[n].swapcase():
+        n += 1
+    return w[:-n] + x[n:]
+
+
+def _letter(el: StallingsElement, ch: str) -> StallingsElement:
+    """Right-multiply by one generator letter: the quotient word takes a or
+    s, and an a, b, c or d letter conjugates u through the matching a."""
+    if ch in "sS":
+        return StallingsElement(_join(el.quo, ch), el.u, el.v)
+    a = "a" if ch.islower() else "A"
+    u = _join(a.swapcase(), el.u)
+    if ch in "aAbB":
+        u, v = _join(u, ch), el.v
     else:
-        u = free_reduce(aconj * el.u)
-        v = free_reduce(el.v * gen_power(gen, sign))
-    return StallingsElement(free_reduce(el.quo * gen_power("a", sign)), u, v)
+        v = _join(el.v, ch)
+    return StallingsElement(_join(el.quo, a), u, v)
 
 
-def st_eval(w: Union[Word, str], start: StallingsElement = S_IDENTITY) -> StallingsElement:
+def st_eval(w: Union[Word, str]) -> StallingsElement:
     """Canonical form of the element spelled by a word over a,b,c,d,s."""
     if isinstance(w, str):
         w = parse_word(w, STALLINGS_ALPHABET)
-    el = start
+    el = S_IDENTITY
     for gen, sign in w.letters():
-        el = _letter(el, gen, sign)
+        el = _letter(el, gen if sign > 0 else gen.upper())
     return el
 
 
 def st_mul(g: StallingsElement, h: StallingsElement) -> StallingsElement:
-    """Product in canonical form.  The h-part of g gets conjugated through
-    the a-exponent of h's quotient word; s acts trivially on H."""
-    c = exp_sum(h.quo, "a")
-    u1 = free_reduce(concat(gen_power("a", -c), g.u, gen_power("a", c)))
-    return StallingsElement(free_reduce(g.quo * h.quo),
-                            free_reduce(u1 * h.u),
-                            free_reduce(g.v * h.v))
+    """Product in canonical form: g times the section of h's quotient word,
+    then h's part in H."""
+    for ch in h.quo:
+        g = _letter(g, ch)
+    return StallingsElement(g.quo, _join(g.u, h.u), _join(g.v, h.v))
 
 
 def st_inv(g: StallingsElement) -> StallingsElement:
-    c = exp_sum(g.quo, "a")
-    u = free_reduce(concat(gen_power("a", c), g.u.inverse(), gen_power("a", -c)))
-    return StallingsElement(g.quo.inverse(), u, g.v.inverse())
+    el = StallingsElement("", _inv(g.u), _inv(g.v))
+    for ch in _inv(g.quo):
+        el = _letter(el, ch)
+    return el
 
 
 def in_H(g: StallingsElement) -> bool:
@@ -96,11 +105,9 @@ def in_H(g: StallingsElement) -> bool:
 def lambda_length(g: StallingsElement) -> int:
     """Free length of the direct-product form: |a^k u| + |v| where a^k is
     the (s-free) quotient word.  Raises on elements outside that part."""
-    if any(gen == "s" for gen, _ in g.quo.runs):
+    if "s" in g.quo or "S" in g.quo:
         raise ValueError("lambda length needs an s-free quotient word")
-    k = exp_sum(g.quo, "a")
-    u = free_reduce(gen_power("a", k) * g.u)
-    return len(u) + len(g.v)
+    return gamma_length_special(g)
 
 
 def gamma_length_special(g: StallingsElement) -> Optional[int]:
@@ -108,15 +115,12 @@ def gamma_length_special(g: StallingsElement) -> Optional[int]:
     (the lambda length) and a single s^+-1 at either end of the quotient
     word (1 + lambda of the merged rest, since s commutes with H).  Returns
     None when neither shortcut applies."""
-    runs = g.quo.runs
-    s_letters = sum(abs(e) for gen, e in runs if gen == "s")
-    if s_letters == 0:
-        return lambda_length(g)
-    if s_letters == 1 and len(runs) <= 2 and (runs[0][0] == "s" or runs[-1][0] == "s"):
-        k = exp_sum(g.quo, "a")
-        u = free_reduce(gen_power("a", k) * g.u)
-        return 1 + len(u) + len(g.v)
-    return None
+    quo = g.quo
+    s_letters = quo.count("s") + quo.count("S")
+    if s_letters > 1 or (s_letters == 1 and quo[0] not in "sS" and quo[-1] not in "sS"):
+        return None
+    k = quo.count("a") - quo.count("A")
+    return s_letters + len(_join("a" * k if k > 0 else "A" * -k, g.u)) + len(g.v)
 
 
 class StallingsModel:
@@ -131,17 +135,17 @@ class StallingsModel:
         return _GEN_NAMES
 
     def apply_gen(self, el: StallingsElement, i: int) -> StallingsElement:
-        name = _GEN_NAMES[i]
-        return _letter(el, name.lower(), -1 if name.isupper() else 1)
+        return _letter(el, _GEN_NAMES[i])
 
     def key(self, el: StallingsElement) -> bytes:
         return f"{el.quo}|{el.u}|{el.v}".encode("ascii")
 
     def element_from_key(self, key: bytes) -> StallingsElement:
-        qs, us, vs = key.decode("ascii").split("|")
-        return StallingsElement(parse_word(qs, STALLINGS_ALPHABET),
-                                parse_word(us, AB_ALPHABET),
-                                parse_word(vs, CD_ALPHABET))
+        quo, u, v = key.decode("ascii").split("|")
+        for part, letters in ((quo, "aAsS"), (u, "aAbB"), (v, "cCdD")):
+            if part.strip(letters):  # a letter outside the part's alphabet
+                raise WordError(f"key part {part!r} has a letter outside {letters!r}")
+        return StallingsElement(quo, u, v)
 
 
 def verify_stallings_witness(n: int = 1, cap: Optional[int] = None) -> dict:

@@ -37,6 +37,9 @@ from .errors import InvariantError
 from .words import Word, WordClass, classify, gen_power, parse_word, sigma_t
 
 BS2 = BsParams(2)
+_BS2_MODEL = BsGroupModel(BS2)
+# (generator, sign) -> index of the letter in _BS2_MODEL.GEN_NAMES
+_GEN_INDEX = {("a", 1): 0, ("a", -1): 1, ("t", 1): 2, ("t", -1): 3}
 
 CONSTRUCTIVE_CASES = (
     "4", "5", "6", "7.2", "7.3", "7.4", "8.1", "8.2",
@@ -101,27 +104,17 @@ def _as_word(v) -> Word:
     return parse_word(str(v))
 
 
-def _gel(w: Word, params: BsParams = BS2) -> BsElement:
-    return bs_eval(w, params)
+def _gel(w: Word) -> BsElement:
+    return bs_eval(w, BS2)
 
 
-_LETTER_ELS: dict = {}
-
-
-def _letter_el(gen: str, sign: int, params: BsParams) -> BsElement:
-    key = (gen, sign, params.q)
-    if key not in _LETTER_ELS:
-        _LETTER_ELS[key] = bs_eval(gen_power(gen, sign), params)
-    return _LETTER_ELS[key]
-
-
-def _naf_digits(rng: random.Random, n: int, density: float = 0.45) -> list:
+def _naf_digits(rng: random.Random, n: int) -> list:
     """Digit string in {-1,0,1}^n with no two adjacent nonzeros."""
     out: list = []
     prev = 0
     for _ in range(n):
         d = 0
-        if prev == 0 and rng.random() < density:
+        if prev == 0 and rng.random() < 0.45:
             d = rng.choice((-1, 1))
         out.append(d)
         prev = d
@@ -133,13 +126,13 @@ def _ascent_with(digits: list) -> Word:
     return ascent_word(0, digits[:-1], _ap(digits[-1]))
 
 
-def random_filler(rng: random.Random, sigma: int, params: BsParams = BS2) -> Word:
+def random_filler(rng: random.Random, sigma: int) -> Word:
     """Random geodesic ascent word with sigma_t = sigma (class P, or E when
     sigma = 0).  Sparse digits keep it geodesic; checked anyway."""
     if sigma < 0:
         raise ConstructionError(f"filler needs sigma >= 0, got {sigma}")
     w = _ascent_with(_naf_digits(rng, sigma + 1))
-    if not is_geodesic(w, params):
+    if not is_geodesic(w, BS2):
         raise InvariantError(f"sparse-digit filler {w} is not geodesic")
     return w
 
@@ -312,6 +305,7 @@ def _build_6(rng: random.Random, o: dict) -> CaseWitness:
             sig = int(o.get("sigma", rng.randint(2, 10)))
             _require(sig >= 1, "case 6 needs sigma_t(w) >= 1")
             g = int(o.get("g", rng.choice((-1, 1))))
+            _require(abs(g) == 1, "case 6 needs |g| = 1")
             kind = o.get("gamma_kind") or rng.choice(("a2", "at"))
             if (i, sig, g, kind) not in _CASE6_SAME_EMPTY:
                 break
@@ -326,6 +320,7 @@ def _build_6(rng: random.Random, o: dict) -> CaseWitness:
         return _sample("6", same)
     # opposite: only sigma_t = 1 pairs exist; the block below level 1 is shared
     g = int(o.get("g", rng.choice((-1, 1))))
+    _require(abs(g) == 1, "case 6 needs |g| = 1")
     i, j = -g, g
     h = int(o.get("h", rng.randint(1, 10)))
     _require(h >= 1, "case 6 needs X-height h >= 1")
@@ -895,33 +890,33 @@ def build_case(case: str, rng: Optional[random.Random] = None, **params) -> Case
 # verification
 
 
-def verify_case(cw: CaseWitness, params: BsParams = BS2) -> dict:
+def verify_case(cw: CaseWitness) -> dict:
     """Exact checks for one witness: geodesy of w and u, the gamma link,
     delta's endpoint and length bound, and ball membership of every prefix
     of delta.  Returns a JSON-ready report."""
     checks: dict = {}
     first_violation = None
-    w_el = bs_eval(cw.w, params)
-    u_el = bs_eval(cw.u, params)
-    checks["geodesic"] = is_geodesic(cw.w, params) and is_geodesic(cw.u, params)
-    diff = bs_mul(bs_inv(w_el, params), u_el, params)
-    dist = geodesic_length(diff, params)
+    w_el = bs_eval(cw.w, BS2)
+    u_el = bs_eval(cw.u, BS2)
+    checks["geodesic"] = is_geodesic(cw.w, BS2) and is_geodesic(cw.u, BS2)
+    diff = bs_mul(bs_inv(w_el, BS2), u_el, BS2)
+    dist = geodesic_length(diff, BS2)
     checks["distance"] = (1 <= dist <= 2
-                          and bs_eval(cw.w * cw.gamma, params) == u_el)
-    checks["delta_eval"] = bs_eval(cw.delta, params) == bs_eval(cw.gamma, params)
+                          and bs_eval(cw.w * cw.gamma, BS2) == u_el)
+    checks["delta_eval"] = bs_eval(cw.delta, BS2) == bs_eval(cw.gamma, BS2)
     checks["delta_len"] = len(cw.delta) <= 2 * cw.r - 2
     inside = True
     cur = w_el
     for idx, (gen, sign) in enumerate(cw.delta.letters(), start=1):
-        cur = bs_mul(cur, _letter_el(gen, sign, params), params)
-        if geodesic_length(cur, params) > cw.r:
+        cur = _BS2_MODEL.apply_gen(cur, _GEN_INDEX[gen, sign])
+        if geodesic_length(cur, BS2) > cw.r:
             inside = False
             first_violation = idx
             break
     checks["in_ball"] = inside
     if "x" in cw.params:
         x = cw.params["x"]
-        checks["alt_u"] = len(x) == cw.r and bs_eval(x, params) == u_el
+        checks["alt_u"] = len(x) == cw.r and bs_eval(x, BS2) == u_el
     return {
         "case": cw.case,
         "params": {key: str(val) if isinstance(val, Word) else val
@@ -942,7 +937,7 @@ def verify_case(cw: CaseWitness, params: BsParams = BS2) -> dict:
 
 
 def _gamma_words():
-    letters = (("a", 1), ("a", -1), ("t", 1), ("t", -1))
+    letters = tuple(_GEN_INDEX)
     out = [gen_power(g, s) for g, s in letters]
     for g1, s1 in letters:
         for g2, s2 in letters:
@@ -952,11 +947,10 @@ def _gamma_words():
     return tuple(out)
 
 
-def _geodesic_word_tags(radius: int, params: BsParams, ball: BallIndex) -> dict:
+def _geodesic_word_tags(radius: int, ball: BallIndex) -> dict:
     """Word classes realized by geodesic spellings, per element of B(radius)."""
     tags: dict = {}
-    letters = (("a", 1), ("a", -1), ("t", 1), ("t", -1))
-    stack = [(bs_eval(Word(), params), Word())]
+    stack = [(_BS2_MODEL.identity(), Word())]
     while stack:
         el, w = stack.pop()
         if ball.distance(bs_key(el)) == len(w):
@@ -967,11 +961,10 @@ def _geodesic_word_tags(radius: int, params: BsParams, ball: BallIndex) -> dict:
         if w.runs:
             g, e = w.runs[-1]
             last = (g, 1 if e > 0 else -1)
-        for gen, sign in letters:
+        for (gen, sign), i in _GEN_INDEX.items():
             if last == (gen, -sign):
                 continue
-            stack.append((bs_mul(el, _letter_el(gen, sign, params), params),
-                          w * gen_power(gen, sign)))
+            stack.append((_BS2_MODEL.apply_gen(el, i), w * gen_power(gen, sign)))
     return tags
 
 
@@ -982,7 +975,7 @@ def _ball_ids(ball: BallIndex):
             yield x, r
 
 
-def impossibility_search(case: str, radius: int = 7, params: BsParams = BS2,
+def impossibility_search(case: str, radius: int = 7,
                          ball: Optional[BallIndex] = None) -> list:
     """Exhaustively hunt for a geodesic pair realizing an impossible case.
 
@@ -991,35 +984,34 @@ def impossibility_search(case: str, radius: int = 7, params: BsParams = BS2,
     """
     if case not in IMPOSSIBLE_CASES:
         raise ValueError(f"not an impossibility case: {case!r}")
-    model = BsGroupModel(params)
     if ball is None:
-        ball = build_ball(model, radius)
+        ball = build_ball(_BS2_MODEL, radius)
     hits: list = []
-    tsq = bs_eval(_tp(2), params)
+    tsq = bs_eval(_tp(2), BS2)
     if case in ("1", "2"):
         target = 1 if case == "1" else 3
         gammas = [gw for gw in _gamma_words()
-                  if geodesic_length(bs_eval(gw, params), params) == len(gw)]
+                  if geodesic_length(bs_eval(gw, BS2), BS2) == len(gw)]
         for x, r in _ball_ids(ball):
             el = ball.element_at(x)
             if element_class(el) != 4:
                 continue
             for gw in gammas:
-                y = bs_mul(el, bs_eval(gw, params), params)
+                y = bs_mul(el, bs_eval(gw, BS2), BS2)
                 if element_class(y) != target:
                     continue
-                if geodesic_length(y, params) != r:
+                if geodesic_length(y, BS2) != r:
                     continue
                 hits.append({"case": case, "x": ball.keys[x].decode("ascii"),
                              "gamma": str(gw), "r": r})
     elif case == "3":
-        tags = _geodesic_word_tags(radius, params, ball)
+        tags = _geodesic_word_tags(radius, ball)
         for x, r in _ball_ids(ball):
             el, key = ball.element_at(x), ball.keys[x]
             if el.texp != -1 or WordClass.XN not in tags.get(key, ()):
                 continue
-            y = bs_mul(el, tsq, params)
-            if geodesic_length(y, params) != r:
+            y = bs_mul(el, tsq, BS2)
+            if geodesic_length(y, BS2) != r:
                 continue
             if WordClass.PX in tags.get(bs_key(y), ()):
                 hits.append({"case": case, "w_el": key.decode("ascii"), "r": r})
@@ -1030,10 +1022,10 @@ def impossibility_search(case: str, radius: int = 7, params: BsParams = BS2,
             if element_class(el) != 2:
                 continue
             for gw in gammas:
-                y = bs_mul(el, bs_eval(gw, params), params)
+                y = bs_mul(el, bs_eval(gw, BS2), BS2)
                 if element_class(y) != 2:
                     continue
-                if geodesic_length(y, params) != r:
+                if geodesic_length(y, BS2) != r:
                     continue
                 hits.append({"case": case, "x": ball.keys[x].decode("ascii"),
                              "gamma": str(gw), "r": r})
@@ -1042,10 +1034,10 @@ def impossibility_search(case: str, radius: int = 7, params: BsParams = BS2,
             for k in range(-3, 4):
                 for i in (-1, 1):
                     w = _ap(k) * _tp(-p) * _ap(i) * _tp(p - 1)
-                    if len(w) > radius or not is_geodesic(w, params):
+                    if len(w) > radius or not is_geodesic(w, BS2):
                         continue
-                    y = bs_mul(bs_eval(w, params), tsq, params)
-                    if geodesic_length(y, params) == len(w):
+                    y = bs_mul(bs_eval(w, BS2), tsq, BS2)
+                    if geodesic_length(y, BS2) == len(w):
                         hits.append({"case": case, "w": str(w)})
     return hits
 

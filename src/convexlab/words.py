@@ -40,8 +40,6 @@ class GenAlphabet:
 
 BS_ALPHABET = GenAlphabet(("a", "t"))
 STALLINGS_ALPHABET = GenAlphabet(("a", "b", "c", "d", "s"))
-AB_ALPHABET = GenAlphabet(("a", "b"))
-CD_ALPHABET = GenAlphabet(("c", "d"))
 
 
 class WordClass(Enum):
@@ -172,11 +170,6 @@ def parse_word(text: str, alphabet: GenAlphabet = BS_ALPHABET) -> Word:
 def gen_power(gen: str, exp: int) -> Word:
     """The word gen^exp (empty when exp = 0)."""
     return Word(((gen, exp),)) if exp else Word()
-
-
-def concat(*ws: Word) -> Word:
-    """Concatenation of the words in order, without free reduction."""
-    return Word(_canonical_runs(run for w in ws for run in w.runs))
 
 
 def free_reduce(w: Word) -> Word:

@@ -201,3 +201,28 @@ def digit_forms(q: int, el, budget: int) -> list:
 
     descend(int(c * Fraction(q) ** -bottom), bottom, [], walk)
     return out
+
+
+def free_reduce(word: str) -> str:
+    """Free reduction of a letter string (uppercase = inverse)."""
+    out: list[str] = []
+    for ch in word:
+        if out and out[-1] == ch.swapcase():
+            out.pop()
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def stallings_form(word: str) -> tuple[str, str, str]:
+    """Closed form of the canonical triple (quo, u, v) of a word over
+    a,b,c,d,s in Stallings' group: quo reduces the word with b, c and d
+    read as a, u reduces a^-S times the a/b letters (S the exponent sum of
+    the a, b, c and d letters), v reduces the c/d letters."""
+    quo = "".join(ch if ch in "sS" else ("a" if ch.islower() else "A")
+                  for ch in word)
+    ab = "".join(ch for ch in word if ch in "aAbB")
+    exp = sum(1 if ch.islower() else -1 for ch in word if ch not in "sS")
+    a_power = "A" * exp if exp > 0 else "a" * -exp
+    return (free_reduce(quo), free_reduce(a_power + ab),
+            free_reduce("".join(ch for ch in word if ch in "cCdD")))

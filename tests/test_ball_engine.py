@@ -212,7 +212,7 @@ def test_cache_header_counts_elements(tmp_path, ball_bs2_r8):
     path = tmp_path / "b8.ndjson"
     save_ball(ball_bs2_r8, str(path))
     header = json.loads(path.read_text().splitlines()[0])
-    assert header == {"fmt": "ball-v3", "group": "bs:q=2", "r": 8,
+    assert header == {"fmt": "ball-v4", "group": "bs:q=2", "r": 8,
                       "n": len(ball_bs2_r8), "spheres": ball_bs2_r8.sphere_sizes()}
     assert not [p for p in tmp_path.iterdir() if p.name != "b8.ndjson"]
 
@@ -240,11 +240,12 @@ def test_cache_rejects_header_mismatch(tmp_path, ball_bs2_r8):
     path.write_text('{"fmt": "ball-v1", "group": "bs:q=2", "r": 8}\n' + "".join(lines[1:]))
     with pytest.raises(CacheError):
         load_ball(str(path), ball_bs2_r8.model)
-    header = json.loads(lines[0])
-    header["fmt"] = "ball-v2"
-    path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
-    with pytest.raises(CacheError, match="ball-v2"):
-        load_ball(str(path), ball_bs2_r8.model)
+    for old in ("ball-v2", "ball-v3"):
+        header = json.loads(lines[0])
+        header["fmt"] = old
+        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        with pytest.raises(CacheError, match=old):
+            load_ball(str(path), ball_bs2_r8.model)
     for tail in ("\n", lines[-1]):
         path.write_text("".join(lines) + tail)
         with pytest.raises(CacheError, match="after its last row"):

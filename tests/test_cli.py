@@ -5,6 +5,7 @@ import json
 import pytest
 
 from convexlab.cli import CliConfig, UsageError, main, parse_group
+from convexlab.words import STALLINGS_ALPHABET, parse_word
 
 
 @pytest.fixture(autouse=True)
@@ -55,6 +56,30 @@ def test_ball_rebuilds_truncated_cache(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == first
     assert "rebuilding" in captured.err
+    assert cache.read_text() == whole
+
+
+def test_ball_rebuilds_old_stallings_cache(tmp_path, capsys):
+    argv = ["ball", "--group", "stallings", "--r", "3"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    cache = tmp_path / "cache" / "stallings-r3.ndjson"
+    whole = cache.read_text()
+    head, *rows = whole.splitlines()
+    header = json.loads(head)
+    header["fmt"] = "ball-v3"
+    # ball-v3 spelled each key part in run-length text, e.g. "B^2a^2"
+    old_rows = []
+    for row in rows:
+        dist, key = row.split(" ")
+        parts = (str(parse_word(part, STALLINGS_ALPHABET)) for part in key.split("|"))
+        old_rows.append(f"{dist} {'|'.join(parts)}\n")
+    assert any("^" in row for row in old_rows)
+    cache.write_text(json.dumps(header) + "\n" + "".join(old_rows))
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == first
+    assert "rebuilding" in captured.err and "ball-v3" in captured.err
     assert cache.read_text() == whole
 
 
@@ -129,6 +154,8 @@ def test_case_errors(capsys):
     assert "p >= 6" in capsys.readouterr().err
     assert main(["case", "--id", "5", "--opt", "h=0"]) == 2
     assert "h >= 1" in capsys.readouterr().err
+    assert main(["case", "--id", "6", "--opt", "g=0", "--opt", "mode=opposite"]) == 2
+    assert "|g| = 1" in capsys.readouterr().err
 
 
 def test_case_string_opt(capsys):

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from convexlab.stallings import (
     RELATORS,
     S_IDENTITY,
@@ -18,7 +19,7 @@ from convexlab.stallings import (
     st_mul,
     verify_stallings_witness,
 )
-from convexlab.words import STALLINGS_ALPHABET, Word, exp_sum, parse_word
+from convexlab.words import STALLINGS_ALPHABET, Word, WordError, exp_sum, parse_word
 
 GENS = "aAbBcCdDsS"
 
@@ -31,6 +32,10 @@ def words_strategy(max_size=12):
 
 def _word(text: str) -> Word:
     return parse_word(text, STALLINGS_ALPHABET)
+
+
+def _spell(w: Word) -> str:
+    return "".join(g if s > 0 else g.upper() for g, s in w.letters())
 
 
 # -- presentation ------------------------------------------------------------
@@ -54,12 +59,33 @@ def test_commuting_pairs():
 
 def test_canonical_form_examples():
     el = st_eval("sAbS")
-    assert el.quo == Word()
+    assert el.quo == ""
     assert el == st_eval("Ab")
     assert st_eval("acAC").is_identity()
     el = st_eval("saS")
-    assert el.quo == _word("saS")
-    assert el.u == Word() and el.v == Word()
+    assert el.quo == "saS"
+    assert el.u == "" and el.v == ""
+
+
+@settings(max_examples=300)
+@given(words_strategy(max_size=16))
+def test_eval_matches_closed_form(w):
+    el = st_eval(w)
+    assert (el.quo, el.u, el.v) == reference.stallings_form(_spell(w))
+
+
+def test_ball_keys_match_closed_form(ball_st_r5):
+    for key in ball_st_r5.keys:
+        word = "".join(ball_st_r5.geodesic_word(key))
+        assert key.decode("ascii") == "|".join(reference.stallings_form(word))
+
+
+def test_element_from_key_rejects_stray_letters():
+    model = StallingsModel()
+    assert model.element_from_key(b"saS|Ab|cD") == StallingsElement("saS", "Ab", "cD")
+    for key in (b"b||", b"|c|", b"||a", b"s|sA|"):
+        with pytest.raises(WordError):
+            model.element_from_key(key)
 
 
 # -- group laws --------------------------------------------------------------

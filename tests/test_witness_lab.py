@@ -125,6 +125,10 @@ def test_build_case_rejects_bad_values():
             build_case(case, random.Random(0), **pins)
     with pytest.raises(ConstructionError, match="h >= 2"):
         build_case("4", random.Random(0), h=1)
+    for pins in ({"mode": "opposite", "g": 0}, {"mode": "same", "g": 0},
+                 {"mode": "same", "g": 2}):
+        with pytest.raises(ConstructionError, match=r"needs \|g\| = 1"):
+            build_case("6", random.Random(0), **pins)
 
 
 def test_case4_lowest_height_builds():

@@ -8,7 +8,6 @@ from convexlab.words import (
     WordClass,
     WordError,
     classify,
-    concat,
     exp_sum,
     free_reduce,
     gen_power,
@@ -88,8 +87,8 @@ def test_prefix_suffix():
     assert str(w.prefix(3)) == "at^2"
     assert str(w.suffix(3)) == "A^3"
     assert w.prefix(0) == Word()
-    assert concat(w.prefix(2), w.suffix(4)) == w
-    assert concat(w.prefix(1), Word(), parse_word("t"), w.suffix(4)) == parse_word("a t^2 A^3")
+    assert w.prefix(2) * w.suffix(4) == w
+    assert w.prefix(1) * Word() * parse_word("t") * w.suffix(4) == parse_word("a t^2 A^3")
 
 
 # -- classification --------------------------------------------------------

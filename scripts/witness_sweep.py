@@ -1,4 +1,4 @@
-"""Sweep the three theorem witnesses and tabulate bridge lengths.
+"""Sweep the theorem witnesses and tabulate bridge lengths and a^m bounds.
 
 Typical run:
 
@@ -9,23 +9,34 @@ import argparse
 import json
 import sys
 
-from convexlab import verify_bs1q_notmac, verify_notpac, verify_stallings_witness
+from convexlab import (verify_boundingm, verify_bs1q_notmac, verify_notpac,
+                       verify_stallings_witness)
+
+
+# (q, n) pairs of the boundingm family: the largest n per q that the
+# acceptance tests check
+BOUNDINGM_PAIRS = ((2, 26), (7, 20), (8, 8), (9, 8), (10, 8))
 
 
 def _row(report: dict) -> str:
     cells = [report["witness"], f"q={report.get('q', '-')}",
-             f"n={report['n']}", f"R={report['R']}",
-             f"bridge={report['bridge']}"]
+             f"n={report['n']}", f"R={report['R']}"]
+    if "bridge" in report:
+        cells.append(f"bridge={report['bridge']}")
+        detail = report["checks"]
+    else:
+        cells.append(f"bound={report['bound']}")
+        detail = report["reachable"]
     if "bridge_no_identity" in report:
         cells.append(f"detour={report['bridge_no_identity']}")
-    cells.append("ok" if report["ok"] else
-                 "FAIL " + json.dumps(report["checks"]))
+    cells.append("ok" if report["ok"] else "FAIL " + json.dumps(detail))
     return "\t".join(str(c) for c in cells)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--family", choices=("notpac", "bs1q", "stallings", "all"),
+    ap.add_argument("--family",
+                    choices=("notpac", "bs1q", "stallings", "boundingm", "all"),
                     default="all")
     ap.add_argument("--notpac-min", type=int, default=2)
     ap.add_argument("--notpac-max", type=int, default=5)
@@ -44,6 +55,9 @@ def main(argv=None) -> int:
             reports.append(verify_bs1q_notmac(q, n))
     if args.family in ("stallings", "all"):
         reports.append(verify_stallings_witness(1))
+    if args.family in ("boundingm", "all"):
+        for q, n in BOUNDINGM_PAIRS:
+            reports.append(verify_boundingm(n, q))
 
     for report in reports:
         print(_row(report))

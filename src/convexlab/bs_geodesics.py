@@ -28,6 +28,7 @@ up, core); every class and both climb-block orientations use these two.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence, Union
 
 from .bs_arith import BsElement, BsParams, bs_eval
@@ -54,16 +55,11 @@ def element_class(el: BsElement) -> int:
     return 4
 
 
-def _balanced_digits(m: int, params: BsParams) -> list[int]:
-    """Digits d with d = m mod q and |d| <= floor(q/2), ascending."""
-    q = params.q
-    r = m % q
-    out = []
-    if q - r <= params.half:
-        out.append(r - q)
-    if r <= params.half:
-        out.append(r)
-    return out
+@cache
+def _digit_table(q: int) -> tuple[tuple[int, ...], ...]:
+    """Entry r lists the digits d with d = r mod q and |d| <= floor(q/2),
+    ascending (two of them only for r = q/2 with q even)."""
+    return tuple(tuple(d for d in (r - q, r) if abs(d) <= q // 2) for r in range(q))
 
 
 def _walk_parts(el: BsElement, params: BsParams) -> tuple[int, int, int]:
@@ -85,9 +81,10 @@ def _step(frontier: dict[int, int], params: BsParams) -> dict[int, int]:
     """One level of the digit walk: write a balanced digit under each state
     and divide by q, keeping the cheapest cost of every remainder."""
     q = params.q
+    table = _digit_table(q)
     nxt: dict[int, int] = {}
     for m, c in frontier.items():
-        for d in _balanced_digits(m, params):
+        for d in table[m % q]:
             m2 = (m - d) // q
             c2 = c + abs(d)
             if c2 < nxt.get(m2, _INF):
@@ -121,23 +118,33 @@ def _climb_frontiers(m0: int, params: BsParams) -> list[dict[int, int]]:
     return frontiers
 
 
-_CORE_CACHE: dict[tuple[int, int], Union[int, float]] = {}
+_CORE_CACHE: dict[tuple[int, int], tuple[Union[int, float], Union[int, XBlock, None]]] = {}
 
 
-def _core_cost(m: int, params: BsParams) -> Union[int, float]:
-    """Minimal cost of absorbing remainder m at the base: |m| for a plain
-    core, 2h + sum|k_j| + |s| for a climb block, inf when neither fits."""
+def _core(m: int, params: BsParams) -> tuple[Union[int, float], Union[int, XBlock, None]]:
+    """Minimal cost of absorbing remainder m at the base, and the core block
+    that attains it: the plain a^m (cost |m|, |m| <= core_cap) when it is
+    optimal, else the climb block of least (height, top digit), which costs
+    2h + sum|k_j| + |s|.  (inf, None) when neither fits."""
     key = (params.q, m)
-    cost = _CORE_CACHE.get(key)
-    if cost is not None:
-        return cost
-    cost = abs(m) if abs(m) <= params.core_cap else _INF
-    for h, frontier in enumerate(_climb_frontiers(m, params)[1:], 1):
-        for top, c in frontier.items():
-            if params.top_digit_ok(top) and 2 * h + c + abs(top) < cost:
-                cost = 2 * h + c + abs(top)
-    _CORE_CACHE[key] = cost
-    return cost
+    hit = _CORE_CACHE.get(key)
+    if hit is not None:
+        return hit
+    plain = abs(m) if abs(m) <= params.core_cap else _INF
+    frontiers = _climb_frontiers(m, params)
+    cost, h, top = min(((2 * h + c + abs(top), h, top)
+                        for h, frontier in enumerate(frontiers[1:], 1)
+                        for top, c in frontier.items() if params.top_digit_ok(top)),
+                       default=(_INF, 0, 0))
+    if plain <= cost:
+        hit = (plain, None if plain == _INF else m)
+    else:
+        digits, end, _ = _trace(frontiers[:h + 1], {top: abs(top)}, params)
+        if end != top:
+            raise InvariantError(f"climb digits end at {end}, not the top digit {top}")
+        hit = (cost, XBlock(h, top, tuple(digits)))
+    _CORE_CACHE[key] = hit
+    return hit
 
 
 def _trace(frontiers: list[dict[int, int]], last: dict[int, Union[int, float]],
@@ -149,13 +156,14 @@ def _trace(frontiers: list[dict[int, int]], last: dict[int, Union[int, float]],
     from the single start state then takes the smallest digit among the
     optimal ones.  Returns (digits, end state, cost)."""
     q = params.q
+    table = _digit_table(q)
     back = [last]
     for frontier in reversed(frontiers[:-1]):
         above = back[-1]
         here: dict[int, Union[int, float]] = {}
         for m in frontier:
             best: Union[int, float] = _INF
-            for d in _balanced_digits(m, params):
+            for d in table[m % q]:
                 c = abs(d) + above.get((m - d) // q, _INF)
                 if c < best:
                     best = c
@@ -166,7 +174,7 @@ def _trace(frontiers: list[dict[int, int]], last: dict[int, Union[int, float]],
     digits = []
     m = start
     for j in range(len(frontiers) - 1):
-        for d in _balanced_digits(m, params):
+        for d in table[m % q]:
             if abs(d) + back[j + 1].get((m - d) // q, _INF) == back[j][m]:
                 digits.append(d)
                 m = (m - d) // q
@@ -184,7 +192,7 @@ def geodesic_length(g: Union[BsElement, Word], params: BsParams) -> int:
     walk = el.texp - 2 * bottom
     best: Union[int, float] = _INF
     for m, c in frontiers[-1].items():
-        total = c + _core_cost(m, params)
+        total = c + _core(m, params)[0]
         if total < best:
             best = total
     if best == _INF:
@@ -354,33 +362,15 @@ def _solve(el: BsElement, params: BsParams) -> GeodesicNormalForm:
     """Run the digit DP and reconstruct the deterministic minimal form."""
     bottom, base, m0 = _walk_parts(el, params)
     frontiers = _below_frontiers(m0, base - bottom, params)
-    last = {m: _core_cost(m, params) for m in frontiers[-1]}
+    last = {m: _core(m, params)[0] for m in frontiers[-1]}
     digits, m, cost = _trace(frontiers, last, params)
-    nf = GeodesicNormalForm(params, el, bottom, tuple(digits), _reconstruct_core(m, params))
+    core = _core(m, params)[1]
+    if core is None:
+        raise InvariantError(f"remainder {m} admits no core block")
+    nf = GeodesicNormalForm(params, el, bottom, tuple(digits), core)
     if nf.length != el.texp - 2 * bottom + cost:
         raise InvariantError("normal form length differs from the digit cost")
     return nf
-
-
-def _reconstruct_core(m: int, params: BsParams) -> Union[int, XBlock]:
-    """The core block absorbing remainder m: the plain a^m when it is
-    optimal, else the climb block of least (height, top digit)."""
-    cost = _core_cost(m, params)
-    if cost == _INF:
-        raise InvariantError(f"remainder {m} admits no core block")
-    if abs(m) <= params.core_cap and abs(m) == cost:
-        return m
-    frontiers = _climb_frontiers(m, params)
-    picks = [(h, top) for h in range(1, len(frontiers))
-             for top, c in frontiers[h].items()
-             if params.top_digit_ok(top) and 2 * h + c + abs(top) == cost]
-    if not picks:
-        raise InvariantError("climb reconstruction lost the optimum")
-    h, top = min(picks)
-    digits, end, _ = _trace(frontiers[:h + 1], {top: abs(top)}, params)
-    if end != top:
-        raise InvariantError(f"climb digits end at {end}, not the top digit {top}")
-    return XBlock(h, top, tuple(digits))
 
 
 def normalize(w: Union[Word, BsElement], params: BsParams) -> GeodesicNormalForm:

@@ -1,6 +1,6 @@
 """Command line front end and ball cache.
 
-Subcommands: ball, scan, witness {notpac|bs1q|stallings}, case, length,
+Subcommands: ball, scan, witness {notpac|bs1q|stallings|boundingm}, case, length,
 normalize.  Exit status 0 means every asserted check passed, 1 means a
 verification report came back negative, 2 means bad usage or a resource
 or I/O failure.
@@ -34,6 +34,7 @@ from .witness_lab import (
     CONSTRUCTIVE_CASES,
     ConstructionError,
     build_case,
+    verify_boundingm,
     verify_bs1q_notmac,
     verify_case,
     verify_notpac,
@@ -157,6 +158,8 @@ def cmd_witness(cfg: CliConfig) -> int:
         report = verify_bs1q_notmac(cfg.params["q"], cfg.n, cap=cfg.cap)
     elif kind == "stallings":
         report = verify_stallings_witness(cfg.n, cap=cfg.cap)
+    elif kind == "boundingm":
+        report = verify_boundingm(cfg.n, cfg.params["q"])
     else:
         raise UsageError(f"unknown witness kind {kind!r}")
     print(json.dumps(report, indent=2))
@@ -249,10 +252,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write per-radius rows to this CSV file")
 
     p = sub.add_parser("witness", help="run a non-convexity witness verifier")
-    p.add_argument("kind", choices=("notpac", "bs1q", "stallings"))
+    p.add_argument("kind", choices=("notpac", "bs1q", "stallings", "boundingm"))
     p.add_argument("--n", type=int, default=None,
-                   help="witness scale (default: notpac 3, bs1q 2, stallings 1)")
-    p.add_argument("--q", type=int, default=7, help="bs1q only: q >= 7")
+                   help="witness scale (default: notpac 3, bs1q 2, stallings 1,"
+                        " boundingm 2)")
+    p.add_argument("--q", type=int, default=7,
+                   help="bs1q: q >= 7; boundingm: q = 2 or q >= 7")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
     p = sub.add_parser("case", help="build and verify one theorem-case witness")
@@ -291,9 +296,9 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
                          out=args.csv, params={"r_min": args.r_min,
                                                "r_max": args.r_max})
     if sc == "witness":
-        defaults = {"notpac": 3, "bs1q": 2, "stallings": 1}
+        defaults = {"notpac": 3, "bs1q": 2, "stallings": 1, "boundingm": 2}
         n = args.n if args.n is not None else defaults[args.kind]
-        group = f"bs:q={args.q}" if args.kind == "bs1q" else "bs:q=2"
+        group = f"bs:q={args.q}" if args.kind in ("bs1q", "boundingm") else "bs:q=2"
         if args.kind == "stallings":
             group = "stallings"
         return CliConfig(sc, group=group, n=n, cap=args.cap,

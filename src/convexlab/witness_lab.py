@@ -1046,13 +1046,56 @@ def impossibility_search(case: str, radius: int = 7,
 # reachability of a^m and the ball witnesses
 
 
+def _short_a_powers(lo: int, hi: int, radius: int,
+                   params: BsParams) -> tuple[list[int], int]:
+    """Every m in [lo, hi] with a^m within `radius` of the identity, and the
+    number of partial values the search visited.
+
+    a^m has bottom = base = 0, so its length is the core cost of m: |m| for
+    a plain core (|m| <= core_cap), or 2h + |s| + sum |k_j| for a climb
+    block spelling m = s q^h + sum_{j<h} k_j q^j with a legal top digit s
+    and |k_j| <= floor(q/2).  Blocks are built top digit first; a partial
+    value is dropped once the most the remaining budget can still add,
+    filled greedily from the highest open level down, cannot bring it into
+    [lo, hi]."""
+    q, half = params.q, params.half
+    cap = min(params.core_cap, radius)
+    found = set(range(max(lo, -cap), min(hi, cap) + 1))
+    tops = [s for s in range(-q - 1, q + 2) if params.top_digit_ok(s)]
+    # (partial value, open levels below it, budget left)
+    stack = [(s * q ** h, h, radius - 2 * h - abs(s))
+             for h in range(1, radius // 2 + 1) for s in tops
+             if 2 * h + abs(s) <= radius]
+    nodes = 0
+    while stack:
+        v, levels, budget = stack.pop()
+        nodes += 1
+        spread, left = 0, budget
+        for j in range(levels - 1, -1, -1):
+            k = min(half, left)
+            spread += k * q ** j
+            left -= k
+        if v + spread < lo or v - spread > hi:
+            continue
+        if not levels:
+            found.add(v)
+            continue
+        j = levels - 1
+        kmax = min(half, budget)
+        stack.extend((v + k * q ** j, j, budget - abs(k)) for k in range(-kmax, kmax + 1))
+    return sorted(found), nodes
+
+
 def verify_boundingm(n: int, q: int = 2) -> dict:
-    """Scan m in (bound, q^(n+1)] for a^m reachable within the stated radius.
+    """Find every m in (bound, q^(n+1)] with a^m within the stated radius.
 
     For q = 2 the radius is 2n + 2 and the only survivor past
     2^n + 2^(n-1) + 2^(n-2) is 2^(n+1); for q >= 7 the radius is 2n + 1 and
-    the only survivor past 3 q^(n-1) is q^n.  The digit DP prices each m
-    directly, no ball is built.
+    the only survivor past 3 q^(n-1) is q^n.  _short_a_powers enumerates
+    the spellings of a^m within the radius, so the work follows the few
+    survivors rather than the q^(n+1) values of m; the digit DP then prices
+    each survivor as a cross-check.  `nodes` counts the partial values
+    the enumeration visited.
     """
     if q == 2:
         if n < 2:
@@ -1069,8 +1112,12 @@ def verify_boundingm(n: int, q: int = 2) -> dict:
         bound = 3 * q ** (n - 1)
         expected = [q ** n]
     params = BsParams(q)
-    reachable = [m for m in range(bound + 1, q ** (n + 1) + 1)
-                 if geodesic_length(BsElement(0, m, 0), params) <= radius]
+    reachable, nodes = _short_a_powers(bound + 1, q ** (n + 1), radius, params)
+    for m in reachable:
+        length = geodesic_length(BsElement(0, m, 0), params)
+        if length > radius:
+            raise InvariantError(
+                f"a^{m} was spelled within {radius} but the DP prices it at {length}")
     return {
         "witness": "boundingm",
         "q": q,
@@ -1079,6 +1126,7 @@ def verify_boundingm(n: int, q: int = 2) -> dict:
         "bound": bound,
         "expected": expected,
         "reachable": reachable,
+        "nodes": nodes,
         "ok": reachable == expected,
     }
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -34,8 +35,11 @@ class GenAlphabet:
                 raise ValueError(f"duplicate generator {g!r}")
             seen.add(g)
 
-    def __contains__(self, gen: str) -> bool:
-        return gen in self.letters
+    @cached_property
+    def signed(self) -> dict[str, tuple[str, int]]:
+        """Letter -> (generator, sign): +1 for lowercase, -1 for uppercase."""
+        return {ch: (g, sign) for g in self.letters
+                for ch, sign in ((g, 1), (g.upper(), -1))}
 
 
 BS_ALPHABET = GenAlphabet(("a", "t"))
@@ -139,7 +143,8 @@ class Word:
         return f"Word({str(self)!r})"
 
 
-_TOKEN_RE = re.compile(r"([A-Za-z])(?:\^(-?[0-9]+))?")
+# a run of one repeated letter; a power, if any, belongs to its last letter
+_RUN_RE = re.compile(r"(([A-Za-z])\2*)(?:\^(-?[0-9]+))?")
 
 
 def parse_word(text: str, alphabet: GenAlphabet = BS_ALPHABET) -> Word:
@@ -148,22 +153,25 @@ def parse_word(text: str, alphabet: GenAlphabet = BS_ALPHABET) -> Word:
     s = "".join(text.split())
     pos = 0
     runs: list[tuple[str, int]] = []
-    while pos < len(s):
-        m = _TOKEN_RE.match(s, pos)
-        if m is None or m.start() != pos:
-            raise WordError(f"malformed word at position {pos}: {s[pos:pos + 8]!r}")
-        ch, pw = m.group(1), m.group(2)
-        gen = ch.lower()
-        if gen not in alphabet:
+    signed = alphabet.signed
+    for m in _RUN_RE.finditer(s):
+        if m.start() != pos:
+            break
+        letters, ch, pw = m.groups()
+        if ch not in signed:
             raise WordError(f"unknown letter {ch!r} (alphabet {alphabet.letters})")
-        exp = 1 if pw is None else int(pw)
-        if ch.isupper():
-            if exp < 0:
+        gen, sign = signed[ch]
+        if pw is None:
+            runs.append((gen, sign * len(letters)))
+        else:
+            exp = int(pw)
+            if sign < 0 and exp < 0:
                 raise WordError(
                     f"inverse letter {ch!r} takes a positive power, got {pw}")
-            exp = -exp
-        runs.append((gen, exp))
+            runs += ((gen, sign * (len(letters) - 1)), (gen, sign * exp))
         pos = m.end()
+    if pos < len(s):
+        raise WordError(f"malformed word at position {pos}: {s[pos:pos + 8]!r}")
     return Word(_canonical_runs(runs))
 
 

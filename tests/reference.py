@@ -203,6 +203,50 @@ def digit_forms(q: int, el, budget: int) -> list:
     return out
 
 
+def boundingm_scan(n: int, q: int) -> dict:
+    """The a^m reachability check by a scan over every m in (bound, q^(n+1)]:
+    a^m is reachable when digit_forms finds a form within the radius
+    (2n + 2 past 2^n + 2^(n-1) + 2^(n-2) for q = 2, 2n + 1 past 3 q^(n-1)
+    for q >= 7).  Returns the radius, the bound and the reachable m."""
+    if q == 2:
+        radius, bound = 2 * n + 2, 2 ** n + 2 ** (n - 1) + 2 ** (n - 2)
+    else:
+        radius, bound = 2 * n + 1, 3 * q ** (n - 1)
+    reachable = [m for m in range(bound + 1, q ** (n + 1) + 1)
+                 if digit_forms(q, (0, Fraction(m)), radius)]
+    return {"R": radius, "bound": bound, "reachable": reachable}
+
+
+def parse_letters(text: str, letters: tuple[str, ...]) -> list[tuple[str, int]]:
+    """Word syntax read one letter at a time: (generator, exponent) for each
+    letter and its optional ^k, whitespace ignored.  Raises ValueError with
+    the messages the package's parser gives."""
+    s = "".join(text.split())
+    out = []
+    pos = 0
+    while pos < len(s):
+        ch = s[pos]
+        if not ("a" <= ch.lower() <= "z" and ch.isascii()):
+            raise ValueError(f"malformed word at position {pos}: {s[pos:pos + 8]!r}")
+        if ch.lower() not in letters:
+            raise ValueError(f"unknown letter {ch!r} (alphabet {letters})")
+        end, exp = pos + 1, 1
+        if s[end:end + 1] == "^":
+            digits = end + 1 + (s[end + 1:end + 2] == "-")
+            stop = digits
+            while s[stop:stop + 1] and s[stop] in "0123456789":
+                stop += 1
+            if stop > digits:
+                power = s[end + 1:stop]
+                exp, end = int(power), stop
+                if ch.isupper() and exp < 0:
+                    raise ValueError(
+                        f"inverse letter {ch!r} takes a positive power, got {power}")
+        out.append((ch.lower(), -exp if ch.isupper() else exp))
+        pos = end
+    return out
+
+
 def free_reduce(word: str) -> str:
     """Free reduction of a letter string (uppercase = inverse)."""
     out: list[str] = []

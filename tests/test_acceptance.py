@@ -205,7 +205,8 @@ def test_criterion_06_bs1q_bridges(capsys):
 
 def test_criterion_07_digit_bounds(capsys):
     failures = []
-    for q, ns in ((2, range(2, 11)), (7, range(2, 7))):
+    for q, ns in ((2, range(2, 27)), (7, range(2, 21)), (8, range(1, 9)),
+                  (9, range(1, 9)), (10, range(1, 9))):
         for n in ns:
             report = verify_boundingm(n, q)
             if not report["ok"]:

@@ -122,6 +122,21 @@ def test_witness_bs1q(capsys):
     assert main(["witness", "bs1q", "--q", "3", "--n", "2"]) == 2
 
 
+def test_witness_boundingm(capsys):
+    assert main(["witness", "boundingm", "--q", "7", "--n", "12"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and report["reachable"] == [7 ** 12]
+    assert main(["witness", "boundingm", "--q", "2", "--n", "20"]) == 0
+    assert json.loads(capsys.readouterr().out)["reachable"] == [2 ** 21]
+    for q in (3, 4, 5, 6):
+        assert main(["witness", "boundingm", "--q", str(q), "--n", "3"]) == 2
+        assert "q must be 2 or at least 7" in capsys.readouterr().err
+    assert main(["witness", "boundingm", "--q", "2", "--n", "1"]) == 2
+    assert "needs n >= 2" in capsys.readouterr().err
+    assert main(["witness", "boundingm", "--q", "7", "--n", "0"]) == 2
+    assert "needs n >= 1" in capsys.readouterr().err
+
+
 def test_witness_stallings(capsys):
     assert main(["witness", "stallings"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -45,3 +45,16 @@ def test_witness_sweep():
     assert proc.returncode == 1, proc.stderr
     assert "n=3\tR=8\tbridge=7\tok" in proc.stdout
     assert "1/2 witnesses ok" in proc.stdout
+
+
+def test_witness_sweep_boundingm():
+    proc = _run("witness_sweep.py", "--family", "boundingm")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "boundingm\tq=2\tn=26\tR=54\tbound=117440512\tok",
+        "boundingm\tq=7\tn=20\tR=41\tbound=34196685556119429\tok",
+        "boundingm\tq=8\tn=8\tR=17\tbound=6291456\tok",
+        "boundingm\tq=9\tn=8\tR=17\tbound=14348907\tok",
+        "boundingm\tq=10\tn=8\tR=17\tbound=30000000\tok",
+        "5/5 witnesses ok",
+    ]

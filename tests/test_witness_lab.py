@@ -3,12 +3,16 @@
 import dataclasses
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+import reference
+from convexlab import witness_lab
 from convexlab.ball_engine import build_ball
 from convexlab.bs_arith import BsGroupModel, BsParams, bs_eval, bs_mul
 from convexlab.bs_geodesics import geodesic_length, is_geodesic
+from convexlab.errors import InvariantError
 from convexlab.witness_lab import (
     CONSTRUCTIVE_CASES,
     IMPOSSIBLE_CASES,
@@ -195,6 +199,43 @@ def test_boundingm_rejects_small_n(n, q):
     # the bound 2^(n-2) or q^(n-1) would not be an integer
     with pytest.raises(ValueError, match="needs n >="):
         verify_boundingm(n, q)
+
+
+BOUNDINGM_SCANNED = ([(2, n) for n in range(2, 13)] + [(7, n) for n in range(2, 5)]
+                     + [(q, n) for q in (8, 9, 10) for n in range(1, 4)])
+
+
+@pytest.mark.parametrize("q,n", BOUNDINGM_SCANNED)
+def test_boundingm_matches_scan(q, n):
+    # the pruned enumeration finds exactly what a scan over every m finds
+    report = verify_boundingm(n, q)
+    scan = reference.boundingm_scan(n, q)
+    assert {key: report[key] for key in scan} == scan
+
+
+@pytest.mark.parametrize("q,radius", [(2, 12), (3, 9), (4, 8), (7, 7), (10, 7)])
+def test_short_a_powers_matches_brute_force(q, radius):
+    # windows where many m are reachable, so a pruning slip shows
+    rng = random.Random(q)
+    span = 3 * q ** (radius // 2)  # about the largest m reachable
+    for _ in range(6):
+        lo = rng.randint(-span, span)
+        hi = lo + rng.randint(0, span // 2)
+        found, _ = witness_lab._short_a_powers(lo, hi, radius, BsParams(q))
+        assert found == [m for m in range(lo, hi + 1)
+                         if reference.digit_forms(q, (0, Fraction(m)), radius)]
+
+
+def test_boundingm_enumeration_stays_small():
+    # the work follows the few short spellings, not the q^(n+1) values of m
+    assert verify_boundingm(26, 2)["nodes"] <= 200
+    assert verify_boundingm(20, 7)["nodes"] <= 300
+
+
+def test_boundingm_refuses_what_the_dp_prices_longer(monkeypatch):
+    monkeypatch.setattr(witness_lab, "geodesic_length", lambda el, params: 99)
+    with pytest.raises(InvariantError, match="prices it at 99"):
+        verify_boundingm(3, 2)
 
 
 # -- section-four witnesses ---------------------------------------------------

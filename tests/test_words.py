@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
 from convexlab.words import (
+    BS_ALPHABET,
+    STALLINGS_ALPHABET,
     Word,
     WordClass,
     WordError,
@@ -44,6 +47,37 @@ def test_parse_keeps_unreduced_letters():
 def test_parse_rejects(bad):
     with pytest.raises(WordError):
         parse_word(bad)
+
+
+# word text: letters in and out of the alphabet, ^k powers of either sign,
+# whitespace, and the stray characters that make malformed input
+_POWERS = st.builds("^{}{}".format, st.sampled_from(["", "-"]),
+                    st.sampled_from(["", "0", "1", "2", "07", "13"]))
+_TOKENS = st.one_of(st.sampled_from("aaAAttTTbsx"), _POWERS,
+                    st.sampled_from([" ", "\t", "\n", "^", "-", "3", "?"]))
+
+
+@given(st.lists(_TOKENS, max_size=24).map("".join),
+       st.sampled_from([BS_ALPHABET, STALLINGS_ALPHABET]))
+def test_parse_matches_letter_reference(text, alphabet):
+    try:
+        want = reference.parse_letters(text, alphabet.letters)
+    except ValueError as exc:
+        with pytest.raises(WordError) as info:
+            parse_word(text, alphabet)
+        assert str(info.value) == str(exc)
+    else:
+        assert parse_word(text, alphabet) == Word.from_runs(want)
+
+
+@pytest.mark.parametrize("text,runs", [
+    ("aaa^3", (("a", 5),)),
+    ("aa^-3 A", (("a", 1), ("a", -4))),
+    ("TT^2t^0t", (("t", -3), ("t", 1))),
+    ("a^2 a", (("a", 3),)),
+])
+def test_parse_power_on_last_letter_of_run(text, runs):
+    assert parse_word(text).runs == runs
 
 
 @given(letters_strategy())

@@ -15,14 +15,22 @@ dense integer id in BFS discovery order, so sphere r is the id range
 starts[r]:starts[r+1] and ids, parent links and rosters are byte-stable
 across runs.  A loaded cache yields the same ids as the build it came from.
 
+A ball stores keys, not elements: BFS holds element objects only for the
+sphere it expands and the next one, and element_at() rebuilds an element
+from its key, for built and loaded balls alike.
+
 BFS records the neighbour table as it goes: a flat array('i') with ngens
 entries per id, where entry id * ngens + i is the id of element * generator
 i, or -1 when that neighbour lies outside the ball.  BFS never needs the
 rows of the outermost sphere, so each is computed on its first use (row(),
 or neighbours() for the whole table), as are the rows of a ball loaded from
-cache; a ball that is only built and saved does no extra work.  The scan, bridge_length
-and the impossibility searchers all read this one table.  Byte keys are
-used only at the I/O edge: the cache, witness strings and scan rows.
+cache; a ball that is only built and saved does no extra work.
+
+in_ball_distances() is the one search over that table: a BFS from one id to
+a set of target ids through ids below a bound, so that one B(r_max) serves
+every B(r) inside it.  bridge_length and the scan both run on it.  Byte
+keys are used only at the I/O edge: the cache, witness strings and scan
+rows.
 
 The plain-text cache ("ball-v4") holds one JSON header line with the group,
 radius, element count and sphere sizes, then one "<distance> <key>" row per
@@ -57,8 +65,8 @@ class CacheError(RuntimeError):
 
 
 class BallIndex:
-    """A ball B(radius) under dense integer ids: keys, elements, sphere
-    ranges, parent links and the neighbour table."""
+    """A ball B(radius) under dense integer ids: keys, sphere ranges,
+    parent links and the neighbour table."""
 
     def __init__(self, model, radius: int):
         self.model = model
@@ -66,8 +74,6 @@ class BallIndex:
         self.ngens = len(model.generator_names())
         self.ids: dict[bytes, int] = {}
         self.keys: list[bytes] = []
-        # None marks an element not yet rebuilt from its key (loaded balls)
-        self.elements: list = []
         # sphere r is the id range starts[r]:starts[r + 1]
         self.starts: list[int] = [0]
         # parent id and generator per id; empty for a loaded ball
@@ -77,6 +83,10 @@ class BallIndex:
         # _UNKNOWN until their first use
         self._table = array("i")
         self._lazy_from = 0
+        # visit marks of in_ball_distances: an id is visited by the current
+        # search when its mark equals the search's stamp
+        self._marks: list[int] = []
+        self._stamp = 0
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -111,10 +121,7 @@ class BallIndex:
         return [b - a for a, b in zip(self.starts, self.starts[1:])]
 
     def element_at(self, i: int):
-        el = self.elements[i]
-        if el is None:
-            el = self.elements[i] = self.model.element_from_key(self.keys[i])
-        return el
+        return self.model.element_from_key(self.keys[i])
 
     def element(self, key: bytes):
         return self.element_at(self.ids[key])
@@ -164,19 +171,20 @@ def build_ball(model, radius: int, cap: int = DEFAULT_CAP) -> BallIndex:
         raise ValueError(f"ball radius must be >= 0, got {radius}")
     ball = BallIndex(model, radius)
     apply_gen, key, ngens = model.apply_gen, model.key, ball.ngens
-    ids, keys, elements = ball.ids, ball.keys, ball.elements
+    ids, keys = ball.ids, ball.keys
     parent, parent_gen, table = ball.parent, ball.parent_gen, ball._table
     ident = model.identity()
     ids[key(ident)] = 0
     keys.append(key(ident))
-    elements.append(ident)
     parent.append(-1)
     parent_gen.append(-1)
     ball.starts.append(1)
+    sphere = [ident]  # elements of sphere d, in id order
     for d in range(radius):
-        lo, hi = ball.starts[d], ball.starts[d + 1]
-        for x in range(lo, hi):
-            el = elements[x]
+        # the outermost sphere is never expanded, so keep none of its elements
+        keep = d + 1 < radius
+        nxt = []
+        for x, el in enumerate(sphere, ball.starts[d]):
             for i in range(ngens):
                 nb = apply_gen(el, i)
                 nk = key(nb)
@@ -188,13 +196,52 @@ def build_ball(model, radius: int, cap: int = DEFAULT_CAP) -> BallIndex:
                             f"ball of {model.name} exceeded cap {cap} at radius {d + 1}")
                     ids[nk] = j
                     keys.append(nk)
-                    elements.append(nb)
+                    if keep:
+                        nxt.append(nb)
                     parent.append(x)
                     parent_gen.append(i)
                 table.append(j)
+        sphere = nxt
         ball.starts.append(len(keys))
     ball._lazy_from = ball.starts[radius]
     return ball
+
+
+def in_ball_distances(ball: BallIndex, source: int, targets, bound: int,
+                      avoid_identity: bool = False) -> dict[int, int]:
+    """Graph distance from id `source` to each id of `targets` (not the
+    source) along paths through ids below `bound`; B(r) is the id range
+    0:starts[r + 1].  With avoid_identity the paths skip id 0, the
+    identity, so it may be the source but no target.  The search stops once
+    every target is found; a target out of reach is missing from the
+    result."""
+    table, ngens, lazy, row = ball._table, ball.ngens, ball._lazy_from, ball.row
+    marks = ball._marks
+    if len(marks) < len(ball):
+        marks.extend([0] * (len(ball) - len(marks)))
+    stamp = ball._stamp = ball._stamp + 1
+    marks[source] = stamp
+    if avoid_identity:
+        marks[0] = stamp
+    remaining = set(targets)
+    found: dict[int, int] = {}
+    frontier = [source]
+    depth = 0
+    while frontier and remaining:
+        depth += 1
+        nxt = []
+        for v in frontier:
+            for w in table[v * ngens:(v + 1) * ngens] if v < lazy else row(v):
+                if 0 <= w < bound and marks[w] != stamp:
+                    marks[w] = stamp
+                    nxt.append(w)
+                    if w in remaining:
+                        remaining.discard(w)
+                        found[w] = depth
+                        if not remaining:
+                            return found
+        frontier = nxt
+    return found
 
 
 def bridge_length(ball: BallIndex, src, dst, forbid_identity: bool = False) -> Optional[int]:
@@ -206,26 +253,9 @@ def bridge_length(ball: BallIndex, src, dst, forbid_identity: bool = False) -> O
         raise ValueError("bridge endpoints must lie inside the ball")
     if s == t:
         return 0
-    row = ball.row
-    seen = bytearray(len(ball))
-    seen[s] = 1
-    if forbid_identity:
-        seen[0] = 1  # the identity is id 0
-    frontier = [s]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for w in row(v):
-                if w == t:
-                    return d
-                if w < 0 or seen[w]:
-                    continue
-                seen[w] = 1
-                nxt.append(w)
-        frontier = nxt
-    return None
+    if t == 0:
+        s, t = t, s  # paths reverse; the search may leave the identity, not reach it
+    return in_ball_distances(ball, s, (t,), len(ball), forbid_identity).get(t)
 
 
 def save_ball(ball: BallIndex, path: str) -> None:
@@ -295,5 +325,4 @@ def load_ball(path: str, model) -> BallIndex:
     ball.ids = dict(zip(keys, range(len(keys))))
     if len(ball.ids) != len(keys):
         raise CacheError(f"ball cache {path} repeats a key")
-    ball.elements = [None] * len(keys)
     return ball

@@ -22,7 +22,7 @@ digit.  Ties go to the lexicographically least below digits (bottom level
 first), then plain core before climb block, smaller climb, smaller top
 digit, least climb digits.  Words are laid out by descent_word (core,
 t^-1 a^d per level down, t^rise) or ascent_word (t^-dip, a^d t per level
-up, core); every class and both climb-block orientations use these two.
+up, core); every class and the climb block use these two.
 """
 
 from __future__ import annotations
@@ -237,16 +237,10 @@ class XBlock:
     def cost(self) -> int:
         return 2 * self.height + abs(self.top) + sum(abs(k) for k in self.digits)
 
-    def render(self, orientation: str = "PN") -> Word:
-        """PN: t^h a^top t^-1 a^{k_(h-1)} ... t^-1 a^{k_0}.
-        NP mirror: a^{k_0} t a^{k_1} ... t a^{k_(h-1)} t a^top t^-h."""
-        if orientation == "PN":
-            return descent_word(Word.from_runs((("t", self.height), ("a", self.top))),
-                                self.digits[::-1])
-        if orientation == "NP":
-            return ascent_word(0, self.digits,
-                               Word.from_runs((("a", self.top), ("t", -self.height))))
-        raise ValueError(f"unknown orientation {orientation!r}")
+    def render(self) -> Word:
+        """t^h a^top t^-1 a^{k_(h-1)} ... t^-1 a^{k_0}."""
+        return descent_word(Word.from_runs((("t", self.height), ("a", self.top))),
+                            self.digits[::-1])
 
 
 @dataclass(frozen=True)
@@ -263,10 +257,6 @@ class GeodesicNormalForm:
     bottom: int
     digits: tuple[int, ...]
     core: Union[int, XBlock]
-
-    @property
-    def base(self) -> int:
-        return self.bottom + len(self.digits)
 
     @property
     def class_tag(self) -> int:
@@ -291,12 +281,7 @@ class GeodesicNormalForm:
         """f: number of ascending levels above the bottom."""
         return self.element.texp - self.bottom
 
-    def _core_word(self, x_orientation: str) -> Word:
-        if isinstance(self.core, int):
-            return gen_power("a", self.core)
-        return self.core.render(x_orientation)
-
-    def render(self, x_orientation: str = "PN", class4_form: str | None = None) -> Word:
+    def render(self, class4_form: str | None = None) -> Word:
         """Geodesic word spelling the element, in one of two layouts:
         'down_first' (t^-e, then ascend writing a digit before each t, core
         on top; needs texp >= 0) and 'core_first' (core, then descend
@@ -305,7 +290,8 @@ class GeodesicNormalForm:
         word.  Only class (4) takes class4_form; its default, like every
         other class, is down_first iff texp >= 0."""
         texp = self.element.texp
-        core = self._core_word(x_orientation)
+        core = (gen_power("a", self.core) if isinstance(self.core, int)
+                else self.core.render())
         form = class4_form if self.class_tag == 4 else None
         if form is None:
             form = "down_first" if texp >= 0 else "core_first"

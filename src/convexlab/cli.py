@@ -166,7 +166,7 @@ def cmd_witness(cfg: CliConfig) -> int:
     return 0 if report["ok"] else 1
 
 
-_CASE_INTS = ("p", "l", "f1", "k", "j", "i", "s", "e", "g", "c", "m")
+_CASE_INTS = ("p", "l", "f1", "k", "j", "i", "s", "e", "g", "m")
 
 
 def cmd_case(cfg: CliConfig) -> int:

@@ -15,7 +15,7 @@ import csv
 import statistics
 from dataclasses import dataclass
 
-from .ball_engine import DEFAULT_CAP, BallIndex, build_ball
+from .ball_engine import DEFAULT_CAP, BallIndex, build_ball, in_ball_distances
 from .errors import InvariantError
 
 
@@ -96,8 +96,6 @@ def scan(model, r_min: int, r_max: int, cap: int = DEFAULT_CAP,
         raise ValueError("prebuilt ball is smaller than r_max")
 
     table, ngens, keys = ball.neighbours(), ball.ngens, ball.keys
-    visited = [0] * len(ball)
-    stamp = 0
     rows = []
     for r in range(r_min, r_max + 1):
         # B(r) is the id range 0:hi and S(r) is lo:hi, so each unordered
@@ -120,31 +118,17 @@ def scan(model, r_min: int, r_max: int, cap: int = DEFAULT_CAP,
             if not targets:
                 continue
             npairs += len(targets)
-            stamp += 1
-            visited[x] = stamp
-            frontier = [x]
-            depth = 0
-            while targets:
-                depth += 1
+            found = in_ball_distances(ball, x, targets, hi)
+            if len(found) < len(targets):
+                raise InvariantError(f"sphere pair disconnected inside B({r})")
+            for y, depth in found.items():
                 if depth > 2 * r:
                     raise InvariantError(f"in-ball detour exceeded 2r = {2 * r}")
-                nxt = []
-                for v in frontier:
-                    for w in table[v * ngens:(v + 1) * ngens]:
-                        if 0 <= w < hi and visited[w] != stamp:
-                            visited[w] = stamp
-                            nxt.append(w)
-                            if w in targets:
-                                targets.discard(w)
-                                if depth >= fmax:
-                                    pair = tuple(sorted((keys[x], keys[w])))
-                                    if depth > fmax or pair < witness:
-                                        fmax = depth
-                                        witness = pair
-                if not nxt and targets:
-                    raise InvariantError(
-                        f"sphere pair disconnected inside B({r})")
-                frontier = nxt
+                if depth >= fmax:
+                    pair = tuple(sorted((keys[x], keys[y])))
+                    if depth > fmax or pair < witness:
+                        fmax = depth
+                        witness = pair
         rows.append(ScanRow(
             r, fmax, npairs,
             witness[0].decode("ascii") if witness else "",

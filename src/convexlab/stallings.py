@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .ball_engine import DEFAULT_CAP, bridge_length, build_ball
 from .words import STALLINGS_ALPHABET, Word, WordError, gen_power, parse_word
 
 RELATORS = ("acAC", "adAD", "bcBC", "bdBD", "sAbSBa", "sAcSCa", "sAdSDa")
@@ -148,14 +149,12 @@ class StallingsModel:
         return StallingsElement(quo, u, v)
 
 
-def verify_stallings_witness(n: int = 1, cap: Optional[int] = None) -> dict:
+def verify_stallings_witness(n: int = 1, cap: int = DEFAULT_CAP) -> dict:
     """Check the radius-4n witness pair alpha = b^-2n a^2n and
     beta = s b^-2n a^(2n-1): both sit on the sphere of R = 4n, differ by
     the length-2 element of "sA", yet every connecting path inside B(R)
     spends 2R steps, which beats the almost-convexity budget 4n + 4 is
     compared against.  Returns a JSON-ready report."""
-    from .ball_engine import DEFAULT_CAP, build_ball, bridge_length
-
     if n < 1:
         raise ValueError("n must be >= 1")
     R = 4 * n
@@ -170,7 +169,7 @@ def verify_stallings_witness(n: int = 1, cap: Optional[int] = None) -> dict:
     checks["gamma_beta"] = gamma_length_special(beta) == R
     checks["difference"] = st_mul(st_inv(alpha), beta) == st_eval("sA")
     model = StallingsModel()
-    ball = build_ball(model, R, cap if cap is not None else DEFAULT_CAP)
+    ball = build_ball(model, R, cap)
     checks["radius_alpha"] = ball.distance(model.key(alpha)) == R
     checks["radius_beta"] = ball.distance(model.key(beta)) == R
     checks["difference_dist"] = ball.distance(model.key(st_eval("sA"))) == 2

@@ -151,7 +151,7 @@ def _sample_core_word(rng: random.Random, allow_empty: bool = True) -> Word:
         return Word()
     if roll < 0.7:
         return _ap(rng.choice((-3, -2, -1, 1, 2, 3)))
-    return _random_xblock(rng, rng.randint(1, 3)).render("PN")
+    return _random_xblock(rng, rng.randint(1, 3)).render()
 
 
 def _leading_trun(w: Word) -> int:
@@ -214,7 +214,7 @@ def _partner(w: Word, gamma: Word, cls: Optional[int], w_cls: Optional[int] = No
         return None
     if geodesic_length(u_el, BS2) != len(w):
         return None
-    return normalize(u_el, BS2).render("PN", class4_form=class4_form)
+    return normalize(u_el, BS2).render(class4_form=class4_form)
 
 
 def _build_4(rng: random.Random, o: dict) -> CaseWitness:
@@ -232,7 +232,7 @@ def _build_4(rng: random.Random, o: dict) -> CaseWitness:
         else:
             digits[0] = g  # a^g: 2g carries, digit g moves one level up
             digits[1] = 0
-        w = XBlock(h, rng.choice((-3, -2, 2, 3)), tuple(digits)).render("PN")
+        w = XBlock(h, rng.choice((-3, -2, 2, 3)), tuple(digits)).render()
         u = _partner(w, gamma, 1)
         if u is None or _leading_trun(u) < 1:
             return None
@@ -254,7 +254,7 @@ def _build_5(rng: random.Random, o: dict) -> CaseWitness:
     def attempt():
         digits = _naf_digits(rng, h)
         digits[0] = -g  # a^g zeroes the bottom digit, paying for the extra t^-1
-        w = XBlock(h, rng.choice((-3, -2, 2, 3)), tuple(digits)).render("PN")
+        w = XBlock(h, rng.choice((-3, -2, 2, 3)), tuple(digits)).render()
         u = _partner(w, gamma, 2)
         if u is None or _leading_trun(u) < 1 or classify(u) is not WordClass.XN:
             return None
@@ -329,7 +329,7 @@ def _build_6(rng: random.Random, o: dict) -> CaseWitness:
     def opposite():
         digits = _naf_digits(rng, h)
         digits[0] = 0  # keep the block value even so a^g only flips the unit digit
-        block = XBlock(h, rng.choice((-3, -2, 2, 3)), tuple(digits)).render("PN")
+        block = XBlock(h, rng.choice((-3, -2, 2, 3)), tuple(digits)).render()
         w = _ap(i) * _tp(1) * block
         u = _ap(j) * _tp(1) * block
         if not (is_geodesic(w, BS2) and is_geodesic(u, BS2)):
@@ -493,7 +493,7 @@ def _build_82(rng: random.Random, o: dict) -> CaseWitness:
         u0_el = bs_mul(_gel(_ap(-j)), _gel(w0), BS2)
         if element_class(u0_el) != 1 or geodesic_length(u0_el, BS2) != len(w0):
             return None
-        u0 = normalize(u0_el, BS2).render("PN")
+        u0 = normalize(u0_el, BS2).render()
         if classify(u0) is not WordClass.X:
             return None
         u = _ap(j) * _tp(1) * u0
@@ -810,7 +810,7 @@ def _build_1033(rng: random.Random, o: dict, sub: str) -> CaseWitness:
         jd = gnf.digit_at(-p)
         if jd != (i if sub == "10.3.3.1" else -i):
             return None
-        u = gnf.render("PN", class4_form="down_first")
+        u = gnf.render(class4_form="down_first")
         if len(u) != r:
             return None
         u_rest = u.suffix(r - p - 2)

@@ -231,7 +231,3 @@ def classify(w: Word) -> WordClass:
     if pat == (1, -1, 1):
         return WordClass.XNP if sig <= 0 else WordClass.OTHER
     return WordClass.OTHER
-
-
-#: Word classes whose elements multiply into class-(4) geodesics.
-CLASS4_TAGS = frozenset({WordClass.NP, WordClass.NPX, WordClass.XNP})

@@ -291,14 +291,18 @@ def _bridge_by_keys(ball, src, dst, forbid_identity):
 
 
 @pytest.mark.parametrize("fixture", ["ball_bs2_r8", "ball_st_r4"])
-def test_bridge_matches_key_bfs(fixture, request):
-    ball = request.getfixturevalue(fixture)
+def test_bridge_matches_key_bfs(fixture, request, tmp_path):
+    built = request.getfixturevalue(fixture)
+    path = str(tmp_path / "ball.ndjson")
+    save_ball(built, path)
     rng = random.Random(5)
-    outer = ball.sphere(ball.radius)
+    outer = built.sphere(built.radius)
     pairs = [(rng.choice(outer), rng.choice(outer)) for _ in range(6)]
-    pairs += [(rng.choice(ball.keys), rng.choice(ball.keys)) for _ in range(6)]
-    pairs.append((ball.keys[0], outer[0]))
-    for kx, ky in pairs:
-        x, y = ball.element(kx), ball.element(ky)
-        for forbid in (False, True):
-            assert bridge_length(ball, x, y, forbid) == _bridge_by_keys(ball, x, y, forbid)
+    pairs += [(rng.choice(built.keys), rng.choice(built.keys)) for _ in range(6)]
+    pairs += [(built.keys[0], outer[0]), (outer[0], built.keys[0])]
+    # the loaded copy rebuilds every row from keys
+    for ball in (built, load_ball(path, built.model)):
+        for kx, ky in pairs:
+            x, y = ball.element(kx), ball.element(ky)
+            for forbid in (False, True):
+                assert bridge_length(ball, x, y, forbid) == _bridge_by_keys(ball, x, y, forbid)

@@ -46,6 +46,7 @@ import json
 import os
 from array import array
 from bisect import bisect_right
+from itertools import islice
 from typing import Optional
 
 DEFAULT_CAP = 50_000_000
@@ -282,15 +283,19 @@ def save_ball(ball: BallIndex, path: str) -> None:
 
 def load_ball(path: str, model) -> BallIndex:
     """Rebuild a distance-only BallIndex from a cache, taking file order as
-    id order.  Raises CacheError unless every row's distance matches the
-    header's sphere sizes and nothing follows the last row."""
+    id order.  Rows are read one sphere at a time.  Raises CacheError unless
+    every row's distance matches the header's sphere sizes, every row ends
+    in a newline and nothing follows the last row."""
     try:
         with open(path, "rb") as fh:
-            head, body = fh.readline(), fh.read()
+            return _read_ball(fh, path, model)
     except OSError as exc:
-        raise CacheError(f"cannot open ball cache {path}: {exc}") from exc
+        raise CacheError(f"cannot read ball cache {path}: {exc}") from exc
+
+
+def _read_ball(fh, path: str, model) -> BallIndex:
     try:
-        header = json.loads(head)
+        header = json.loads(fh.readline())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CacheError(f"bad ball cache header in {path}") from exc
     if not isinstance(header, dict) or header.get("fmt") != CACHE_FORMAT:
@@ -307,20 +312,23 @@ def load_ball(path: str, model) -> BallIndex:
             or not all(isinstance(s, int) and s >= 0 for s in sizes)
             or sum(sizes) != header.get("n")):
         raise CacheError("cache header has no usable element count and sphere sizes")
-    if not body.isascii():
-        raise CacheError(f"ball cache {path} holds non-ascii bytes")
-    rows = body.split(b"\n")
     ball = BallIndex(model, radius)
     keys = ball.keys
     for r, size in enumerate(sizes):
-        prefix, start = b"%d " % r, len(keys)
-        sphere = rows[start:start + size]
+        prefix = b"%d " % r
+        sphere = list(islice(fh, size))
         if len(sphere) != size or not all(row.startswith(prefix) for row in sphere):
             raise CacheError(
                 f"ball cache {path} disagrees with its header on sphere {r}")
-        keys.extend(row[len(prefix):] for row in sphere)
+        # only the file's last row can lack its newline
+        if sphere and not sphere[-1].endswith(b"\n"):
+            raise CacheError(f"ball cache {path} ends inside a row")
+        if not all(map(bytes.isascii, sphere)):
+            raise CacheError(f"ball cache {path} holds non-ascii bytes")
+        cut = len(prefix)
+        keys.extend(row[cut:-1] for row in sphere)
         ball.starts.append(len(keys))
-    if rows[len(keys):] != [b""]:
+    if fh.read(1):
         raise CacheError(f"ball cache {path} has data after its last row")
     ball.ids = dict(zip(keys, range(len(keys))))
     if len(ball.ids) != len(keys):

@@ -1,9 +1,9 @@
 """Command line front end and ball cache.
 
 Subcommands: ball, scan, witness {notpac|bs1q|stallings|boundingm}, case, length,
-normalize.  Exit status 0 means every asserted check passed, 1 means a
-verification report came back negative, 2 means bad usage or a resource
-or I/O failure.
+normalize.  Each command reads its parsed arguments.  Exit status 0 means
+every asserted check passed, 1 means a verification report came back
+negative, 2 means bad usage or a resource or I/O failure.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -27,19 +26,18 @@ from .ball_engine import (
     save_ball,
 )
 from .bs_arith import BsGroupModel, BsParams, bs_eval
-from .bs_geodesics import NotGeodesicError, geodesic_length, normalize
+from .bs_geodesics import geodesic_length, normalize
 from .convexity_scan import scan, sublinearity_probe, write_csv
 from .stallings import StallingsModel, verify_stallings_witness
 from .witness_lab import (
     CONSTRUCTIVE_CASES,
-    ConstructionError,
     build_case,
     verify_boundingm,
     verify_bs1q_notmac,
     verify_case,
     verify_notpac,
 )
-from .words import WordError, parse_word
+from .words import parse_word
 
 
 class UsageError(ValueError):
@@ -47,56 +45,30 @@ class UsageError(ValueError):
 
 
 def parse_group(descriptor: str):
-    """Group model for a descriptor: 'bs:q=K' (K >= 2) or 'stallings'."""
+    """Group model for a descriptor: 'bs:q=K' (K >= 2) or 'stallings'.  The
+    descriptor must spell the model's name, so 'bs:q=02' is refused."""
     if descriptor == "stallings":
         return StallingsModel()
-    if descriptor.startswith("bs:q="):
-        try:
-            q = int(descriptor[5:])
-        except ValueError:
-            raise UsageError(f"bad group descriptor {descriptor!r}") from None
-        if q < 2:
-            raise UsageError("q must be at least 2")
-        return BsGroupModel(BsParams(q))
-    raise UsageError(
-        f"unknown group {descriptor!r} (expected bs:q=K or stallings)")
+    if not descriptor.startswith("bs:q="):
+        raise UsageError(
+            f"unknown group {descriptor!r} (expected bs:q=K or stallings)")
+    try:
+        q = int(descriptor[5:])
+    except ValueError:
+        raise UsageError(f"bad group descriptor {descriptor!r}") from None
+    if q < 2:
+        raise UsageError("q must be at least 2")
+    model = BsGroupModel(BsParams(q))
+    if model.name != descriptor:
+        raise UsageError(f"group descriptor {descriptor!r} does not round-trip")
+    return model
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated knobs shared by the subcommands."""
-
-    subcommand: str
-    group: str = "bs:q=2"
-    radius: int = 0
-    n: int = 0
-    case: str = ""
-    params: dict = field(default_factory=dict)
-    out: Optional[str] = None
-    fmt: str = "text"
-    cache_dir: Optional[str] = None
-    cap: int = DEFAULT_CAP
-
-    def __post_init__(self):
-        if self.cap < 1000:
-            raise UsageError("cap must be at least 1000")
-        model = parse_group(self.group)
-        if model.name != self.group:
-            raise UsageError(f"group descriptor {self.group!r} does not round-trip")
-
-
-def _cache_dir(cfg: CliConfig) -> Path:
-    if cfg.cache_dir:
-        return Path(cfg.cache_dir)
-    env = os.environ.get("CONVEXITY_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "convexlab"
-
-
-def _cache_path(cfg: CliConfig, radius: int) -> Path:
-    stem = cfg.group.replace(":", "_").replace("=", "")
-    return _cache_dir(cfg) / f"{stem}-r{radius}.ndjson"
+def _cache_path(args: argparse.Namespace, model) -> Path:
+    root = args.cache_dir or os.environ.get("CONVEXITY_CACHE_DIR")
+    root = Path(root) if root else Path.home() / ".cache" / "convexlab"
+    stem = model.name.replace(":", "_").replace("=", "")
+    return root / f"{stem}-r{args.r}.ndjson"
 
 
 def _sphere_table(ball: BallIndex) -> str:
@@ -108,31 +80,26 @@ def _sphere_table(ball: BallIndex) -> str:
     return "\n".join(lines)
 
 
-def cmd_ball(cfg: CliConfig) -> int:
-    model = parse_group(cfg.group)
-    path = _cache_path(cfg, cfg.radius)
+def cmd_ball(args: argparse.Namespace) -> int:
+    model = parse_group(args.group)
+    path = _cache_path(args, model)
     ball = None
-    if path.exists() and not cfg.params.get("rebuild"):
+    if path.exists() and not args.rebuild:
         try:
             ball = load_ball(str(path), model)
         except CacheError as exc:
             print(f"note: rebuilding the ball: {exc}", file=sys.stderr)
     if ball is None:
-        ball = build_ball(model, cfg.radius, cap=cfg.cap)
+        ball = build_ball(model, args.r, cap=args.cap)
         path.parent.mkdir(parents=True, exist_ok=True)
         save_ball(ball, str(path))
-    if cfg.out:
-        save_ball(ball, cfg.out)
     print(_sphere_table(ball))
     print(f"cache: {path}")
     return 0
 
 
-def cmd_scan(cfg: CliConfig) -> int:
-    model = parse_group(cfg.group)
-    r_min = cfg.params["r_min"]
-    r_max = cfg.params["r_max"]
-    report = scan(model, r_min, r_max, cap=cfg.cap)
+def cmd_scan(args: argparse.Namespace) -> int:
+    report = scan(parse_group(args.group), args.r_min, args.r_max, cap=args.cap)
     print("r\tfmax\tpairs\tmac\tmprime\twitness")
     for row in report.rows:
         wit = f"{row.witness_x} ~ {row.witness_y}" if row.pairs else ""
@@ -144,24 +111,25 @@ def cmd_scan(cfg: CliConfig) -> int:
               f" points={probe.points}")
     except ValueError:
         pass
-    if cfg.out:
-        write_csv(report, cfg.out)
-        print(f"csv: {cfg.out}")
+    if args.csv:
+        write_csv(report, args.csv)
+        print(f"csv: {args.csv}")
     return 0
 
 
-def cmd_witness(cfg: CliConfig) -> int:
-    kind = cfg.params["kind"]
-    if kind == "notpac":
-        report = verify_notpac(cfg.n, cap=cfg.cap)
-    elif kind == "bs1q":
-        report = verify_bs1q_notmac(cfg.params["q"], cfg.n, cap=cfg.cap)
-    elif kind == "stallings":
-        report = verify_stallings_witness(cfg.n, cap=cfg.cap)
-    elif kind == "boundingm":
-        report = verify_boundingm(cfg.n, cfg.params["q"])
+_WITNESS_N = {"notpac": 3, "bs1q": 2, "stallings": 1, "boundingm": 2}
+
+
+def cmd_witness(args: argparse.Namespace) -> int:
+    n = _WITNESS_N[args.kind] if args.n is None else args.n
+    if args.kind == "notpac":
+        report = verify_notpac(n, cap=args.cap)
+    elif args.kind == "bs1q":
+        report = verify_bs1q_notmac(args.q, n, cap=args.cap)
+    elif args.kind == "stallings":
+        report = verify_stallings_witness(n, cap=args.cap)
     else:
-        raise UsageError(f"unknown witness kind {kind!r}")
+        report = verify_boundingm(n, args.q)
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1
 
@@ -169,37 +137,43 @@ def cmd_witness(cfg: CliConfig) -> int:
 _CASE_INTS = ("p", "l", "f1", "k", "j", "i", "s", "e", "g", "m")
 
 
-def cmd_case(cfg: CliConfig) -> int:
-    rng = random.Random(cfg.params.pop("seed"))
-    opts = {k: v for k, v in cfg.params.items() if v is not None}
-    cw = build_case(cfg.case, rng, **opts)
+def cmd_case(args: argparse.Namespace) -> int:
+    opts = {name: getattr(args, name) for name in _CASE_INTS}
+    for item in args.opt:
+        key, sep, val = item.partition("=")
+        if not sep:
+            raise UsageError(f"bad --opt {item!r}, expected KEY=VAL")
+        try:
+            opts[key] = int(val)
+        except ValueError:
+            opts[key] = val
+    cw = build_case(args.case_id, random.Random(args.seed),
+                    **{k: v for k, v in opts.items() if v is not None})
     report = verify_case(cw)
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1
 
 
-def _bs_params(cfg: CliConfig) -> BsParams:
-    model = parse_group(cfg.group)
+def _bs_word(args: argparse.Namespace):
+    """The word of --word, its element and the BsParams of --group."""
+    model = parse_group(args.group)
     if not isinstance(model, BsGroupModel):
-        raise UsageError(f"{cfg.subcommand} works on bs:q=K groups only")
-    return model.params
+        raise UsageError(f"{args.subcommand} works on bs:q=K groups only")
+    word = parse_word(args.word)
+    return word, bs_eval(word, model.params), model.params
 
 
-def cmd_length(cfg: CliConfig) -> int:
-    params = _bs_params(cfg)
-    word = parse_word(cfg.params["word"])
-    el = bs_eval(word, params)
+def cmd_length(args: argparse.Namespace) -> int:
+    _, el, params = _bs_word(args)
     print(geodesic_length(el, params))
     return 0
 
 
-def cmd_normalize(cfg: CliConfig) -> int:
-    params = _bs_params(cfg)
-    word = parse_word(cfg.params["word"])
-    el = bs_eval(word, params)
+def cmd_normalize(args: argparse.Namespace) -> int:
+    word, el, params = _bs_word(args)
     gnf = normalize(el, params)
     rendered = gnf.render()
-    if cfg.fmt == "json":
+    if args.as_json:
         print(json.dumps({
             "input": str(word),
             "element_class": gnf.class_tag,
@@ -230,10 +204,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "witnesses in BS(1,q) and Stallings' group.")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, group=True):
-        if group:
-            p.add_argument("--group", default="bs:q=2",
-                           help="bs:q=K or stallings (default bs:q=2)")
+    def common(p):
+        p.add_argument("--group", default="bs:q=2",
+                       help="bs:q=K or stallings (default bs:q=2)")
         p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                        help="element cap for ball builds")
 
@@ -243,7 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", help="override cache directory")
     p.add_argument("--rebuild", action="store_true",
                    help="ignore any cached ball")
-    p.add_argument("--out", help="also write the ball cache file here")
 
     p = sub.add_parser("scan", help="almost-convexity scan over a radius range")
     common(p)
@@ -252,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write per-radius rows to this CSV file")
 
     p = sub.add_parser("witness", help="run a non-convexity witness verifier")
-    p.add_argument("kind", choices=("notpac", "bs1q", "stallings", "boundingm"))
+    p.add_argument("kind", choices=tuple(_WITNESS_N))
     p.add_argument("--n", type=int, default=None,
                    help="witness scale (default: notpac 3, bs1q 2, stallings 1,"
                         " boundingm 2)")
@@ -271,66 +243,24 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="KEY=VAL",
                    help="extra parameter (int when it parses, else string)")
 
-    p = sub.add_parser("length", help="geodesic length of a word's element")
-    p.add_argument("--group", default="bs:q=2")
-    p.add_argument("--word", required=True)
-
-    p = sub.add_parser("normalize", help="geodesic normal form of a word's element")
-    p.add_argument("--group", default="bs:q=2")
-    p.add_argument("--word", required=True)
-    p.add_argument("--json", action="store_true", dest="as_json")
+    for name, help_text in (("length", "geodesic length of a word's element"),
+                            ("normalize", "geodesic normal form of a word's element")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--group", default="bs:q=2")
+        p.add_argument("--word", required=True)
+        if name == "normalize":
+            p.add_argument("--json", action="store_true", dest="as_json")
 
     return top
-
-
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    sc = args.subcommand
-    if sc == "ball":
-        return CliConfig(sc, group=args.group, radius=args.r, cap=args.cap,
-                         cache_dir=args.cache_dir, out=args.out,
-                         params={"rebuild": args.rebuild})
-    if sc == "scan":
-        if args.r_min < 1 or args.r_max < args.r_min:
-            raise UsageError("need 1 <= r-min <= r-max")
-        return CliConfig(sc, group=args.group, cap=args.cap,
-                         out=args.csv, params={"r_min": args.r_min,
-                                               "r_max": args.r_max})
-    if sc == "witness":
-        defaults = {"notpac": 3, "bs1q": 2, "stallings": 1, "boundingm": 2}
-        n = args.n if args.n is not None else defaults[args.kind]
-        group = f"bs:q={args.q}" if args.kind in ("bs1q", "boundingm") else "bs:q=2"
-        if args.kind == "stallings":
-            group = "stallings"
-        return CliConfig(sc, group=group, n=n, cap=args.cap,
-                         params={"kind": args.kind, "q": args.q})
-    if sc == "case":
-        params = {"seed": args.seed}
-        for name in _CASE_INTS:
-            params[name] = getattr(args, name)
-        for item in args.opt:
-            key, sep, val = item.partition("=")
-            if not sep:
-                raise UsageError(f"bad --opt {item!r}, expected KEY=VAL")
-            try:
-                params[key] = int(val)
-            except ValueError:
-                params[key] = val
-        return CliConfig(sc, case=args.case_id, params=params)
-    if sc == "length":
-        return CliConfig(sc, group=args.group, params={"word": args.word})
-    if sc == "normalize":
-        return CliConfig(sc, group=args.group, params={"word": args.word},
-                         fmt="json" if args.as_json else "text")
-    raise UsageError(f"unknown subcommand {sc!r}")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.subcommand](cfg)
-    except (UsageError, WordError, ConstructionError, NotGeodesicError,
-            ValueError, BallCapError, CacheError, OSError) as exc:
+        if getattr(args, "cap", DEFAULT_CAP) < 1000:
+            raise UsageError("cap must be at least 1000")
+        return _COMMANDS[args.subcommand](args)
+    except (ValueError, BallCapError, CacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -947,6 +947,16 @@ def _gamma_words():
     return tuple(out)
 
 
+# The impossible cases that step off x by a short connector gamma:
+# (class of x, connector words, class that x gamma must not reach at the
+# length of x).  Only geodesic connectors count.
+_CONNECTOR_CASES = {
+    "1": (4, _gamma_words(), 1),
+    "2": (4, _gamma_words(), 3),
+    "7.1": (2, (_tp(1), _ap(1) * _tp(1), _ap(-1) * _tp(1)), 2),
+}
+
+
 def _geodesic_word_tags(radius: int, ball: BallIndex) -> dict:
     """Word classes realized by geodesic spellings, per element of B(radius)."""
     tags: dict = {}
@@ -988,22 +998,18 @@ def impossibility_search(case: str, radius: int = 7,
         ball = build_ball(_BS2_MODEL, radius)
     hits: list = []
     tsq = bs_eval(_tp(2), BS2)
-    if case in ("1", "2"):
-        target = 1 if case == "1" else 3
-        gammas = [gw for gw in _gamma_words()
-                  if geodesic_length(bs_eval(gw, BS2), BS2) == len(gw)]
+    if case in _CONNECTOR_CASES:
+        source, words, target = _CONNECTOR_CASES[case]
+        gammas = [(str(gw), bs_eval(gw, BS2)) for gw in words if is_geodesic(gw, BS2)]
         for x, r in _ball_ids(ball):
             el = ball.element_at(x)
-            if element_class(el) != 4:
+            if element_class(el) != source:
                 continue
-            for gw in gammas:
-                y = bs_mul(el, bs_eval(gw, BS2), BS2)
-                if element_class(y) != target:
-                    continue
-                if geodesic_length(y, BS2) != r:
-                    continue
-                hits.append({"case": case, "x": ball.keys[x].decode("ascii"),
-                             "gamma": str(gw), "r": r})
+            for name, g in gammas:
+                y = bs_mul(el, g, BS2)
+                if element_class(y) == target and geodesic_length(y, BS2) == r:
+                    hits.append({"case": case, "x": ball.keys[x].decode("ascii"),
+                                 "gamma": name, "r": r})
     elif case == "3":
         tags = _geodesic_word_tags(radius, ball)
         for x, r in _ball_ids(ball):
@@ -1015,20 +1021,6 @@ def impossibility_search(case: str, radius: int = 7,
                 continue
             if WordClass.PX in tags.get(bs_key(y), ()):
                 hits.append({"case": case, "w_el": key.decode("ascii"), "r": r})
-    elif case == "7.1":
-        gammas = (_tp(1), _ap(1) * _tp(1), _ap(-1) * _tp(1))
-        for x, r in _ball_ids(ball):
-            el = ball.element_at(x)
-            if element_class(el) != 2:
-                continue
-            for gw in gammas:
-                y = bs_mul(el, bs_eval(gw, BS2), BS2)
-                if element_class(y) != 2:
-                    continue
-                if geodesic_length(y, BS2) != r:
-                    continue
-                hits.append({"case": case, "x": ball.keys[x].decode("ascii"),
-                             "gamma": str(gw), "r": r})
     else:  # 10.3.2: w = a^k t^-p a^i t^(p-1) alongside u = w t^2 at equal length
         for p in range(2, radius):
             for k in range(-3, 4):

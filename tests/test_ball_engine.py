@@ -227,6 +227,20 @@ def test_cache_rejects_truncation(tmp_path, ball_bs2_r8, cut):
         load_ball(str(path), ball_bs2_r8.model)
 
 
+@pytest.mark.parametrize("last, message", [
+    (lambda rows: rows[-1].rstrip("\n"), "ends inside a row"),
+    (lambda rows: rows[-1].rstrip("\n") + "\u00e9\n", "non-ascii"),
+    (lambda rows: rows[-2], "repeats a key"),
+], ids=["no-final-newline", "non-ascii-key", "repeated-key"])
+def test_cache_rejects_bad_rows(tmp_path, ball_bs2_r8, last, message):
+    path = tmp_path / "b8.ndjson"
+    save_ball(ball_bs2_r8, str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]) + last(lines), encoding="utf-8")
+    with pytest.raises(CacheError, match=message):
+        load_ball(str(path), ball_bs2_r8.model)
+
+
 def test_cache_rejects_header_mismatch(tmp_path, ball_bs2_r8):
     path = tmp_path / "b8.ndjson"
     save_ball(ball_bs2_r8, str(path))

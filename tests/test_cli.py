@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from convexlab.cli import CliConfig, UsageError, main, parse_group
+from convexlab.cli import UsageError, main, parse_group
 from convexlab.words import STALLINGS_ALPHABET, parse_word
 
 
@@ -25,11 +25,15 @@ def test_parse_group():
         parse_group("sl2z")
 
 
-def test_config_validation():
-    with pytest.raises(UsageError):
-        CliConfig("ball", cap=10)
-    with pytest.raises(UsageError):
-        CliConfig("ball", group="nope")
+def test_config_validation(capsys, isolated_cache):
+    assert main(["ball", "--r", "3", "--cap", "10"]) == 2
+    assert capsys.readouterr().err == "error: cap must be at least 1000\n"
+    assert main(["ball", "--group", "nope", "--r", "3"]) == 2
+    assert "unknown group" in capsys.readouterr().err
+    # a cache file is named after its model, so the descriptor must spell it
+    assert main(["ball", "--group", "bs:q=02", "--r", "3"]) == 2
+    assert "round-trip" in capsys.readouterr().err
+    assert not (isolated_cache / "cache").exists()
 
 
 def test_ball_builds_and_caches(tmp_path, capsys):
@@ -102,6 +106,7 @@ def test_scan_with_csv(tmp_path, capsys):
                  "--csv", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "3\t3\t34" in printed
+    assert "\nprobe: slope=" in printed
     assert out.read_text().count("\n") == 4  # header + 3 rows
 
 

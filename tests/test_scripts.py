@@ -32,13 +32,6 @@ def test_case_sweep_refuses_impossible_case():
     assert "invalid choice" in proc.stderr
 
 
-def test_scan_bs2():
-    proc = _run("scan_bs2.py", "--r-max", "5")
-    assert proc.returncode == 0, proc.stderr
-    assert "3\t3\t34\t4\t" in proc.stdout
-    assert "probe: slope" in proc.stdout
-
-
 def test_witness_sweep():
     # the n = 2 notpac row is the known failing instance, so the sweep exits 1
     proc = _run("witness_sweep.py", "--family", "notpac", "--notpac-max", "3")

@@ -15,14 +15,17 @@ texp - 2B + 2h t-letters; a-letters pay for the digits:
 
 Both stages are loops over _step, which writes one balanced digit under
 every state and divides by q; the climb stops once no state can reach a
-top digit.  The minimal digit cost gives the Cayley-graph distance (pinned
-against brute-force BFS in the tests).  _trace reconstructs a minimal
-form: backward costs, then a forward pass taking the smallest optimal
-digit.  Ties go to the lexicographically least below digits (bottom level
-first), then plain core before climb block, smaller climb, smaller top
-digit, least climb digits.  Words are laid out by descent_word (core,
-t^-1 a^d per level down, t^rise) or ascent_word (t^-dip, a^d t per level
-up, core); every class and the climb block use these two.
+top digit.  One helper, _price, runs the below stage and prices each
+state at the base by its cheapest core (_core); the minimal digit cost
+gives the Cayley-graph distance (pinned against brute-force BFS in the
+tests).  geodesic_length returns it; normalize hands _price's frontiers to
+_trace, which reconstructs a minimal form: backward costs, then a forward
+pass taking the smallest optimal digit.  Ties go to the lexicographically
+least below digits (bottom level first), then plain core before climb
+block, smaller climb, smaller top digit, least climb digits.  Words are
+laid out by descent_word (core, t^-1 a^d per level down, t^rise) or
+ascent_word (t^-dip, a^d t per level up, core); every class and the climb
+block use these two.
 """
 
 from __future__ import annotations
@@ -60,15 +63,6 @@ def _digit_table(q: int) -> tuple[tuple[int, ...], ...]:
     """Entry r lists the digits d with d = r mod q and |d| <= floor(q/2),
     ascending (two of them only for r = q/2 with q even)."""
     return tuple(tuple(d for d in (r - q, r) if abs(d) <= q // 2) for r in range(q))
-
-
-def _walk_parts(el: BsElement, params: BsParams) -> tuple[int, int, int]:
-    """(bottom, base, m0): walk bottom, core height, and the integer
-    c * q^-bottom the digits must spell."""
-    bottom = min(0, el.texp, -el.dpow)
-    base = max(0, el.texp)
-    m0 = el.num * params.q ** (-el.dpow - bottom)
-    return bottom, base, m0
 
 
 def _climb_dead(m: int, q: int) -> bool:
@@ -139,7 +133,7 @@ def _core(m: int, params: BsParams) -> tuple[Union[int, float], Union[int, XBloc
     if plain <= cost:
         hit = (plain, None if plain == _INF else m)
     else:
-        digits, end, _ = _trace(frontiers[:h + 1], {top: abs(top)}, params)
+        digits, end = _trace(frontiers[:h + 1], {top: abs(top)}, params)
         if end != top:
             raise InvariantError(f"climb digits end at {end}, not the top digit {top}")
         hit = (cost, XBlock(h, top, tuple(digits)))
@@ -148,13 +142,13 @@ def _core(m: int, params: BsParams) -> tuple[Union[int, float], Union[int, XBloc
 
 
 def _trace(frontiers: list[dict[int, int]], last: dict[int, Union[int, float]],
-           params: BsParams) -> tuple[list[int], int, Union[int, float]]:
+           params: BsParams) -> tuple[list[int], int]:
     """Cheapest digit path through the levels of `frontiers`, whose top
     level is priced by `last` (remaining cost per state) instead.
 
     Backward costs are computed over the reachable states; the forward pass
     from the single start state then takes the smallest digit among the
-    optimal ones.  Returns (digits, end state, cost)."""
+    optimal ones.  Returns (digits, end state)."""
     q = params.q
     table = _digit_table(q)
     back = [last]
@@ -181,23 +175,28 @@ def _trace(frontiers: list[dict[int, int]], last: dict[int, Union[int, float]],
                 break
         else:
             raise InvariantError("digit reconstruction lost the optimum")
-    return digits, m, back[0][start]
+    return digits, m
+
+
+def _price(el: BsElement, params: BsParams
+           ) -> tuple[int, list[dict[int, int]], dict[int, Union[int, float]], int]:
+    """(bottom, frontiers, last, length) of el's digit walk: the below-stage
+    frontiers from the bottom, where the digits must spell c * q^-bottom, up
+    to the base; the core cost of each top state; the word length of el."""
+    bottom = min(0, el.texp, -el.dpow)
+    m0 = el.num * params.q ** (-el.dpow - bottom)
+    frontiers = _below_frontiers(m0, max(0, el.texp) - bottom, params)
+    last = {m: _core(m, params)[0] for m in frontiers[-1]}
+    best = min(c + last[m] for m, c in frontiers[-1].items())
+    if best == _INF:
+        raise InvariantError(f"digit walk found no path to {el}")
+    return bottom, frontiers, last, el.texp - 2 * bottom + int(best)
 
 
 def geodesic_length(g: Union[BsElement, Word], params: BsParams) -> int:
     """Distance from the identity in the Cayley graph of BS(1,q)."""
     el = bs_eval(g, params) if isinstance(g, Word) else g
-    bottom, base, m0 = _walk_parts(el, params)
-    frontiers = _below_frontiers(m0, base - bottom, params)
-    walk = el.texp - 2 * bottom
-    best: Union[int, float] = _INF
-    for m, c in frontiers[-1].items():
-        total = c + _core(m, params)[0]
-        if total < best:
-            best = total
-    if best == _INF:
-        raise InvariantError(f"digit walk found no path to {el}")
-    return walk + int(best)
+    return _price(el, params)[3]
 
 
 def is_geodesic(w: Word, params: BsParams) -> bool:
@@ -346,15 +345,13 @@ class GeodesicNormalForm:
 
 def _solve(el: BsElement, params: BsParams) -> GeodesicNormalForm:
     """Run the digit DP and reconstruct the deterministic minimal form."""
-    bottom, base, m0 = _walk_parts(el, params)
-    frontiers = _below_frontiers(m0, base - bottom, params)
-    last = {m: _core(m, params)[0] for m in frontiers[-1]}
-    digits, m, cost = _trace(frontiers, last, params)
+    bottom, frontiers, last, length = _price(el, params)
+    digits, m = _trace(frontiers, last, params)
     core = _core(m, params)[1]
     if core is None:
         raise InvariantError(f"remainder {m} admits no core block")
     nf = GeodesicNormalForm(params, el, bottom, tuple(digits), core)
-    if nf.length != el.texp - 2 * bottom + cost:
+    if nf.length != length:
         raise InvariantError("normal form length differs from the digit cost")
     return nf
 

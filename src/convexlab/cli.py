@@ -117,38 +117,32 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-_WITNESS_N = {"notpac": 3, "bs1q": 2, "stallings": 1, "boundingm": 2}
-
-
 def cmd_witness(args: argparse.Namespace) -> int:
-    n = _WITNESS_N[args.kind] if args.n is None else args.n
     if args.kind == "notpac":
-        report = verify_notpac(n, cap=args.cap)
+        report = verify_notpac(args.n, cap=args.cap)
     elif args.kind == "bs1q":
-        report = verify_bs1q_notmac(args.q, n, cap=args.cap)
+        report = verify_bs1q_notmac(args.q, args.n, cap=args.cap)
     elif args.kind == "stallings":
-        report = verify_stallings_witness(n, cap=args.cap)
+        report = verify_stallings_witness(args.n, cap=args.cap)
     else:
-        report = verify_boundingm(n, args.q)
+        report = verify_boundingm(args.n, args.q)
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1
 
 
-_CASE_INTS = ("p", "l", "f1", "k", "j", "i", "s", "e", "g", "m")
-
-
 def cmd_case(args: argparse.Namespace) -> int:
-    opts = {name: getattr(args, name) for name in _CASE_INTS}
+    opts = {}
     for item in args.opt:
         key, sep, val = item.partition("=")
         if not sep:
             raise UsageError(f"bad --opt {item!r}, expected KEY=VAL")
+        if key in opts:
+            raise UsageError(f"--opt {key} given twice")
         try:
             opts[key] = int(val)
         except ValueError:
             opts[key] = val
-    cw = build_case(args.case_id, random.Random(args.seed),
-                    **{k: v for k, v in opts.items() if v is not None})
+    cw = build_case(args.case_id, random.Random(args.seed), **opts)
     report = verify_case(cw)
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1
@@ -224,24 +218,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write per-radius rows to this CSV file")
 
     p = sub.add_parser("witness", help="run a non-convexity witness verifier")
-    p.add_argument("kind", choices=tuple(_WITNESS_N))
-    p.add_argument("--n", type=int, default=None,
-                   help="witness scale (default: notpac 3, bs1q 2, stallings 1,"
-                        " boundingm 2)")
-    p.add_argument("--q", type=int, default=7,
-                   help="bs1q: q >= 7; boundingm: q = 2 or q >= 7")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind, n, q_help, takes_cap in (("notpac", 3, None, True),
+                                        ("bs1q", 2, "q >= 7", True),
+                                        ("stallings", 1, None, True),
+                                        ("boundingm", 2, "q = 2 or q >= 7", False)):
+        k = kinds.add_parser(kind)
+        k.add_argument("--n", type=int, default=n, help=f"witness scale (default {n})")
+        if q_help:
+            k.add_argument("--q", type=int, default=7, help=f"{q_help} (default 7)")
+        if takes_cap:
+            k.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
-    p = sub.add_parser("case", help="build and verify one theorem-case witness")
+    # no abbreviations: --s or --i would otherwise be read as --seed or --id
+    p = sub.add_parser("case", allow_abbrev=False,
+                       help="build and verify one theorem-case witness")
     p.add_argument("--id", required=True, dest="case_id",
                    help="constructive case id, e.g. 8.1 (known: %s)"
                         % ", ".join(CONSTRUCTIVE_CASES))
     p.add_argument("--seed", type=int, default=0)
-    for name in _CASE_INTS:
-        p.add_argument(f"--{name}", type=int, default=None)
     p.add_argument("--opt", action="append", default=[],
                    metavar="KEY=VAL",
-                   help="extra parameter (int when it parses, else string)")
+                   help="case parameter, each key at most once (int when it"
+                        " parses, else string)")
 
     for name, help_text in (("length", "geodesic length of a word's element"),
                             ("normalize", "geodesic normal form of a word's element")):

@@ -857,14 +857,6 @@ class _TrackedOpts(dict):
         self.seen.add(key)
         return super().get(key, default)
 
-    def __getitem__(self, key):
-        self.seen.add(key)
-        return super().__getitem__(key)
-
-    def __contains__(self, key):
-        self.seen.add(key)
-        return super().__contains__(key)
-
 
 def build_case(case: str, rng: Optional[random.Random] = None, **params) -> CaseWitness:
     """Construct a CaseWitness for the given constructive case id.
@@ -882,7 +874,8 @@ def build_case(case: str, rng: Optional[random.Random] = None, **params) -> Case
     stray = set(opts) - opts.seen
     if stray:
         raise ConstructionError(
-            f"case {case} does not take parameter(s) {sorted(stray)}")
+            f"case {case} does not take parameter(s) {sorted(stray)};"
+            f" it reads {sorted(opts.seen)}")
     return cw
 
 
@@ -1141,8 +1134,7 @@ def section_four_witness(q: int, n: int) -> SectionFourWitness:
     return SectionFourWitness(q, n, radius, w, u)
 
 
-def _verify_section_four(q: int, n: int, cap: int,
-                         ball: Optional[BallIndex]) -> dict:
+def _verify_section_four(q: int, n: int, cap: int) -> dict:
     """The section-four checks on section_four_witness(q, n): the five
     geodesic tags, w gamma = u at distance 2 for gamma = a t, and the
     bridge from w-bar to u-bar inside B(R).  For q = 2 the bridge must
@@ -1161,8 +1153,7 @@ def _verify_section_four(q: int, n: int, cap: int,
     diff = bs_mul(bs_inv(w_el, params), u_el, params)
     checks["distance"] = (bs_mul(w_el, bs_eval(gamma, params), params) == u_el
                           and geodesic_length(diff, params) == 2)
-    if ball is None:
-        ball = build_ball(BsGroupModel(params), radius, cap=cap)
+    ball = build_ball(BsGroupModel(params), radius, cap=cap)
     bridge = bridge_length(ball, w_el, u_el)
     report = {"witness": "notpac" if q == 2 else "bs1q_notmac", "q": q, "n": n,
               "R": radius, "w": str(w), "u": str(u), "bridge": bridge}
@@ -1177,22 +1168,22 @@ def _verify_section_four(q: int, n: int, cap: int,
     return report
 
 
-def verify_notpac(n: int, cap: int = DEFAULT_CAP,
-                  ball: Optional[BallIndex] = None) -> dict:
-    """Bridge w-bar to u-bar inside B(2n + 2) for q = 2 and record the cost.
+def verify_notpac(n: int, cap: int = DEFAULT_CAP) -> dict:
+    """Build B(2n + 2) for q = 2 (BallCapError past `cap` elements), bridge
+    w-bar to u-bar inside it and record the cost.
 
     The pair sits distance 2 apart on the sphere; the checks confirm the
     geodesy bookkeeping and that the in-ball bridge exceeds R - 8, the
     threshold that defeats a linear bridging bound with slope 1.
     """
-    return _verify_section_four(2, n, cap, ball)
+    return _verify_section_four(2, n, cap)
 
 
-def verify_bs1q_notmac(q: int, n: int, cap: int = DEFAULT_CAP,
-                       ball: Optional[BallIndex] = None) -> dict:
-    """For q >= 7: the bridge inside B(2n + 1) costs exactly 2R, and every
-    minimal bridge runs through the identity (forbidding it lengthens or
+def verify_bs1q_notmac(q: int, n: int, cap: int = DEFAULT_CAP) -> dict:
+    """For q >= 7, build B(2n + 1) (BallCapError past `cap` elements) and
+    check that the bridge inside it costs exactly 2R, and that every minimal
+    bridge runs through the identity (forbidding it lengthens or
     disconnects the route)."""
     if q < 7:
         raise ValueError("q must be at least 7")
-    return _verify_section_four(q, n, cap, ball)
+    return _verify_section_four(q, n, cap)

@@ -149,8 +149,8 @@ def test_witness_stallings(capsys):
 
 
 def test_case_ok(capsys):
-    assert main(["case", "--id", "8.1", "--p", "12", "--k", "2", "--j", "1",
-                 "--seed", "7"]) == 0
+    assert main(["case", "--id", "8.1", "--opt", "p=12", "--opt", "k=2",
+                 "--opt", "j=1", "--seed", "7"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ok"]
     assert report["params"]["p"] == 12
@@ -170,12 +170,43 @@ def test_case_errors(capsys):
     capsys.readouterr()
     assert main(["case", "--id", "8.1", "--opt", "zz=1"]) == 2
     assert "does not take" in capsys.readouterr().err
-    assert main(["case", "--id", "10.3.3.2", "--p", "5"]) == 2
+    assert main(["case", "--id", "10.3.3.2", "--opt", "p=5"]) == 2
     assert "p >= 6" in capsys.readouterr().err
     assert main(["case", "--id", "5", "--opt", "h=0"]) == 2
     assert "h >= 1" in capsys.readouterr().err
     assert main(["case", "--id", "6", "--opt", "g=0", "--opt", "mode=opposite"]) == 2
     assert "|g| = 1" in capsys.readouterr().err
+
+
+def test_case_takes_params_only_through_opt(capsys):
+    # h is read by case 5 alone; it was never a named option
+    assert main(["case", "--id", "5", "--opt", "h=3", "--seed", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and report["params"]["h"] == 3
+
+
+def test_case_refuses_repeated_opt(capsys):
+    assert main(["case", "--id", "8.1", "--opt", "p=12", "--opt", "p=13",
+                 "--seed", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --opt p given twice\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "notpac", "--q", "99"],
+    ["witness", "stallings", "--q", "7"],
+    ["witness", "boundingm", "--cap", "10"],
+    ["case", "--id", "8.1", "--p", "12"],
+    # --s and --i must not be read as abbreviations of --seed and --id
+    ["case", "--id", "8.1", "--s", "3"],
+    ["case", "--id", "8.1", "--i", "3"],
+], ids=lambda argv: " ".join(argv))
+def test_unread_flags_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_case_string_opt(capsys):

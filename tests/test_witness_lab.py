@@ -108,8 +108,10 @@ def test_build_case_rejects_unknown_id():
 
 
 def test_build_case_rejects_stray_params():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError) as exc:
         build_case("8.1", random.Random(0), zz=3)
+    assert str(exc.value) == ("case 8.1 does not take parameter(s) ['zz'];"
+                              " it reads ['j', 'k', 'p', 'v']")
 
 
 def test_build_case_rejects_bad_values():

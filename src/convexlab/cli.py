@@ -117,15 +117,19 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
+# kind -> (default n, --q help or None for no --q, takes --cap, verifier);
+# the verifier's parameters are named n, q and cap like the flags
+_WITNESSES = {
+    "notpac": (3, None, True, verify_notpac),
+    "bs1q": (2, "q >= 7", True, verify_bs1q_notmac),
+    "stallings": (1, None, True, verify_stallings_witness),
+    "boundingm": (2, "q = 2 or q >= 7", False, verify_boundingm),
+}
+
+
 def cmd_witness(args: argparse.Namespace) -> int:
-    if args.kind == "notpac":
-        report = verify_notpac(args.n, cap=args.cap)
-    elif args.kind == "bs1q":
-        report = verify_bs1q_notmac(args.q, args.n, cap=args.cap)
-    elif args.kind == "stallings":
-        report = verify_stallings_witness(args.n, cap=args.cap)
-    else:
-        report = verify_boundingm(args.n, args.q)
+    flags = {name: val for name, val in vars(args).items() if name in ("n", "q", "cap")}
+    report = _WITNESSES[args.kind][3](**flags)
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1
 
@@ -138,10 +142,7 @@ def cmd_case(args: argparse.Namespace) -> int:
             raise UsageError(f"bad --opt {item!r}, expected KEY=VAL")
         if key in opts:
             raise UsageError(f"--opt {key} given twice")
-        try:
-            opts[key] = int(val)
-        except ValueError:
-            opts[key] = val
+        opts[key] = val
     cw = build_case(args.case_id, random.Random(args.seed), **opts)
     report = verify_case(cw)
     print(json.dumps(report, indent=2))
@@ -219,10 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="run a non-convexity witness verifier")
     kinds = p.add_subparsers(dest="kind", required=True)
-    for kind, n, q_help, takes_cap in (("notpac", 3, None, True),
-                                        ("bs1q", 2, "q >= 7", True),
-                                        ("stallings", 1, None, True),
-                                        ("boundingm", 2, "q = 2 or q >= 7", False)):
+    for kind, (n, q_help, takes_cap, _) in _WITNESSES.items():
         k = kinds.add_parser(kind)
         k.add_argument("--n", type=int, default=n, help=f"witness scale (default {n})")
         if q_help:
@@ -239,8 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--opt", action="append", default=[],
                    metavar="KEY=VAL",
-                   help="case parameter, each key at most once (int when it"
-                        " parses, else string)")
+                   help="case parameter, each key at most once; the case"
+                        " converts VAL to the parameter's type and refuses a"
+                        " value outside the parameter's values")
 
     for name, help_text in (("length", "geodesic length of a word's element"),
                             ("normalize", "geodesic normal form of a word's element")):

@@ -9,11 +9,13 @@ are gamma apart, delta evaluates to gamma, l(delta) <= 2r - 2, and every
 prefix of delta stays inside the ball B(r).  No breadth-first search is
 involved, so parameters in the hundreds are cheap.
 
-The builders share two helpers.  _sample retries a builder's random
-attempt (free digits, core and fillers drawn in a fixed order) until one
-yields a witness.  _partner checks that w is geodesic and that w gamma
-lies in the wanted class at the same length, and returns the normal-form
-rendering of w gamma as the other endpoint.
+The builders share three helpers.  _CaseParams.draw states each int or
+string parameter's values once: it draws the parameter from them, or
+refuses a pin outside them before any sampling.  _sample retries a
+builder's random attempt (free digits, core and fillers drawn in a fixed
+order) until one yields a witness.  _partner checks that w is geodesic and
+that w gamma lies in the wanted class at the same length, and returns the
+normal-form rendering of w gamma as the other endpoint.
 
 Class combinations that admit no valid pair get exhaustive searchers over
 a small ball instead of builders (impossibility_search).
@@ -178,16 +180,75 @@ def _require(cond: bool, message: str) -> None:
         raise ConstructionError(message)
 
 
+def _values_text(name: str, values: tuple) -> str:
+    """How an error names the values of a drawn parameter: |k| bounds for a
+    sign-symmetric run of ints, else the values themselves."""
+    if isinstance(values[0], int):
+        mags = {abs(v) for v in values}
+        lo, hi = min(mags), max(mags)
+        if set(values) == {s * m for m in range(lo, hi + 1) for s in (1, -1)}:
+            if lo == 0:
+                return f"|{name}| <= {hi}"
+            return f"|{name}| = {lo}" if lo == hi else f"{lo} <= |{name}| <= {hi}"
+    return f"{name} in {{{', '.join(map(str, dict.fromkeys(values)))}}}"
+
+
+class _CaseParams(dict):
+    """The parameters pinned for one build of a case.  It records which keys
+    the builder looked at, so a misspelled parameter fails loudly instead of
+    sampling a random instance, and it draws every int or string parameter
+    through draw, which refuses a pin outside the parameter's values."""
+
+    def __init__(self, case: str, rng: random.Random, pins: dict):
+        super().__init__(pins)
+        self.case = case
+        self.rng = rng
+        self.seen: set = set()
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+    def draw(self, name: str, values, lo: Optional[int] = None):
+        """The pinned value of `name`, else a draw from `values`: a tuple, or
+        a range for a count.  The draw is made whether or not `name` is
+        pinned, so a pin never shifts the draws after it; a tuple of one
+        value is not drawn.  A count may be pinned to any int >= lo (the
+        range's start by default), anything else only to one of `values`.
+        A string pin of an int parameter is read as an int."""
+        drawn = self.rng.choice(values) if len(values) > 1 else values[0]
+        self.seen.add(name)
+        if name not in self:
+            return drawn
+        pin = self[name]
+        if isinstance(pin, str) and isinstance(drawn, int):
+            try:
+                pin = int(pin)
+            except ValueError:
+                pass
+        if isinstance(values, range):
+            lo = values.start if lo is None else lo
+            ok, need = type(pin) is int and pin >= lo, f"{name} >= {lo}"
+        else:
+            ok, need = type(pin) is type(drawn) and pin in values, _values_text(name, values)
+        if not ok:
+            raise ConstructionError(f"case {self.case} needs {need}, got {pin!r}")
+        return pin
+
+
 # ---------------------------------------------------------------------------
 # case builders
 #
-# Every builder pins its parameters, then hands _sample an attempt: one
-# random draw of the free digits and fillers that returns a CaseWitness, or
-# None when the draw misses.  _sample retries up to _TRIES times.  Most
-# attempts find the other endpoint with _partner: w must be geodesic, and
-# w gamma must sit in the wanted class at the same length; its normal-form
-# rendering is the second word.  Explicit fillers fail hard instead of
-# resampling.
+# Every builder draws its int and string parameters through o.draw, which
+# states each parameter's values once: the pin is refused at once when it
+# lies outside them, and unpinned parameters are drawn from them.  The
+# builder then hands _sample an attempt: one random draw of the free digits
+# and fillers that returns a CaseWitness, or None when the draw misses.
+# _sample retries up to _TRIES times.  Most attempts find the other endpoint
+# with _partner: w must be geodesic, and w gamma must sit in the wanted
+# class at the same length; its normal-form rendering is the second word.
+# Explicit fillers fail hard instead of resampling.  The remaining _require
+# checks tie two parameters together or check a filler word.
 
 
 def _sample(case: str, attempt: Callable[[], Optional[CaseWitness]],
@@ -217,12 +278,10 @@ def _partner(w: Word, gamma: Word, cls: Optional[int], w_cls: Optional[int] = No
     return normalize(u_el, BS2).render(class4_form=class4_form)
 
 
-def _build_4(rng: random.Random, o: dict) -> CaseWitness:
+def _build_4(rng: random.Random, o: _CaseParams) -> CaseWitness:
     # both endpoints are a-powers: w is an X-block word t^h w1, u = t^i u1.
-    h = int(o.get("h", rng.randint(2, 12)))
-    _require(h >= 2, "case 4 needs X-height h >= 2")
-    g = int(o.get("g", rng.choice((-2, -1, 1, 2))))
-    _require(1 <= abs(g) <= 2, "case 4 needs gamma = a^g with 1 <= |g| <= 2")
+    h = o.draw("h", range(2, 13))  # X-height
+    g = o.draw("g", (-2, -1, 1, 2))  # gamma = a^g
     gamma = _ap(g)
 
     def attempt():
@@ -243,12 +302,10 @@ def _build_4(rng: random.Random, o: dict) -> CaseWitness:
     return _sample("4", attempt)
 
 
-def _build_5(rng: random.Random, o: dict) -> CaseWitness:
+def _build_5(rng: random.Random, o: _CaseParams) -> CaseWitness:
     # w an a-power, u class 2 with an X-head; same detour assembly as case 4.
-    h = int(o.get("h", rng.randint(2, 12)))
-    _require(h >= 1, "case 5 needs X-height h >= 1")
-    g = int(o.get("g", rng.choice((-1, 1))))
-    _require(abs(g) == 1, "case 5 needs gamma = a^g t^-1 with |g| = 1")
+    h = o.draw("h", range(2, 13), lo=1)  # X-height
+    g = o.draw("g", (-1, 1))  # gamma = a^g t^-1
     gamma = _ap(g) * _tp(-1)
 
     def attempt():
@@ -293,23 +350,21 @@ def _case6_same_instance(digits: list, g: int, kind: str) -> Optional[CaseWitnes
     return CaseWitness("6", params, w, u, gamma, wr.inverse() * ur, len(w))
 
 
-def _build_6(rng: random.Random, o: dict) -> CaseWitness:
+def _build_6(rng: random.Random, o: _CaseParams) -> CaseWitness:
     # both words climb: w = a^i t w1 w0, u = a^j t u1 u0 with i = j or i = -j.
-    mode = o.get("mode") or rng.choice(("same", "same", "opposite"))
-    _require(mode in ("same", "opposite"), "case 6 mode must be same or opposite")
+    mode = o.draw("mode", ("same", "same", "opposite"))
     if mode == "same":
-        # redraw whatever is not pinned until the combination has instances
+        # redraw whatever is not pinned until the combination has instances;
+        # a combination pinned whole has nothing to redraw
+        pinned = {"i", "sigma", "g", "gamma_kind"} <= o.keys()
         for _ in range(_TRIES):
-            i = int(o.get("i", rng.choice((-1, 0, 1))))
-            _require(abs(i) <= 1, "case 6 needs |i| <= 1")
-            sig = int(o.get("sigma", rng.randint(2, 10)))
-            _require(sig >= 1, "case 6 needs sigma_t(w) >= 1")
-            g = int(o.get("g", rng.choice((-1, 1))))
-            _require(abs(g) == 1, "case 6 needs |g| = 1")
-            kind = o.get("gamma_kind") or rng.choice(("a2", "at"))
-            if (i, sig, g, kind) not in _CASE6_SAME_EMPTY:
+            i = o.draw("i", (-1, 0, 1))
+            sig = o.draw("sigma", range(2, 11), lo=1)  # sigma_t(w)
+            g = o.draw("g", (-1, 1))
+            kind = o.draw("gamma_kind", ("a2", "at"))
+            if pinned or (i, sig, g, kind) not in _CASE6_SAME_EMPTY:
                 break
-        else:
+        if (i, sig, g, kind) in _CASE6_SAME_EMPTY:
             raise ConstructionError(
                 f"case 6 has no instance with i={i}, sigma={sig}, g={g}, gamma_kind={kind}")
 
@@ -319,11 +374,9 @@ def _build_6(rng: random.Random, o: dict) -> CaseWitness:
             return _case6_same_instance(digits, g, kind)
         return _sample("6", same)
     # opposite: only sigma_t = 1 pairs exist; the block below level 1 is shared
-    g = int(o.get("g", rng.choice((-1, 1))))
-    _require(abs(g) == 1, "case 6 needs |g| = 1")
+    g = o.draw("g", (-1, 1))
     i, j = -g, g
-    h = int(o.get("h", rng.randint(1, 10)))
-    _require(h >= 1, "case 6 needs X-height h >= 1")
+    h = o.draw("h", range(1, 11))  # X-height
     gamma = _ap(g)
 
     def opposite():
@@ -342,12 +395,10 @@ def _build_6(rng: random.Random, o: dict) -> CaseWitness:
     return _sample("6", opposite)
 
 
-def _build_72(rng: random.Random, o: dict) -> CaseWitness:
+def _build_72(rng: random.Random, o: _CaseParams) -> CaseWitness:
     # both class 2, w ends t^-1, gamma = t a^k; delta is gamma itself.
-    e = int(o.get("e", rng.randint(3, 12)))
-    _require(e >= 2, "case 7.2 needs descent depth e >= 2")
-    k = int(o.get("k", rng.choice((-1, 1))))
-    _require(abs(k) == 1, "case 7.2 needs gamma = t a^k with |k| = 1")
+    e = o.draw("e", range(3, 13), lo=2)  # descent depth
+    k = o.draw("k", (-1, 1))  # gamma = t a^k
     gamma = _tp(1) * _ap(k)
 
     def attempt():
@@ -363,23 +414,19 @@ def _build_72(rng: random.Random, o: dict) -> CaseWitness:
     return _sample("7.2", attempt)
 
 
-def _build_73(rng: random.Random, o: dict) -> CaseWitness:
+def _build_73(rng: random.Random, o: _CaseParams) -> CaseWitness:
     # both class 2, gamma a single letter a^(+-1); a four-letter detour.
-    mode = o.get("mode") or rng.choice(("i0", "i1"))
-    _require(mode in ("i0", "i1"), "case 7.3 mode must be i0 or i1")
-    e = int(o.get("e", rng.randint(3, 12)))
-    _require(e >= 2, "case 7.3 needs descent depth e >= 2")
+    mode = o.draw("mode", ("i0", "i1"))
+    e = o.draw("e", range(3, 13), lo=2)  # descent depth
     # the endpoint whose descent ends in a^bottom is drawn; its partner, one
     # letter a^bottom further, must end in t^-1
     if mode == "i0":
-        j = int(o.get("j", rng.choice((-1, 1))))
-        _require(abs(j) == 1, "case 7.3 (i=0) needs |j| = 1")
+        j = o.draw("j", (-1, 1))
         gamma, bottom = _ap(-j), j  # u is drawn, w = u a^j
         delta = _tp(1) * _ap(-j) * _tp(-1) * _ap(j)
         params = {"e": e, "i": 0, "j": j}
     else:
-        i = int(o.get("i", rng.choice((-1, 1))))
-        _require(abs(i) == 1, "case 7.3 (|i|=1) needs |i| = 1")
+        i = o.draw("i", (-1, 1))
         gamma, bottom = _ap(i), i  # w is drawn, u = w a^i
         delta = _ap(-i) * _tp(1) * _ap(i) * _tp(-1)
         params = {"e": e, "i": i, "j": 0}
@@ -397,27 +444,20 @@ def _build_73(rng: random.Random, o: dict) -> CaseWitness:
     return _sample("7.3", attempt)
 
 
-def _build_74(rng: random.Random, o: dict) -> CaseWitness:
+def _build_74(rng: random.Random, o: _CaseParams) -> CaseWitness:
     # both class 2, gamma = a^(2k).  The digits at the bottom levels are
     # pinned by the mode (tail is bottom-up: tail[0] at level -e); the bottom
     # digit of u must come out as j.
-    mode = o.get("mode") or rng.choice(("i0", "i1_neg", "i1_same", "i1_opp"))
-    _require(
-        mode in ("i0", "i1_neg", "i1_same", "i1_opp"),
-        "case 7.4 mode must be one of i0, i1_neg, i1_same, i1_opp",
-    )
-    e = int(o.get("e", rng.randint(4, 12)))
-    _require(e >= 3, "case 7.4 needs descent depth e >= 3")
+    mode = o.draw("mode", ("i0", "i1_neg", "i1_same", "i1_opp"))
+    e = o.draw("e", range(4, 13), lo=3)  # descent depth
     if mode == "i0":
-        k = int(o.get("k", rng.choice((-1, 1))))
-        _require(abs(k) == 1, "case 7.4 needs |k| = 1")
+        k = o.draw("k", (-1, 1))
         tail, gamma, delta = [0, k, 0], _ap(2 * k), _tp(1) * _ap(k) * _tp(-1)
         params = {"mode": mode, "i": 0, "j": 0, "k": k}
     else:
         _require(mode != "i1_opp" or e >= 4,
                  "case 7.4 (i1_opp) needs descent depth e >= 4")
-        i = int(o.get("i", rng.choice((-1, 1))))
-        _require(abs(i) == 1, "case 7.4 (|i|=1) needs |i| = 1")
+        i = o.draw("i", (-1, 1))
         # per mode: the tail, k, and u's bottom digit j.  For j = -i, a^(2i)
         # makes the bottom digit 3i, which rebalances to -i; the carry runs
         # up the tail (i, 0, i, 0) and leaves (-i, 0, 0, i) at the same weight
@@ -443,14 +483,11 @@ def _build_74(rng: random.Random, o: dict) -> CaseWitness:
     return _sample(f"7.4 ({mode})", attempt)
 
 
-def _build_81(rng: random.Random, o: dict) -> CaseWitness:
+def _build_81(rng: random.Random, o: _CaseParams) -> CaseWitness:
     # w = t v t a^k t^-(p+1) and u = a^j t v t a^k t^-p share the climb v.
-    p = int(o.get("p", rng.randint(2, 16)))
-    _require(p >= 1, "case 8.1 needs p >= 1")
-    k = int(o.get("k", rng.choice((-3, -2, 2, 3))))
-    _require(2 <= abs(k) <= 3, "case 8.1 needs 2 <= |k| <= 3")
-    j = int(o.get("j", rng.choice((-1, 1))))
-    _require(abs(j) == 1, "case 8.1 needs |j| = 1")
+    p = o.draw("p", range(2, 17), lo=1)
+    k = o.draw("k", (-3, -2, 2, 3))
+    j = o.draw("j", (-1, 1))
     s = 1 if k > 0 else -1
     v_given = o.get("v")
     gamma = _ap(j) * _tp(1)
@@ -470,17 +507,13 @@ def _build_81(rng: random.Random, o: dict) -> CaseWitness:
     return _sample("8.1", attempt, "geodesic")
 
 
-def _build_82(rng: random.Random, o: dict) -> CaseWitness:
+def _build_82(rng: random.Random, o: _CaseParams) -> CaseWitness:
     # gamma = a^-j t; u0 carries the element of a^-j w0 at the same length.
-    p = int(o.get("p", rng.randint(2, 16)))
-    _require(p >= 2, "case 8.2 needs p >= 2")
-    k_given, j_given = o.get("k"), o.get("j")
+    p = o.draw("p", range(2, 17))
 
     def attempt():
-        k = int(k_given) if k_given is not None else rng.choice((-3, -2, 2, 3))
-        _require(2 <= abs(k) <= 3, "case 8.2 needs 2 <= |k| <= 3")
-        j = int(j_given) if j_given is not None else rng.choice((-1, 1))
-        _require(abs(j) == 1, "case 8.2 needs |j| = 1")
+        k = o.draw("k", (-3, -2, 2, 3))
+        j = o.draw("j", (-1, 1))
         s = 1 if k > 0 else -1
         digits = _naf_digits(rng, p)
         digits[0] = -j  # a^-j cancels into the unit digit without a carry chain
@@ -507,10 +540,9 @@ def _build_82(rng: random.Random, o: dict) -> CaseWitness:
     return _sample("8.2", attempt)
 
 
-def _build_911(rng: random.Random, o: dict) -> CaseWitness:
+def _build_911(rng: random.Random, o: _CaseParams) -> CaseWitness:
     # u class 4 ending in a bare t (f = 1); gamma = t^2 and delta = gamma.
-    e = int(o.get("e", rng.randint(3, 12)))
-    _require(e >= 2, "case 9.1.1 needs descent depth e >= 2")
+    e = o.draw("e", range(3, 13), lo=2)  # descent depth
     gamma = _tp(2)
 
     def attempt():
@@ -525,21 +557,14 @@ def _build_911(rng: random.Random, o: dict) -> CaseWitness:
     return _sample("9.1.1", attempt)
 
 
-def _build_912(rng: random.Random, o: dict) -> CaseWitness:
+def _build_912(rng: random.Random, o: _CaseParams) -> CaseWitness:
     # w class 2, u class 4 with f = 1, gamma = t a^k.  A class-4 u forces a
     # nonzero bottom digit, and the length bookkeeping then puts
     # v = u(r-1) a^-k inside B(r-1) unconditionally, so only the near
     # detour a^(2k) t ever occurs.
-    branch = o.get("branch", "near")
-    _require(
-        branch == "near",
-        "case 9.1.2 has no far branch: a class-4 endpoint pins the bottom "
-        "digit to +-k and v lands inside B(r-1)",
-    )
-    e = int(o.get("e", rng.randint(3, 12)))
-    _require(e >= 3, "case 9.1.2 needs descent depth e >= 3")
-    k = int(o.get("k", rng.choice((-1, 1))))
-    _require(abs(k) == 1, "case 9.1.2 needs gamma = t a^k with |k| = 1")
+    o.draw("branch", ("near",))
+    e = o.draw("e", range(3, 13))  # descent depth
+    k = o.draw("k", (-1, 1))  # gamma = t a^k
     gamma = _tp(1) * _ap(k)
 
     def attempt():
@@ -559,15 +584,12 @@ def _build_912(rng: random.Random, o: dict) -> CaseWitness:
     return _sample("9.1.2", attempt)
 
 
-def _build_92(rng: random.Random, o: dict) -> CaseWitness:
+def _build_92(rng: random.Random, o: _CaseParams) -> CaseWitness:
     # w = v t a^k t^-(p+2) a^i; u = N-form of w t^2; x is the NP-style
     # respelling of u that the checks compare against.
-    p = int(o.get("p", rng.randint(10, 16)))
-    _require(p > 9, "case 9.2 needs sigma_t(v) = p > 9")
-    k = int(o.get("k", rng.choice((-3, -2, 2, 3))))
-    _require(2 <= abs(k) <= 3, "case 9.2 needs 2 <= |k| <= 3")
-    i = int(o.get("i", rng.choice((-1, 1))))
-    _require(abs(i) == 1, "case 9.2 needs |i| = 1")
+    p = o.draw("p", range(10, 17))  # sigma_t(v)
+    k = o.draw("k", (-3, -2, 2, 3))
+    i = o.draw("i", (-1, 1))
     s = 1 if k > 0 else -1
     v_given = o.get("v")
     gamma = _tp(2)
@@ -591,15 +613,12 @@ def _build_92(rng: random.Random, o: dict) -> CaseWitness:
     return _sample("9.2", attempt)
 
 
-def _build_101(rng: random.Random, o: dict) -> CaseWitness:
+def _build_101(rng: random.Random, o: _CaseParams) -> CaseWitness:
     # both words dip first: w = t^-p1 w', u = t^-p2 u'.
-    p1 = int(o.get("p", rng.randint(2, 12)))
-    _require(p1 >= 1, "case 10.1 needs dip p1 >= 1")
-    kind = o.get("gamma_kind") or rng.choice(("a2", "at", "Ta", "aT"))
-    _require(kind in ("a2", "at", "Ta", "aT"), "case 10.1 gamma kind unknown")
-    g = int(o.get("g", rng.choice((-1, 1))))
-    extra = int(o.get("extra", rng.randint(1 if kind in ("Ta", "aT") else 0, 6)))
-    _require(extra >= 0, "case 10.1 needs sigma_t(w) >= 0")
+    p1 = o.draw("p", range(2, 13), lo=1)  # the dip of w
+    kind = o.draw("gamma_kind", ("a2", "at", "Ta", "aT"))
+    g = o.draw("g", (-1, 1))
+    extra = o.draw("extra", range(1 if kind in ("Ta", "aT") else 0, 7), lo=0)  # sigma_t(w)
     _require(kind not in ("Ta", "aT") or extra >= 1,
              "case 10.1 with a t^-1 in gamma needs sigma_t(w) >= 1")
     if kind == "a2":
@@ -636,28 +655,21 @@ def _build_101(rng: random.Random, o: dict) -> CaseWitness:
     return _sample("10.1", attempt)
 
 
-def _build_102(rng: random.Random, o: dict, sub: str) -> CaseWitness:
+def _build_102(rng: random.Random, o: _CaseParams, sub: str) -> CaseWitness:
     # w = w0 w1 t^-1 a^(i1) t^(f1): a descent past the bottom then a bare rise.
-    f1 = int(o.get("f1", rng.randint(1, 8)))
-    _require(f1 >= 1, "case 10.2 needs rise f1 >= 1")
-    e = int(o.get("e", rng.randint(f1 + 3, f1 + 12)))
-    _require(e >= f1 + 3, f"case {sub} needs descent depth e >= f1 + 3")
-    i1_given = o.get("i1")
-    k_given = o.get("k")
+    f1 = o.draw("f1", range(1, 9))  # the rise
+    e = o.draw("e", range(f1 + 3, f1 + 13))  # descent depth
     branch = None
     if sub == "10.2.3":
-        branch = o.get("branch") or ("far" if f1 == 1 else rng.choice(("near", "far")))
-        _require(branch in ("near", "far"), "case 10.2.3 branch must be near or far")
-        _require(branch == "far" or f1 >= 2,
+        _require(f1 >= 2 or o.get("branch") != "near",
                  "case 10.2.3 near branch needs f1 >= 2 (at f1 = 1 the pinned "
                  "digits collide with the bottom one)")
+        branch = o.draw("branch", ("near", "far") if f1 >= 2 else ("far",))
     itex = e - f1 - 1  # index of the digit at level texp = f1 - e
 
     def attempt():
-        i1 = int(i1_given) if i1_given is not None else rng.choice((-1, 1))
-        _require(abs(i1) == 1, "case 10.2 needs |i1| = 1")
-        k = int(k_given) if k_given is not None else rng.choice((-1, 1))
-        _require(abs(k) == 1, f"case {sub} needs |k| = 1")
+        i1 = o.draw("i1", (-1, 1))
+        k = o.draw("k", (-1, 1))
         if sub == "10.2.1":
             gamma = _ap(k) * _tp(1)
         elif sub == "10.2.2":
@@ -715,21 +727,13 @@ def _build_102(rng: random.Random, o: dict, sub: str) -> CaseWitness:
     return _sample(sub, attempt)
 
 
-def _build_1031(rng: random.Random, o: dict, sub: str) -> CaseWitness:
+def _build_1031(rng: random.Random, o: _CaseParams, sub: str) -> CaseWitness:
     # w carries an X-head w3 t a^m t^-l; u is the alternate geodesic that
     # walks the dip first.  gamma = t^2.
-    p = int(o.get("p", rng.randint(2, 10)))
-    _require(p >= 2, "case 10.3.1 needs p >= 2")
-    if sub == "10.3.1.1":
-        l = int(o.get("l", rng.randint(2, 10)))
-        _require(l >= 2, "case 10.3.1.1 needs l >= 2")
-    else:
-        l = int(o.get("l", 1))
-        _require(l == 1, "case 10.3.1.2 needs l = 1")
-    m = int(o.get("m", rng.choice((-3, -2, 2, 3))))
-    _require(2 <= abs(m) <= 3, "case 10.3.1 needs 2 <= |m| <= 3")
-    i = int(o.get("i", rng.choice((-1, 1))))
-    _require(abs(i) == 1, "case 10.3.1 needs |i| = 1")
+    p = o.draw("p", range(2, 11))
+    l = o.draw("l", range(2, 11) if sub == "10.3.1.1" else (1,))
+    m = o.draw("m", (-3, -2, 2, 3))
+    i = o.draw("i", (-1, 1))
     s = 1 if m > 0 else -1
     w3_given, w2_given = o.get("w3"), o.get("w2")
     gamma = _tp(2)
@@ -758,30 +762,23 @@ def _build_1031(rng: random.Random, o: dict, sub: str) -> CaseWitness:
     return _sample(sub, attempt, "geodesic")
 
 
-def _build_1033(rng: random.Random, o: dict, sub: str) -> CaseWitness:
+def _build_1033(rng: random.Random, o: _CaseParams, sub: str) -> CaseWitness:
     # w = a^k t^-p a^i t w2 with a plain head a^k; gamma = t^2.  u walks two
     # levels higher, which costs two extra t letters, so the pair can only
     # share a sphere when u's reading of the value saves that much weight.
     # The one trade that does it: k = 3s next to a digit pair (s, s) at
     # levels -1, -2 rebalances to a digit -s at -2 plus an a^2s core above
     # the surface (3 + 2 letters against 1 + 2).  Pin exactly that.
-    low = 4 if sub == "10.3.3.1" else 6
-    p = int(o.get("p", rng.randint(low, 12)))
-    if sub == "10.3.3.1":
-        _require(p >= 4, "case 10.3.3.1 needs p >= 4 (the tie pair and the "
-                         "isolated bottom digit do not fit below that)")
-    else:
-        _require(p >= 6, "case 10.3.3.2 needs p >= 6 (the bottom pair's "
-                         "carry must land two clear levels under the top pair)")
-    s_given, i_given = o.get("s"), o.get("i")
+    # p >= 4 for 10.3.3.1: the tie pair and the isolated bottom digit do not
+    # fit below that.  p >= 6 for 10.3.3.2: the bottom pair's carry must land
+    # two clear levels under the top pair.
+    p = o.draw("p", range(4 if sub == "10.3.3.1" else 6, 13))
     gamma = _tp(2)
 
     def attempt():
-        s = int(s_given) if s_given is not None else rng.choice((-1, 1))
-        _require(s in (-1, 1), "case 10.3.3 needs s = +-1")
+        s = o.draw("s", (-1, 1))
         k = 3 * s
-        i = int(i_given) if i_given is not None else rng.choice((-1, 1))
-        _require(abs(i) == 1, "case 10.3.3 needs |i| = 1")
+        i = o.draw("i", (-1, 1))
         # m[j] sits at level -j.  m[3] = 0 isolates the engineered pair; the
         # bottom is (i, 0) for i = j, or the tied pair (i, i) whose flipped
         # reading hands u the opposite bottom digit for i = -j.
@@ -845,31 +842,22 @@ _BUILDERS = {
 }
 
 
-class _TrackedOpts(dict):
-    """Option dict that records which keys the builder ever looked at, so a
-    misspelled parameter fails loudly instead of sampling a random instance."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.seen: set = set()
-
-    def get(self, key, default=None):
-        self.seen.add(key)
-        return super().get(key, default)
-
-
 def build_case(case: str, rng: Optional[random.Random] = None, **params) -> CaseWitness:
     """Construct a CaseWitness for the given constructive case id.
 
-    Integer parameters (p, l, f1, k, j, ...) and filler words (v, w2, w3)
-    may be pinned by keyword; anything left unspecified is sampled.  Raises
-    ConstructionError when a precondition is violated, a parameter name is
-    unknown to the case, or sampling fails.
+    Int and string parameters (p, l, f1, k, j, mode, ...) and filler words
+    (v, w2, w3) may be pinned by keyword; anything left unspecified is
+    sampled.  A pin may be given as a string: the case converts it to the
+    parameter's type.  Pinning one parameter leaves the draws of the others
+    unchanged.  Raises ConstructionError when a pin lies outside its
+    parameter's values (at once, before any sampling), a precondition tying
+    parameters together is violated, a parameter name is unknown to the
+    case, or sampling fails.
     """
     if case not in _BUILDERS:
         raise ConstructionError(f"unknown constructive case id: {case!r}")
     rng = rng if rng is not None else random.Random(0xC0FFEE)
-    opts = _TrackedOpts(params)
+    opts = _CaseParams(case, rng, params)
     cw = _BUILDERS[case](rng, opts)
     stray = set(opts) - opts.seen
     if stray:
@@ -987,7 +975,7 @@ def impossibility_search(case: str, radius: int = 7,
     """
     if case not in IMPOSSIBLE_CASES:
         raise ValueError(f"not an impossibility case: {case!r}")
-    if ball is None:
+    if ball is None and case != "10.3.2":  # 10.3.2 walks a word family, not the ball
         ball = build_ball(_BS2_MODEL, radius)
     hits: list = []
     tsq = bs_eval(_tp(2), BS2)

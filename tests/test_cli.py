@@ -178,6 +178,14 @@ def test_case_errors(capsys):
     assert "|g| = 1" in capsys.readouterr().err
 
 
+def test_case_refuses_bad_pin_at_once(capsys):
+    # g = 2 has no instance; it is refused before any sampling
+    assert main(["case", "--id", "10.1", "--opt", "g=2", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: case 10.1 needs |g| = 1, got 2\n"
+
+
 def test_case_takes_params_only_through_opt(capsys):
     # h is read by case 5 alone; it was never a named option
     assert main(["case", "--id", "5", "--opt", "h=3", "--seed", "1"]) == 0

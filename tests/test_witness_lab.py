@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,80 @@ def test_build_case_rejects_bad_values():
             build_case("6", random.Random(0), **pins)
 
 
+# One pin outside its parameter's values for every drawn int or string
+# parameter of every constructive case, plus the 10.2.3 near branch at
+# f1 = 1: (case, pins, the parameter the error names).
+BAD_PINS = [
+    ("4", {"h": 1}, "h"), ("4", {"g": 3}, "g"),
+    ("5", {"h": 0}, "h"), ("5", {"g": 2}, "g"),
+    ("6", {"mode": "both"}, "mode"),
+    ("6", {"mode": "same", "i": 2}, "i"), ("6", {"mode": "same", "sigma": 0}, "sigma"),
+    ("6", {"mode": "same", "g": 2}, "g"), ("6", {"mode": "same", "gamma_kind": "zz"}, "gamma_kind"),
+    ("6", {"mode": "opposite", "g": 0}, "g"), ("6", {"mode": "opposite", "h": 0}, "h"),
+    ("7.2", {"e": 1}, "e"), ("7.2", {"k": 2}, "k"),
+    ("7.3", {"mode": "i2"}, "mode"), ("7.3", {"e": 1}, "e"),
+    ("7.3", {"mode": "i0", "j": 0}, "j"), ("7.3", {"mode": "i1", "i": 0}, "i"),
+    ("7.4", {"mode": "i1"}, "mode"), ("7.4", {"e": 2}, "e"),
+    ("7.4", {"mode": "i0", "k": 2}, "k"), ("7.4", {"mode": "i1_same", "i": 0}, "i"),
+    ("8.1", {"p": 0}, "p"), ("8.1", {"k": 1}, "k"), ("8.1", {"j": 0}, "j"),
+    ("8.2", {"p": 1}, "p"), ("8.2", {"k": 4}, "k"), ("8.2", {"j": 2}, "j"),
+    ("9.1.1", {"e": 1}, "e"),
+    ("9.1.2", {"branch": "far"}, "branch"), ("9.1.2", {"e": 2}, "e"),
+    ("9.1.2", {"k": 0}, "k"),
+    ("9.2", {"p": 9}, "p"), ("9.2", {"k": 1}, "k"), ("9.2", {"i": 0}, "i"),
+    ("10.1", {"p": 0}, "p"), ("10.1", {"gamma_kind": "tt"}, "gamma_kind"),
+    ("10.1", {"g": 2}, "g"), ("10.1", {"g": -3, "gamma_kind": "a2"}, "g"),
+    ("10.1", {"extra": -1}, "extra"),
+    ("10.2.1", {"f1": 0}, "f1"), ("10.2.1", {"f1": 2, "e": 4}, "e"),
+    ("10.2.1", {"i1": 0}, "i1"), ("10.2.1", {"k": 2}, "k"),
+    ("10.2.2", {"f1": -1}, "f1"), ("10.2.2", {"e": 3}, "e"),
+    ("10.2.2", {"i1": 2}, "i1"), ("10.2.2", {"k": 0}, "k"),
+    ("10.2.3", {"f1": 0}, "f1"), ("10.2.3", {"f1": 3, "e": 5}, "e"),
+    ("10.2.3", {"branch": "mid"}, "branch"), ("10.2.3", {"f1": 1, "branch": "near"}, "f1"),
+    ("10.2.3", {"i1": 0}, "i1"), ("10.2.3", {"k": 2}, "k"),
+    ("10.2.4", {"f1": 0}, "f1"), ("10.2.4", {"e": 3}, "e"),
+    ("10.2.4", {"i1": 0}, "i1"), ("10.2.4", {"k": 0}, "k"),
+    ("10.3.1.1", {"p": 1}, "p"), ("10.3.1.1", {"l": 1}, "l"),
+    ("10.3.1.1", {"m": 1}, "m"), ("10.3.1.1", {"i": 0}, "i"),
+    ("10.3.1.2", {"p": 1}, "p"), ("10.3.1.2", {"l": 2}, "l"),
+    ("10.3.1.2", {"m": 4}, "m"), ("10.3.1.2", {"i": 2}, "i"),
+    ("10.3.3.1", {"p": 3}, "p"), ("10.3.3.1", {"s": 2}, "s"), ("10.3.3.1", {"i": 0}, "i"),
+    ("10.3.3.2", {"p": 5}, "p"), ("10.3.3.2", {"s": 0}, "s"), ("10.3.3.2", {"i": 2}, "i"),
+]
+
+
+@pytest.mark.parametrize("case,pins,name", BAD_PINS,
+                         ids=[f"{c}-{'-'.join(f'{k}={v}' for k, v in p.items())}"
+                              for c, p, _ in BAD_PINS])
+def test_bad_pin_is_refused_at_once(case, pins, name, monkeypatch):
+    monkeypatch.setattr(witness_lab, "_TRIES", 1)  # refused without a retry
+    with pytest.raises(ConstructionError) as exc:
+        build_case(case, random.Random(0), **pins)
+    assert re.search(rf"\b{name}\b", str(exc.value)), str(exc.value)
+    assert "sampling found no" not in str(exc.value)
+
+
+def test_bad_pins_cover_every_drawn_parameter(monkeypatch):
+    drawn = set()
+    draw = witness_lab._CaseParams.draw
+
+    def spy(self, name, *args, **kwargs):
+        drawn.add((self.case, name))
+        return draw(self, name, *args, **kwargs)
+    monkeypatch.setattr(witness_lab._CaseParams, "draw", spy)
+    for case_id in CONSTRUCTIVE_CASES:
+        for seed in range(10):
+            build_case(case_id, random.Random(seed))
+    assert drawn == {(case, name) for case, _, name in BAD_PINS}
+
+
+def test_string_pins_are_converted():
+    as_str = build_case("8.1", random.Random(7), p="12", k="2", j="1")
+    assert as_str == build_case("8.1", random.Random(7), p=12, k=2, j=1)
+    with pytest.raises(ConstructionError, match=r"needs p >= 1, got 'x'"):
+        build_case("8.1", random.Random(7), p="x")
+
+
 def test_case4_lowest_height_builds():
     for seed in range(20):
         assert verify_case(build_case("4", random.Random(seed), h=2))["ok"]
@@ -173,6 +248,13 @@ def test_random_filler_contract():
 def test_impossible_cases_have_no_realizations(case_id, ball_bs2_r7):
     hits = impossibility_search(case_id, radius=7, ball=ball_bs2_r7)
     assert hits == []
+
+
+def test_impossibility_search_builds_no_ball_for_10_3_2(monkeypatch):
+    def no_ball(*args, **kwargs):
+        raise AssertionError("case 10.3.2 reads no ball")
+    monkeypatch.setattr(witness_lab, "build_ball", no_ball)
+    assert impossibility_search("10.3.2", 7) == []
 
 
 def test_impossibility_search_rejects_constructive_id(ball_bs2_r7):

@@ -25,12 +25,17 @@ i, or -1 when that neighbour lies outside the ball.  BFS never needs the
 rows of the outermost sphere, so each is computed on its first use (row(),
 or neighbours() for the whole table), as are the rows of a ball loaded from
 cache; a ball that is only built and saved does no extra work.
+sphere_rows() gives the rows of a whole sphere with each product outside
+the ball named by a virtual id, equal products sharing one, so that the
+scan can group a sphere by the middles it shares; it computes each product
+once, filling the missing rows as it goes.
 
-in_ball_distances() is the one search over that table: a BFS from one id to
-a set of target ids through ids below a bound, so that one B(r_max) serves
-every B(r) inside it.  bridge_length and the scan both run on it.  Byte
-keys are used only at the I/O edge: the cache, witness strings and scan
-rows.
+in_ball_distance() is the one search over that table: a BFS from both ends
+of a pair of ids, always expanding the smaller frontier, through ids below
+a bound, so that one B(r_max) serves every B(r) inside it.  bridge_length
+and the scan both run on it.  Byte keys are used only at the I/O edge (the
+cache, witness strings and scan rows) and to tell apart the products
+outside the ball in sphere_rows().
 
 The plain-text cache ("ball-v4") holds one JSON header line with the group,
 radius, element count and sphere sizes, then one "<distance> <key>" row per
@@ -84,8 +89,8 @@ class BallIndex:
         # _UNKNOWN until their first use
         self._table = array("i")
         self._lazy_from = 0
-        # visit marks of in_ball_distances: an id is visited by the current
-        # search when its mark equals the search's stamp
+        # visit marks of in_ball_distance: every search takes three stamps
+        # above all earlier ones, so an older mark means "not visited"
         self._marks: list[int] = []
         self._stamp = 0
 
@@ -130,16 +135,44 @@ class BallIndex:
     def row(self, x: int) -> array:
         """Neighbour ids of element x, -1 outside the ball; a row BFS left
         out is computed here on first use."""
+        return self._products(x)
+
+    def sphere_rows(self, r: int) -> array:
+        """The rows of sphere r, with each product outside the ball named
+        by a virtual id from len(self) on; equal products share one id.
+        Each product is computed once: a row not computed yet is filled from
+        the same products, and a row already computed has only its -1
+        entries keyed."""
+        lo, hi, ngens = self.starts[r], self.starts[r + 1], self.ngens
+        rows = self._table[lo * ngens:hi * ngens]
+        if len(rows) < (hi - lo) * ngens or min(rows, default=0) < 0:
+            virtual: dict[bytes, int] = {}
+            rows = array("i")
+            for x in range(lo, hi):
+                rows += self._products(x, virtual)
+        if lo <= self._lazy_from < hi:
+            self._lazy_from = hi  # every row below hi is computed now
+        return rows
+
+    def _products(self, x: int, virtual: Optional[dict[bytes, int]] = None) -> array:
+        """x's row, with the entries not computed yet computed into the
+        table.  Given `virtual` (key -> virtual id), each product outside
+        the ball is named in the returned row by its virtual id, a new key
+        taking the next one."""
         table, ngens = self._table, self.ngens
         if len(table) < len(self.keys) * ngens:
             table.extend(array("i", [_UNKNOWN]) * (len(self.keys) * ngens - len(table)))
         base = x * ngens
         row = table[base:base + ngens]
-        if _UNKNOWN in row:
+        if _UNKNOWN in row or (virtual is not None and -1 in row):
             el, model = self.element_at(x), self.model
-            row = array("i", [self.ids.get(model.key(model.apply_gen(el, i)), -1)
-                              for i in range(ngens)])
-            table[base:base + ngens] = row
+            for i, j in enumerate(row):
+                if j == _UNKNOWN or (j == -1 and virtual is not None):
+                    key = model.key(model.apply_gen(el, i))
+                    if j == _UNKNOWN:
+                        table[base + i] = row[i] = j = self.ids.get(key, -1)
+                    if j == -1 and virtual is not None:
+                        row[i] = virtual.setdefault(key, len(self.keys) + len(virtual))
         return row
 
     def neighbours(self) -> array:
@@ -208,41 +241,43 @@ def build_ball(model, radius: int, cap: int = DEFAULT_CAP) -> BallIndex:
     return ball
 
 
-def in_ball_distances(ball: BallIndex, source: int, targets, bound: int,
-                      avoid_identity: bool = False) -> dict[int, int]:
-    """Graph distance from id `source` to each id of `targets` (not the
-    source) along paths through ids below `bound`; B(r) is the id range
-    0:starts[r + 1].  With avoid_identity the paths skip id 0, the
-    identity, so it may be the source but no target.  The search stops once
-    every target is found; a target out of reach is missing from the
-    result."""
+def in_ball_distance(ball: BallIndex, x: int, y: int, bound: int,
+                     avoid_identity: bool = False) -> Optional[int]:
+    """Graph distance between ids x and y along paths through ids below
+    `bound` (B(r) is the id range 0:starts[r + 1]), or None when no such
+    path exists.  With avoid_identity no path passes through id 0, the
+    identity, though x or y may be it.  The search runs from both ends and
+    always expands the smaller frontier."""
+    if x == y:
+        return 0
     table, ngens, lazy, row = ball._table, ball.ngens, ball._lazy_from, ball.row
     marks = ball._marks
-    if len(marks) < len(ball):
-        marks.extend([0] * (len(ball) - len(marks)))
-    stamp = ball._stamp = ball._stamp + 1
-    marks[source] = stamp
+    if len(marks) < len(ball.keys):
+        marks.extend([0] * (len(ball.keys) - len(marks)))
+    ours = ball._stamp + 1  # marks below this one were left by earlier searches
+    fresh, theirs = ours, ours + 1
+    ball._stamp = ours + 2
     if avoid_identity:
-        marks[0] = stamp
-    remaining = set(targets)
-    found: dict[int, int] = {}
-    frontier = [source]
-    depth = 0
-    while frontier and remaining:
+        marks[0] = ours + 2  # visited by neither side
+    marks[x], marks[y] = ours, theirs
+    near, far = [x], [y]
+    depth = 0  # both sides' depths added: no path shorter than depth + 1 exists
+    while near and far:
+        if len(near) > len(far):
+            near, far, ours, theirs = far, near, theirs, ours
         depth += 1
         nxt = []
-        for v in frontier:
+        for v in near:
             for w in table[v * ngens:(v + 1) * ngens] if v < lazy else row(v):
-                if 0 <= w < bound and marks[w] != stamp:
-                    marks[w] = stamp
-                    nxt.append(w)
-                    if w in remaining:
-                        remaining.discard(w)
-                        found[w] = depth
-                        if not remaining:
-                            return found
-        frontier = nxt
-    return found
+                if 0 <= w < bound:
+                    mark = marks[w]
+                    if mark < fresh:
+                        marks[w] = ours
+                        nxt.append(w)
+                    elif mark == theirs:
+                        return depth
+        near = nxt
+    return None
 
 
 def bridge_length(ball: BallIndex, src, dst, forbid_identity: bool = False) -> Optional[int]:
@@ -252,11 +287,7 @@ def bridge_length(ball: BallIndex, src, dst, forbid_identity: bool = False) -> O
     t = ball.ids.get(ball.model.key(dst))
     if s is None or t is None:
         raise ValueError("bridge endpoints must lie inside the ball")
-    if s == t:
-        return 0
-    if t == 0:
-        s, t = t, s  # paths reverse; the search may leave the identity, not reach it
-    return in_ball_distances(ball, s, (t,), len(ball), forbid_identity).get(t)
+    return in_ball_distance(ball, s, t, len(ball), forbid_identity)
 
 
 def save_ball(ball: BallIndex, path: str) -> None:

@@ -7,15 +7,26 @@ B(r).  fmax(r) is the worst such detour; the group is minimally almost
 convex at r when fmax <= 2r - 1 and M'-convex when fmax <= 2r - 2.  A path
 through the identity always exists, so fmax <= 2r is checked as a hard
 sanity bound (InvariantError).
+
+Only the hard pairs are searched.  A pair that is adjacent, or that shares
+a middle inside B(r), is at in-ball distance 1 or 2.  Every other pair
+shares only middles outside B(r): ids of S(r + 1), or products outside the
+ball when S(r) is its outermost sphere.  The generators are closed under
+inverses, so the members of S(r) next to one such middle are exactly the
+pairs that share it; grouping the sphere by its outside middles finds these
+pairs without reading the rows of S(r + 1).  Each hard pair is measured by
+in_ball_distance, so neither the work nor the result depends on id order.
 """
 
 from __future__ import annotations
 
 import csv
 import statistics
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .ball_engine import DEFAULT_CAP, BallIndex, build_ball, in_ball_distances
+from .ball_engine import DEFAULT_CAP, BallIndex, build_ball, in_ball_distance
 from .errors import InvariantError
 
 
@@ -63,25 +74,24 @@ class ScanReport:
         raise KeyError(r)
 
 
-def _shared_outside(ball: BallIndex, table, lo: int, hi: int) -> dict[int, list[int]]:
-    """For each x of the sphere lo:hi, the later members of the sphere that
-    share a neighbour outside the ball with x.  Such middles exist only on
-    the outermost sphere.  Generators are closed under inverses, so y is
-    the middle m times a generator exactly when m is a neighbour of y."""
-    model, ngens = ball.model, ball.ngens
-    groups: dict[bytes, list[int]] = {}
-    for x in range(lo, hi):
-        row = table[x * ngens:(x + 1) * ngens]
-        if -1 in row:
-            el = ball.element_at(x)
-            for i, m in enumerate(row):
-                if m < 0:
-                    groups.setdefault(model.key(model.apply_gen(el, i)), []).append(x)
-    later: dict[int, list[int]] = {}
-    for group in groups.values():
-        for idx, x in enumerate(group):
-            later.setdefault(x, []).extend(group[idx + 1:])
-    return later
+def _middles(rows: array, lo: int, hi: int, ngens: int) -> tuple[array, array]:
+    """For the rows of the sphere lo:hi (see BallIndex.sphere_rows), the
+    members of the sphere next to each middle m outside B(r) = 0:hi, in id
+    order: members[at[m - hi]:at[m - hi + 1]].  A counting sort keeps one
+    int per (middle, member); most middles have one member, so a list per
+    middle would cost far more."""
+    count = array("i", [0]) * (max(max(rows, default=0) + 1, hi) - hi + 1)
+    for m in rows:
+        if m >= hi:
+            count[m - hi + 1] += 1
+    at = array("i", accumulate(count))
+    members = array("i", [0]) * at[-1]
+    fill = at[:-1]
+    for k, m in enumerate(rows):
+        if m >= hi:
+            members[fill[m - hi]] = lo + k // ngens
+            fill[m - hi] += 1
+    return at, members
 
 
 def scan(model, r_min: int, r_max: int, cap: int = DEFAULT_CAP,
@@ -95,45 +105,78 @@ def scan(model, r_min: int, r_max: int, cap: int = DEFAULT_CAP,
     if ball.radius < r_max:
         raise ValueError("prebuilt ball is smaller than r_max")
 
-    table, ngens, keys = ball.neighbours(), ball.ngens, ball.keys
+    ngens, keys, starts = ball.ngens, ball.keys, ball.starts
     rows = []
+    inner = ball.sphere_rows(r_min - 1)
     for r in range(r_min, r_max + 1):
-        # B(r) is the id range 0:hi and S(r) is lo:hi, so each unordered
-        # pair is searched once, from its smaller id: x < y < hi.
-        lo, hi = ball.starts[r], ball.starts[r + 1]
-        shared = _shared_outside(ball, table, lo, hi)
+        # B(r) is the id range 0:hi and S(r) is lo:hi; each unordered pair
+        # is counted once, from its smaller id: x < y < hi.  A middle inside
+        # B(r) lies on S(r - 1) (rows `inner`) or on S(r) (rows `sphere`).
+        start, lo, hi = starts[r - 1], starts[r], starts[r + 1]
+        sphere = ball.sphere_rows(r)
+        at, members = _middles(sphere, lo, hi, ngens)
         fmax = 0
         npairs = 0
         witness: tuple[bytes, bytes] | None = None
         for x in range(lo, hi):
-            targets = set(shared.get(x, ()))
-            for m in table[x * ngens:(x + 1) * ngens]:
-                if m < 0:
-                    continue
-                if x < m < hi:
-                    targets.add(m)
-                for y in table[m * ngens:(m + 1) * ngens]:
-                    if x < y < hi:
-                        targets.add(y)
-            if not targets:
-                continue
-            npairs += len(targets)
-            found = in_ball_distances(ball, x, targets, hi)
-            if len(found) < len(targets):
-                raise InvariantError(f"sphere pair disconnected inside B({r})")
-            for y, depth in found.items():
+            base = (x - lo) * ngens
+            row = sphere[base:base + ngens]
+            near: set[int] = set()  # adjacent to x, or sharing a middle in B(r)
+            add = near.add
+            far: set[int] = set()  # sharing a middle outside B(r)
+            for m in row:
+                if m >= hi:
+                    k = m - hi
+                    if at[k + 1] - at[k] > 1:  # x is always a member
+                        far.update(members[at[k]:at[k + 1]])
+                elif m >= lo:
+                    if m > x:
+                        add(m)
+                    k = (m - lo) * ngens
+                    for y in sphere[k:k + ngens]:
+                        if x < y < hi:
+                            add(y)
+                else:
+                    k = (m - start) * ngens
+                    for y in inner[k:k + ngens]:
+                        if x < y < hi:
+                            add(y)
+            if far:
+                far = {y for y in far if y > x and y not in near}
+            npairs += len(near) + len(far)
+            kx = keys[x]
+            for y in far:
+                depth = in_ball_distance(ball, x, y, hi)
+                if depth is None:
+                    raise InvariantError(f"sphere pair disconnected inside B({r})")
                 if depth > 2 * r:
                     raise InvariantError(f"in-ball detour exceeded 2r = {2 * r}")
-                if depth >= fmax:
-                    pair = tuple(sorted((keys[x], keys[y])))
-                    if depth > fmax or pair < witness:
-                        fmax = depth
-                        witness = pair
+                fmax, witness = _wider(fmax, witness, depth, kx, keys[y])
+            # a searched pair is at distance >= 3, so the pairs that need no
+            # search matter only while none has been found
+            if fmax < 3 and near:
+                two = near.difference(row)
+                depth = 2 if two else 1
+                for y in two or near:
+                    fmax, witness = _wider(fmax, witness, depth, kx, keys[y])
+        inner = sphere
         rows.append(ScanRow(
             r, fmax, npairs,
             witness[0].decode("ascii") if witness else "",
             witness[1].decode("ascii") if witness else ""))
     return ScanReport(model.name, r_min, r_max, tuple(rows))
+
+
+def _wider(fmax: int, witness, depth: int, kx: bytes, ky: bytes):
+    """fmax and witness after a pair at this in-ball distance: the larger
+    distance wins, and ties go to the lexicographically smallest key
+    pair."""
+    if depth < fmax:
+        return fmax, witness
+    pair = (kx, ky) if kx < ky else (ky, kx)
+    if depth > fmax or pair < witness:
+        return depth, pair
+    return fmax, witness
 
 
 def write_csv(report: ScanReport, path: str) -> None:

@@ -11,6 +11,7 @@ from convexlab.ball_engine import (
     CacheError,
     bridge_length,
     build_ball,
+    in_ball_distance,
     load_ball,
     save_ball,
 )
@@ -277,6 +278,38 @@ def test_failed_save_keeps_the_old_cache(tmp_path, ball_bs2_r8, monkeypatch):
         save_ball(ball_bs2_r8, str(path))
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["b8.ndjson"]
+
+
+def _ref_key(q, el):
+    """bs_key of a reference element (texp, Fraction)."""
+    texp, c = el
+    den, dpow = c.denominator, 0
+    while den > 1:
+        den //= q
+        dpow += 1
+    return bs_key(BsElement(texp, c.numerator, dpow))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_in_ball_distance_matches_reference(q):
+    radius = 6
+    dist, _ = reference.ball(q, radius)
+    ball = build_ball(BsGroupModel(BsParams(q)), radius)
+    rng = random.Random(q)
+    els = sorted(dist)
+    outer = [el for el in els if dist[el] == radius]
+    pairs = [(rng.choice(outer), rng.choice(outer)) for _ in range(15)]
+    pairs += [(rng.choice(els), rng.choice(els)) for _ in range(15)]
+    for el in rng.sample(outer, 3) + [rng.choice(els)]:
+        pairs += [(reference.START, el), (el, reference.START)]
+    for src, dst in pairs:
+        x, y = ball.ids[_ref_key(q, src)], ball.ids[_ref_key(q, dst)]
+        # B(r) for r below the ball's radius is an id bound
+        for r in range(max(dist[src], dist[dst]), radius + 1):
+            bound = ball.starts[r + 1]
+            for avoid in (False, True):
+                want = reference.dist_in_ball(q, dist, r, src, dst, avoid)
+                assert in_ball_distance(ball, x, y, bound, avoid) == want, (src, dst, r, avoid)
 
 
 def _bridge_by_keys(ball, src, dst, forbid_identity):

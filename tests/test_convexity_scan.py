@@ -48,6 +48,33 @@ FROZEN_BS3_6 = {
 }
 
 
+# (fmax, pairs, witness_x, witness_y) per radius, as the one-sided
+# multi-target search computed them before only the hard pairs were searched
+FROZEN_STALLINGS = {
+    1: (2, 45, "A|aB|", "A|a|C"),
+    2: (4, 432, "AS|aB|", "AS|a|C"),
+    3: (4, 3024, "AAS|aB|", "AAS|a|C"),
+    4: (8, 18612, "SA|Ab|", "|AAba|"),
+}
+
+FROZEN_BS7 = {
+    3: (6, 44, "-1:-6:1", "0:1:1"),
+    4: (8, 140, "-1:-3:1", "-1:-5:1"),
+    5: (10, 368, "-1:-48:1", "1:-48:1"),
+    6: (10, 982, "-1:-1:3", "-2:-50:3"),
+    7: (14, 2556, "-1:-342:1", "1:-342:1"),
+    8: (14, 6440, "-1:-1:4", "-2:-344:4"),
+}
+
+# one radius per q at which reference.fmax_scan_grouped runs in well under 1 s
+REFERENCE_RADII = {2: 9, 3: 7, 4: 6, 5: 6, 6: 5, 7: 6}
+
+
+def _rows(report):
+    return {row.r: (row.fmax, row.pairs, row.witness_x, row.witness_y)
+            for row in report.rows}
+
+
 @pytest.fixture(scope="module")
 def report_r8(ball_bs2_r8):
     return scan(BsGroupModel(BsParams(2)), 3, 8, ball=ball_bs2_r8)
@@ -73,6 +100,21 @@ def test_scan_rows_between_regimes(q):
     assert {row.r: (row.fmax, row.pairs) for row in report.rows} == FROZEN_BS3_6[q]
     if q in (3, 4):
         assert reference.fmax_scan_grouped(q, 7) == FROZEN_BS3_6[q][7]
+
+
+def test_stallings_scan_rows(ball_st_r4):
+    assert _rows(scan(ball_st_r4.model, 1, 4, ball=ball_st_r4)) == FROZEN_STALLINGS
+
+
+def test_bs7_scan_rows():
+    assert _rows(scan(BsGroupModel(BsParams(7)), 3, 8)) == FROZEN_BS7
+
+
+@pytest.mark.parametrize("q", sorted(REFERENCE_RADII))
+def test_scan_matches_grouped_reference(q):
+    r = REFERENCE_RADII[q]
+    row = scan(BsGroupModel(BsParams(q)), r, r).row(r)
+    assert (row.fmax, row.pairs) == reference.fmax_scan_grouped(q, r)
 
 
 def test_scan_witnesses_match_frozen(report_r8):
@@ -137,6 +179,22 @@ def test_scan_on_loaded_ball_equals_built(tmp_path, report_r8, ball_bs2_r8):
     path = tmp_path / "b8.ndjson"
     save_ball(ball_bs2_r8, str(path))
     loaded = load_ball(str(path), ball_bs2_r8.model)
+    assert scan(loaded.model, 3, 8, ball=loaded) == report_r8
+
+
+def test_scan_ignores_id_order(tmp_path, report_r8, ball_bs2_r8):
+    path = tmp_path / "b8.ndjson"
+    save_ball(ball_bs2_r8, str(path))
+    header, *body = path.read_bytes().splitlines(keepends=True)
+    # load_ball takes file order as id order: reverse the ids in every sphere
+    flipped, at = [header], 0
+    for size in ball_bs2_r8.sphere_sizes():
+        flipped += reversed(body[at:at + size])
+        at += size
+    path.write_bytes(b"".join(flipped))
+    loaded = load_ball(str(path), ball_bs2_r8.model)
+    assert loaded.keys != ball_bs2_r8.keys
+    assert sorted(loaded.keys) == sorted(ball_bs2_r8.keys)
     assert scan(loaded.model, 3, 8, ball=loaded) == report_r8
 
 

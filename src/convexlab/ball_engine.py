@@ -21,14 +21,21 @@ from its key, for built and loaded balls alike.
 
 BFS records the neighbour table as it goes: a flat array('i') with ngens
 entries per id, where entry id * ngens + i is the id of element * generator
-i, or -1 when that neighbour lies outside the ball.  BFS never needs the
-rows of the outermost sphere, so each is computed on its first use (row(),
-or neighbours() for the whole table), as are the rows of a ball loaded from
-cache; a ball that is only built and saved does no extra work.
-sphere_rows() gives the rows of a whole sphere with each product outside
-the ball named by a virtual id, equal products sharing one, so that the
-scan can group a sphere by the middles it shares; it computes each product
-once, filling the missing rows as it goes.
+i, or -1 when that neighbour lies outside the ball.  Each edge is computed
+once: a product x * g_i = j also fills the inverse entry j * g_i^-1 = x,
+and an entry already filled is never computed, so every edge inside the
+ball is computed from its smaller id.  The inverse of each generator is
+found once per ball from the model's own products, and a generator set
+that is not closed under inverses is refused with ValueError.  BFS never
+needs the rows of the outermost sphere, so they are allocated on first use
+(row(), or neighbours() for the whole table), when the edges from the sphere
+below are copied into them without calling the model; the rest of each row
+is computed then, as are the rows of a ball loaded from cache.  A ball that
+is only built and saved does no extra work.  sphere_rows() gives the rows
+of a whole sphere with each product outside the ball named by a virtual id,
+equal products sharing one, so that the scan can group a sphere by the
+middles it shares; it computes each product once, filling the missing rows
+as it goes.
 
 in_ball_distance() is the one search over that table: a BFS from both ends
 of a pair of ids, always expanding the smaller frontier, through ids below
@@ -78,6 +85,8 @@ class BallIndex:
         self.model = model
         self.radius = radius
         self.ngens = len(model.generator_names())
+        # inverse[i] is a generator j with g_i g_j = 1
+        self.inverse = _inverses(model)
         self.ids: dict[bytes, int] = {}
         self.keys: list[bytes] = []
         # sphere r is the id range starts[r]:starts[r + 1]
@@ -85,8 +94,8 @@ class BallIndex:
         # parent id and generator per id; empty for a loaded ball
         self.parent = array("i")
         self.parent_gen = array("b")
-        # neighbour rows; rows of ids from _lazy_from on may be missing or
-        # _UNKNOWN until their first use
+        # neighbour rows; rows of ids from _lazy_from on may be missing, or
+        # hold _UNKNOWN entries, until their first use
         self._table = array("i")
         self._lazy_from = 0
         # visit marks of in_ball_distance: every search takes three stamps
@@ -161,19 +170,35 @@ class BallIndex:
         taking the next one."""
         table, ngens = self._table, self.ngens
         if len(table) < len(self.keys) * ngens:
-            table.extend(array("i", [_UNKNOWN]) * (len(self.keys) * ngens - len(table)))
+            self._allocate()
         base = x * ngens
         row = table[base:base + ngens]
         if _UNKNOWN in row or (virtual is not None and -1 in row):
-            el, model = self.element_at(x), self.model
+            el, model, inverse = self.element_at(x), self.model, self.inverse
             for i, j in enumerate(row):
                 if j == _UNKNOWN or (j == -1 and virtual is not None):
                     key = model.key(model.apply_gen(el, i))
                     if j == _UNKNOWN:
                         table[base + i] = row[i] = j = self.ids.get(key, -1)
+                        if j >= 0:
+                            table[j * ngens + inverse[i]] = x
                     if j == -1 and virtual is not None:
                         row[i] = virtual.setdefault(key, len(self.keys) + len(virtual))
         return row
+
+    def _allocate(self) -> None:
+        """Give every id without a row one of _UNKNOWN entries, and copy
+        into the new rows the edges that the old rows already hold: x * g_i
+        = j is j * g_i^-1 = x.  Only the last sphere with rows reaches past
+        them."""
+        table, ngens, inverse = self._table, self.ngens, self.inverse
+        known = len(table) // ngens
+        table.extend(array("i", [_UNKNOWN]) * ((len(self.keys) - known) * ngens))
+        if known:
+            first = self.starts[self.depth(known - 1)]
+            for e, j in enumerate(table[first * ngens:known * ngens], first * ngens):
+                if j >= known:
+                    table[j * ngens + inverse[e % ngens]] = e // ngens
 
     def neighbours(self) -> array:
         """The whole neighbour table (see the module docstring), with every
@@ -198,6 +223,24 @@ class BallIndex:
         return out
 
 
+def _inverses(model) -> tuple[int, ...]:
+    """For each generator i, the first generator j with g_i g_j = 1, found
+    from ngens * (ngens + 1) products.  Raises ValueError when some
+    generator has no inverse among them."""
+    apply_gen, key, names = model.apply_gen, model.key, model.generator_names()
+    ident = model.identity()
+    one = key(ident)
+    out = []
+    for i, name in enumerate(names):
+        g = apply_gen(ident, i)
+        products = [key(apply_gen(g, j)) for j in range(len(names))]
+        if one not in products:
+            raise ValueError(f"the generators of {model.name} are not closed under"
+                             f" inverses: {name} has no inverse among them")
+        out.append(products.index(one))
+    return tuple(out)
+
+
 def build_ball(model, radius: int, cap: int = DEFAULT_CAP) -> BallIndex:
     """BFS the ball of the given radius around the identity, recording the
     neighbour rows of every sphere it expands."""
@@ -207,19 +250,27 @@ def build_ball(model, radius: int, cap: int = DEFAULT_CAP) -> BallIndex:
     apply_gen, key, ngens = model.apply_gen, model.key, ball.ngens
     ids, keys = ball.ids, ball.keys
     parent, parent_gen, table = ball.parent, ball.parent_gen, ball._table
+    inverse = ball.inverse
+    blank = array("i", [_UNKNOWN]) * ngens
     ident = model.identity()
     ids[key(ident)] = 0
     keys.append(key(ident))
     parent.append(-1)
     parent_gen.append(-1)
+    table.extend(blank)
     ball.starts.append(1)
     sphere = [ident]  # elements of sphere d, in id order
     for d in range(radius):
-        # the outermost sphere is never expanded, so keep none of its elements
+        # the outermost sphere is never expanded, so keep none of its
+        # elements and give them no rows
         keep = d + 1 < radius
+        end = ball.starts[d + 1]
         nxt = []
         for x, el in enumerate(sphere, ball.starts[d]):
-            for i in range(ngens):
+            base = x * ngens
+            for i, j in enumerate(table[base:base + ngens]):
+                if j != _UNKNOWN:
+                    continue  # filled from the edge's other end
                 nb = apply_gen(el, i)
                 nk = key(nb)
                 j = ids.get(nk)
@@ -232,9 +283,12 @@ def build_ball(model, radius: int, cap: int = DEFAULT_CAP) -> BallIndex:
                     keys.append(nk)
                     if keep:
                         nxt.append(nb)
+                        table.extend(blank)
                     parent.append(x)
                     parent_gen.append(i)
-                table.append(j)
+                table[base + i] = j
+                if keep or j < end:
+                    table[j * ngens + inverse[i]] = x
         sphere = nxt
         ball.starts.append(len(keys))
     ball._lazy_from = ball.starts[radius]

@@ -621,6 +621,10 @@ def _build_101(rng: random.Random, o: _CaseParams) -> CaseWitness:
     extra = o.draw("extra", range(1 if kind in ("Ta", "aT") else 0, 7), lo=0)  # sigma_t(w)
     _require(kind not in ("Ta", "aT") or extra >= 1,
              "case 10.1 with a t^-1 in gamma needs sigma_t(w) >= 1")
+    # at p = 1 and extra = 0 the free choices are the bottom digit and g, and
+    # none of the four gives w gamma at distance l(w) in class 4
+    _require(not (p1 == 1 and kind == "a2" and extra == 0),
+             "case 10.1 has no instance for p = 1, gamma_kind = a2, extra = 0")
     if kind == "a2":
         gamma = _ap(2 * g)
     elif kind == "at":

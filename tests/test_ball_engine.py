@@ -2,12 +2,15 @@
 
 import json
 import random
+from array import array
+from fractions import Fraction
 
 import pytest
 
 import reference
 from convexlab.ball_engine import (
     BallCapError,
+    BallIndex,
     CacheError,
     bridge_length,
     build_ball,
@@ -175,21 +178,138 @@ def test_neighbour_table_matches_model(fixture, request):
     assert -1 in table[inner:]
 
 
+class _Counting:
+    """A group model that counts the products asked of the one it wraps."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def apply_gen(self, el, i):
+        self.calls += 1
+        return self.model.apply_gen(el, i)
+
+
+def _inverse_products(ngens):
+    """Products a BallIndex spends finding each generator's inverse."""
+    return ngens * (ngens + 1)
+
+
+def _computed(table, ids, ngens):
+    """Entries of the rows of these ids that hold a larger id or -1: the
+    products left once every edge inside the ball is computed only from its
+    smaller id."""
+    return sum(1 for x in ids for j in table[x * ngens:(x + 1) * ngens] if j == -1 or j > x)
+
+
 def test_build_leaves_outer_rows_for_first_use():
-    class Counting(BsGroupModel):
-        calls = 0
-
-        def apply_gen(self, g, i):
-            self.calls += 1
-            return super().apply_gen(g, i)
-
-    model = Counting(BsParams(2))
+    model = _Counting(BsGroupModel(BsParams(2)))
     ball = build_ball(model, 6)
     outer = ball.sphere_ids(6)
-    assert model.calls == 4 * outer.start  # each inner element once per generator
+    assert len(ball._table) == 4 * outer.start  # no rows for the outer sphere
+    assert model.calls == _inverse_products(4) + _computed(ball._table, range(outer.start), 4)
+    # the row's edges to S(5) are copied, so only the rest is computed
+    before = model.calls
     ball.row(outer.start)
+    after = before + _computed(ball._table, [outer.start], 4)
+    assert model.calls == after
     ball.row(outer.start)
-    assert model.calls == 4 * outer.start + 4
+    assert model.calls == after
+
+
+@pytest.mark.parametrize("group, radius", [
+    (lambda: BsGroupModel(BsParams(2)), 10),
+    (lambda: BsGroupModel(BsParams(7)), 6),
+    (StallingsModel, 4),
+], ids=["bs2-r10", "bs7-r6", "st-r4"])
+def test_each_edge_is_computed_once(group, radius, tmp_path):
+    model = _Counting(group())
+    ball = build_ball(model, radius)
+    ngens, outer = ball.ngens, ball.sphere_ids(radius)
+    assert model.calls == _inverse_products(ngens) + _computed(ball._table, range(outer.start), ngens)
+    before = model.calls
+    table = ball.neighbours()
+    assert model.calls - before == _computed(table, outer, ngens)
+    path = str(tmp_path / "ball.ndjson")
+    save_ball(ball, path)
+    counted = _Counting(group())
+    loaded = load_ball(path, counted)
+    assert counted.calls == _inverse_products(ngens)
+    assert loaded.neighbours() == table
+    assert counted.calls == _inverse_products(ngens) + _computed(table, range(len(ball)), ngens)
+
+
+def _one_by_one(ball, words):
+    """The neighbour table of the ball, each entry its own product and no
+    entry filled from another, with the products of the outer sphere
+    outside the ball also named by the virtual ids of sphere_rows: from
+    len(ball) on, in order of first appearance.  BS products come from
+    reference.step, Stallings products from reference.stallings_form of
+    the element's geodesic word (words: key -> word) and one more letter."""
+    model, names = ball.model, ball.model.generator_names()
+    if isinstance(model, StallingsModel):
+        def product(key, i):
+            return "|".join(reference.stallings_form(words[key] + names[i])).encode("ascii")
+    else:
+        q = model.params.q
+
+        def product(key, i):
+            el = model.element_from_key(key)
+            ref = (el.texp, Fraction(el.num, q ** el.dpow))
+            return _ref_key(q, reference.step(q, ref, names[i]))
+    table, outer, virtual = array("i"), array("i"), {}
+    for x, key in enumerate(ball.keys):
+        for i in range(ball.ngens):
+            nk = product(key, i)
+            j = ball.ids.get(nk, -1)
+            table.append(j)
+            if x >= ball.starts[ball.radius]:
+                outer.append(j if j >= 0 else virtual.setdefault(nk, len(ball) + len(virtual)))
+    return table, outer
+
+
+@pytest.mark.parametrize("group, radius", [
+    (lambda: BsGroupModel(BsParams(2)), 8),
+    (lambda: BsGroupModel(BsParams(3)), 6),
+    (lambda: BsGroupModel(BsParams(7)), 6),
+    (StallingsModel, 4),
+], ids=["bs2-r8", "bs3-r6", "bs7-r6", "st-r4"])
+def test_table_equals_products_one_by_one(group, radius, tmp_path):
+    built = build_ball(group(), radius)
+    words = {key: "".join(built.geodesic_word(key)) for key in built.keys}
+    table, outer = _one_by_one(built, words)
+    path = str(tmp_path / "ball.ndjson")
+    save_ball(built, path)
+    # the outer sphere's rows first, then the whole table
+    assert built.sphere_rows(radius) == outer
+    assert built.neighbours() == table
+    assert built.sphere_rows(radius) == outer
+    loaded = load_ball(path, group())
+    assert loaded.neighbours() == table
+    assert loaded.sphere_rows(radius) == outer
+    loaded = load_ball(path, group())
+    assert loaded.sphere_rows(radius) == outer
+    assert loaded.neighbours() == table
+
+
+def test_generators_without_inverses_are_refused():
+    class Positive(BsGroupModel):
+        """a and t without their inverses."""
+
+        def generator_names(self):
+            return ("a", "t")
+
+        def apply_gen(self, g, i):
+            return super().apply_gen(g, 2 * i)
+
+    model = Positive(BsParams(2))
+    with pytest.raises(ValueError, match="not closed under inverses: a"):
+        BallIndex(model, 3)
+    with pytest.raises(ValueError, match="not closed under inverses"):
+        build_ball(model, 3)
 
 
 def test_ids_follow_sphere_and_discovery_order(ball_bs2_r8):

@@ -162,6 +162,7 @@ BAD_PINS = [
     ("10.1", {"p": 0}, "p"), ("10.1", {"gamma_kind": "tt"}, "gamma_kind"),
     ("10.1", {"g": 2}, "g"), ("10.1", {"g": -3, "gamma_kind": "a2"}, "g"),
     ("10.1", {"extra": -1}, "extra"),
+    ("10.1", {"p": 1, "gamma_kind": "a2", "extra": 0}, "p"),
     ("10.2.1", {"f1": 0}, "f1"), ("10.2.1", {"f1": 2, "e": 4}, "e"),
     ("10.2.1", {"i1": 0}, "i1"), ("10.2.1", {"k": 2}, "k"),
     ("10.2.2", {"f1": -1}, "f1"), ("10.2.2", {"e": 3}, "e"),
@@ -393,6 +394,17 @@ def test_case6_pinned_empty_combination_raises():
                    gamma_kind="a2")
     cw = build_case("6", random.Random(0), mode="same", i=1, sigma=2, g=-1)
     assert cw.params["gamma_kind"] == "at"
+
+
+def test_case101_lowest_dip_has_no_instance():
+    # p = 1, gamma = a^(2g), extra = 0: w = t^-1 a^d t a^-g for the bottom
+    # digit d and g, and no choice gives w gamma at distance l(w) in class 4
+    for d, g in itertools.product((-1, 1), (-1, 1)):
+        w = witness_lab.ascent_word(1, [d], witness_lab._ap(-g))
+        assert witness_lab._partner(w, witness_lab._ap(2 * g), 4, w_cls=4) is None, (d, g)
+    for pins in ({"extra": 1}, {"gamma_kind": "at", "extra": 0}):
+        cw = build_case("10.1", random.Random(0), p=1, **pins)
+        assert verify_case(cw)["ok"], pins
 
 
 # -- case 7.4: every mode and sign --------------------------------------------

@@ -27,7 +27,7 @@ from .ball_engine import (
 )
 from .bs_arith import BsGroupModel, BsParams, bs_eval
 from .bs_geodesics import geodesic_length, normalize
-from .convexity_scan import scan, sublinearity_probe, write_csv
+from .convexity_scan import scan, write_csv
 from .stallings import StallingsModel, verify_stallings_witness
 from .witness_lab import (
     CONSTRUCTIVE_CASES,
@@ -105,12 +105,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
         wit = f"{row.witness_x} ~ {row.witness_y}" if row.pairs else ""
         print(f"{row.r}\t{row.fmax}\t{row.pairs}\t{str(row.mac).lower()}"
               f"\t{str(row.mprime).lower()}\t{wit}")
-    try:
-        probe = sublinearity_probe(report)
-        print(f"probe: slope={probe.slope:.6f} intercept={probe.intercept:.6f}"
-              f" points={probe.points}")
-    except ValueError:
-        pass
     if args.csv:
         write_csv(report, args.csv)
         print(f"csv: {args.csv}")

@@ -21,7 +21,6 @@ in_ball_distance, so neither the work nor the result depends on id order.
 from __future__ import annotations
 
 import csv
-import statistics
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
@@ -190,21 +189,3 @@ def write_csv(report: ScanReport, path: str) -> None:
             out.writerow([row.r, row.fmax, row.pairs,
                           str(row.mac).lower(), str(row.mprime).lower(),
                           row.witness_x, row.witness_y])
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    slope: float
-    intercept: float
-    points: int
-
-
-def sublinearity_probe(report: ScanReport) -> ProbeResult:
-    """Least-squares slope of fmax against r over the radii with pairs.
-    Needs at least three datapoints to mean anything."""
-    xs = [row.r for row in report.rows if row.pairs > 0]
-    ys = [float(row.fmax) for row in report.rows if row.pairs > 0]
-    if len(xs) < 3:
-        raise ValueError("sublinearity probe needs at least 3 radii with pairs")
-    slope, intercept = statistics.linear_regression([float(x) for x in xs], ys)
-    return ProbeResult(slope, intercept, len(xs))

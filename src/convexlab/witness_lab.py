@@ -100,6 +100,11 @@ def _tp(n: int) -> Word:
     return gen_power("t", n)
 
 
+def _flip_a(w: Word) -> Word:
+    """The image of w under the automorphism a -> a^-1, t -> t."""
+    return Word.from_runs((g, -e if g == "a" else e) for g, e in w.runs)
+
+
 def _as_word(v) -> Word:
     if isinstance(v, Word):
         return v
@@ -781,8 +786,15 @@ def _build_1033(rng: random.Random, o: _CaseParams, sub: str) -> CaseWitness:
 
     def attempt():
         s = o.draw("s", (-1, 1))
-        k = 3 * s
         i = o.draw("i", (-1, 1))
+        # The normal form's least-digits tie-break is not symmetric under
+        # the automorphism a -> a^-1, t -> t: for 10.3.3.2 it reads the tied
+        # pair (-1, -1) without the flip.  So i = -1 is built as the image
+        # of the (-s, 1) instance, whose u is the other geodesic spelling.
+        mirror = sub == "10.3.3.2" and i == -1
+        if mirror:
+            s, i = -s, 1
+        k = 3 * s
         # m[j] sits at level -j.  m[3] = 0 isolates the engineered pair; the
         # bottom is (i, 0) for i = j, or the tied pair (i, i) whose flipped
         # reading hands u the opposite bottom digit for i = -j.
@@ -817,6 +829,10 @@ def _build_1033(rng: random.Random, o: _CaseParams, sub: str) -> CaseWitness:
         u_rest = u.suffix(r - p - 2)
         head = w2.inverse() * _tp(p - 1) * _ap(-k) * _tp(-(p - 1))
         delta = head * u_rest if sub == "10.3.3.1" else head * _ap(jd) * u_rest
+        if mirror:
+            params = {"p": p, "k": -k, "s": -s, "i": -i, "j": -jd, "w2": _flip_a(w2)}
+            return CaseWitness(sub, params, _flip_a(w), _flip_a(u), gamma,
+                               _flip_a(delta), r)
         params = {"p": p, "k": k, "s": s, "i": i, "j": jd, "w2": w2}
         return CaseWitness(sub, params, w, u, gamma, delta, r)
     return _sample(sub, attempt)

@@ -111,7 +111,8 @@ def fmax_scan(q: int, radius: int):
     fmax = 0
     for x, y in pairs:
         d = dist_in_ball(q, dist, radius, x, y)
-        assert d is not None, "sphere pair disconnected inside the ball"
+        if d is None:
+            raise RuntimeError("sphere pair disconnected inside the ball")
         if d > fmax:
             fmax = d
     return fmax, len(pairs)
@@ -147,7 +148,8 @@ def fmax_scan_grouped(q: int, radius: int):
                     if d + 1 > fmax:
                         fmax = d + 1
                 queue.append((nb, d + 1))
-        assert not todo, "sphere pair disconnected inside the ball"
+        if todo:
+            raise RuntimeError("sphere pair disconnected inside the ball")
     return fmax, npairs
 
 

@@ -104,9 +104,12 @@ def test_scan_with_csv(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     assert main(["scan", "--group", "bs:q=2", "--r-min", "3", "--r-max", "5",
                  "--csv", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert "3\t3\t34" in printed
-    assert "\nprobe: slope=" in printed
+    assert capsys.readouterr().out == (
+        "r\tfmax\tpairs\tmac\tmprime\twitness\n"
+        "3\t3\t34\ttrue\ttrue\t-1:-3:1 ~ 0:-1:1\n"
+        "4\t3\t68\ttrue\ttrue\t-1:-1:2 ~ -2:-3:2\n"
+        "5\t3\t142\ttrue\ttrue\t-1:-3:2 ~ 0:1:2\n"
+        f"csv: {out}\n")
     assert out.read_text().count("\n") == 4  # header + 3 rows
 
 

@@ -1,4 +1,4 @@
-"""Almost-convexity scan: frozen regression table, CSV output, probe."""
+"""Almost-convexity scan: frozen regression table and CSV output."""
 
 import csv
 from array import array
@@ -8,7 +8,7 @@ import pytest
 import reference
 from convexlab.ball_engine import build_ball, load_ball, save_ball
 from convexlab.bs_arith import BsGroupModel, BsParams
-from convexlab.convexity_scan import ScanReport, ScanRow, scan, sublinearity_probe, write_csv
+from convexlab.convexity_scan import scan, write_csv
 from convexlab.errors import InvariantError
 
 # (fmax, pairs) per radius, pinned by reference.fmax_scan for q=2
@@ -155,24 +155,6 @@ def test_write_csv(tmp_path, report_r8):
     assert rows[0]["r"] == "3"
     assert rows[3]["fmax"] == "6"
     assert rows[0]["mprime"] == "true"
-
-
-def test_probe_on_frozen_table():
-    rows = tuple(ScanRow(r, fmax, pairs, "x", "y")
-                 for r, (fmax, pairs) in sorted(FROZEN_BS2.items()))
-    report = ScanReport("bs:q=2", 3, 10, rows)
-    probe = sublinearity_probe(report)
-    assert probe.points == 8
-    assert probe.slope == pytest.approx(1.2976190476190477)
-    assert probe.intercept == pytest.approx(-2.05952380952381)
-    # comfortably below the almost-convexity threshold slope of 2
-    assert probe.slope < 2.0
-
-
-def test_probe_needs_three_points(report_r8):
-    small = ScanReport("bs:q=2", 3, 4, report_r8.rows[:2])
-    with pytest.raises(ValueError):
-        sublinearity_probe(small)
 
 
 def test_scan_on_loaded_ball_equals_built(tmp_path, report_r8, ball_bs2_r8):

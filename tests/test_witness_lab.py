@@ -407,6 +407,34 @@ def test_case101_lowest_dip_has_no_instance():
         assert verify_case(cw)["ok"], pins
 
 
+# -- case 10.3.3.2: both bottom digits ----------------------------------------
+
+
+@pytest.mark.parametrize("s", [-1, 1])
+@pytest.mark.parametrize("p", [6, 7, 8, 12])
+def test_case10332_builds_both_bottom_digits(p, s):
+    for i in (-1, 1):
+        cw = build_case("10.3.3.2", random.Random(p), p=p, s=s, i=i)
+        report = verify_case(cw)
+        assert report["ok"], (p, s, i, report["checks"])
+        got = {key: cw.params[key] for key in ("p", "k", "s", "i", "j")}
+        assert got == {"p": p, "k": 3 * s, "s": s, "i": i, "j": -i}
+        assert cw.w == (witness_lab._ap(3 * s) * witness_lab._tp(-p) * witness_lab._ap(i)
+                        * witness_lab._tp(1) * cw.params["w2"])
+
+
+def test_case10332_bottom_digit_minus_one_is_the_mirror_image():
+    # a -> a^-1, t -> t maps the (-s, 1) instance to the (s, -1) one
+    flip = witness_lab._flip_a
+    for seed, s in itertools.product(range(5), (-1, 1)):
+        cw = build_case("10.3.3.2", random.Random(seed), s=s, i=-1)
+        image = build_case("10.3.3.2", random.Random(seed), s=-s, i=1)
+        assert (cw.w, cw.u, cw.delta) == (flip(image.w), flip(image.u), flip(image.delta))
+        assert cw.params["w2"] == flip(image.params["w2"])
+    drawn = {build_case("10.3.3.2", random.Random(seed)).params["i"] for seed in range(20)}
+    assert drawn == {-1, 1}
+
+
 # -- case 7.4: every mode and sign --------------------------------------------
 
 

@@ -12,8 +12,8 @@ A group model is any object with the duck-typed surface used below:
 
 Balls are built breadth-first, sphere by sphere.  Every element gets a
 dense integer id in BFS discovery order, so sphere r is the id range
-starts[r]:starts[r+1] and ids, parent links and rosters are byte-stable
-across runs.  A loaded cache yields the same ids as the build it came from.
+starts[r]:starts[r+1] and ids and rosters are byte-stable across runs.  A
+loaded cache yields the same ids as the build it came from.
 
 A ball stores keys, not elements: BFS holds element objects only for the
 sphere it expands and the next one, and element_at() rebuilds an element
@@ -48,8 +48,7 @@ The plain-text cache ("ball-v4") holds one JSON header line with the group,
 radius, element count and sphere sizes, then one "<distance> <key>" row per
 element in id order.  It is written to a temporary file and renamed into
 place, and a file that disagrees with its header is refused with
-CacheError.  Parent links are not cached, so word extraction needs a
-freshly built ball.
+CacheError.
 """
 
 from __future__ import annotations
@@ -78,8 +77,8 @@ class CacheError(RuntimeError):
 
 
 class BallIndex:
-    """A ball B(radius) under dense integer ids: keys, sphere ranges,
-    parent links and the neighbour table."""
+    """A ball B(radius) under dense integer ids: keys, sphere ranges and
+    the neighbour table, its only record of the Cayley graph."""
 
     def __init__(self, model, radius: int):
         self.model = model
@@ -91,9 +90,6 @@ class BallIndex:
         self.keys: list[bytes] = []
         # sphere r is the id range starts[r]:starts[r + 1]
         self.starts: list[int] = [0]
-        # parent id and generator per id; empty for a loaded ball
-        self.parent = array("i")
-        self.parent_gen = array("b")
         # neighbour rows; rows of ids from _lazy_from on may be missing, or
         # hold _UNKNOWN entries, until their first use
         self._table = array("i")
@@ -209,16 +205,17 @@ class BallIndex:
         return self._table
 
     def geodesic_word(self, key: bytes) -> list[str]:
-        """Generator labels of one geodesic from the identity, following
-        the BFS parent links."""
+        """Generator labels of one geodesic from the identity.  Each step
+        back goes to the least neighbour id, which lies one sphere nearer:
+        the element BFS reached this one from."""
         i = self.ids[key]
-        if not self.parent and i > 0:
-            raise CacheError("ball was loaded from cache and has no parent links")
-        names = self.model.generator_names()
+        names, inverse = self.model.generator_names(), self.inverse
         out: list[str] = []
         while i > 0:
-            out.append(names[self.parent_gen[i]])
-            i = self.parent[i]
+            row = self.row(i)
+            j = min(x for x in row if x >= 0)
+            out.append(names[inverse[row.index(j)]])
+            i = j
         out.reverse()
         return out
 
@@ -249,14 +246,11 @@ def build_ball(model, radius: int, cap: int = DEFAULT_CAP) -> BallIndex:
     ball = BallIndex(model, radius)
     apply_gen, key, ngens = model.apply_gen, model.key, ball.ngens
     ids, keys = ball.ids, ball.keys
-    parent, parent_gen, table = ball.parent, ball.parent_gen, ball._table
-    inverse = ball.inverse
+    table, inverse = ball._table, ball.inverse
     blank = array("i", [_UNKNOWN]) * ngens
     ident = model.identity()
     ids[key(ident)] = 0
     keys.append(key(ident))
-    parent.append(-1)
-    parent_gen.append(-1)
     table.extend(blank)
     ball.starts.append(1)
     sphere = [ident]  # elements of sphere d, in id order
@@ -284,8 +278,6 @@ def build_ball(model, radius: int, cap: int = DEFAULT_CAP) -> BallIndex:
                     if keep:
                         nxt.append(nb)
                         table.extend(blank)
-                    parent.append(x)
-                    parent_gen.append(i)
                 table[base + i] = j
                 if keep or j < end:
                     table[j * ngens + inverse[i]] = x

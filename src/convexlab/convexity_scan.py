@@ -96,11 +96,13 @@ def _middles(rows: array, lo: int, hi: int, ngens: int) -> tuple[array, array]:
 def scan(model, r_min: int, r_max: int, cap: int = DEFAULT_CAP,
          ball: BallIndex | None = None) -> ScanReport:
     """Scan radii r_min..r_max in one ball build, on the ball's neighbour
-    table."""
+    table.  A prebuilt ball must be of the model's group and reach r_max."""
     if r_min < 1 or r_max < r_min:
         raise ValueError("need 1 <= r_min <= r_max")
     if ball is None:
         ball = build_ball(model, r_max, cap)
+    if ball.model.name != model.name:
+        raise ValueError(f"prebuilt ball is of {ball.model.name}, not {model.name}")
     if ball.radius < r_max:
         raise ValueError("prebuilt ball is smaller than r_max")
 

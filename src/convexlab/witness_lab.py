@@ -958,24 +958,23 @@ _CONNECTOR_CASES = {
 }
 
 
-def _geodesic_word_tags(radius: int, ball: BallIndex) -> dict:
-    """Word classes realized by geodesic spellings, per element of B(radius)."""
+def _geodesic_word_tags(ball: BallIndex) -> dict:
+    """Word classes realized by geodesic spellings, per key of the ball.
+    The geodesic words to an element are those to its neighbours one sphere
+    nearer, each followed by the letter that steps out, so they are read
+    off the neighbour table in id order."""
+    letters = [gen_power(g, s) for g, s in _GEN_INDEX]  # in generator order
+    words = {0: [Word()]}
     tags: dict = {}
-    stack = [(_BS2_MODEL.identity(), Word())]
-    while stack:
-        el, w = stack.pop()
-        if ball.distance(bs_key(el)) == len(w):
-            tags.setdefault(bs_key(el), set()).add(classify(w))
-        if len(w) >= radius:
-            continue
-        last = None
-        if w.runs:
-            g, e = w.runs[-1]
-            last = (g, 1 if e > 0 else -1)
-        for (gen, sign), i in _GEN_INDEX.items():
-            if last == (gen, -sign):
-                continue
-            stack.append((_BS2_MODEL.apply_gen(el, i), w * gen_power(gen, sign)))
+    for x, key in enumerate(ball.keys):
+        mine = words.pop(x)
+        tags[key] = {classify(w) for w in mine}
+        d = ball.depth(x)
+        if d < ball.radius:
+            outer = ball.starts[d + 1]
+            for i, y in enumerate(ball.row(x)):
+                if y >= outer:
+                    words.setdefault(y, []).extend(w * letters[i] for w in mine)
     return tags
 
 
@@ -986,8 +985,7 @@ def _ball_ids(ball: BallIndex):
             yield x, r
 
 
-def impossibility_search(case: str, radius: int = 7,
-                         ball: Optional[BallIndex] = None) -> list:
+def impossibility_search(case: str, radius: int = 7) -> list:
     """Exhaustively hunt for a geodesic pair realizing an impossible case.
 
     Returns the list of realizations found; every entry is a bug in the
@@ -995,7 +993,7 @@ def impossibility_search(case: str, radius: int = 7,
     """
     if case not in IMPOSSIBLE_CASES:
         raise ValueError(f"not an impossibility case: {case!r}")
-    if ball is None and case != "10.3.2":  # 10.3.2 walks a word family, not the ball
+    if case != "10.3.2":  # 10.3.2 walks a word family, not the ball
         ball = build_ball(_BS2_MODEL, radius)
     hits: list = []
     tsq = bs_eval(_tp(2), BS2)
@@ -1012,7 +1010,7 @@ def impossibility_search(case: str, radius: int = 7,
                     hits.append({"case": case, "x": ball.keys[x].decode("ascii"),
                                  "gamma": name, "r": r})
     elif case == "3":
-        tags = _geodesic_word_tags(radius, ball)
+        tags = _geodesic_word_tags(ball)
         for x, r in _ball_ids(ball):
             el, key = ball.element_at(x), ball.keys[x]
             if el.texp != -1 or WordClass.XN not in tags.get(key, ()):

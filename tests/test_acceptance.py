@@ -20,7 +20,6 @@ from convexlab import (
     Word,
     WordClass,
     bs_eval,
-    build_ball,
     build_case,
     classify,
     exp_sum,
@@ -52,11 +51,6 @@ def _verdict(capsys, k: int, ok: bool) -> None:
 def _word_of(letters) -> Word:
     return Word.from_letters(
         (c.lower(), -1 if c.isupper() else 1) for c in letters)
-
-
-@pytest.fixture(scope="module")
-def ball_bs2_r7():
-    return build_ball(BsGroupModel(BS2), 7)
 
 
 # -- criterion 1: digit DP equals BFS distance --------------------------------
@@ -139,7 +133,7 @@ LARGE_INSTANCE = {
 }
 
 
-def test_criterion_04_case_paths(ball_bs2_r7, capsys):
+def test_criterion_04_case_paths(capsys):
     failures = []
     big = []
     for case in sorted(CONSTRUCTIVE_CASES):
@@ -152,7 +146,7 @@ def test_criterion_04_case_paths(ball_bs2_r7, capsys):
                 big.append(report["r"])
     hits = []
     for case in sorted(IMPOSSIBLE_CASES):
-        hits.extend(impossibility_search(case, radius=7, ball=ball_bs2_r7))
+        hits.extend(impossibility_search(case, 7))
     ok = not failures and not hits and big and min(big) > 400
     _verdict(capsys, 4, ok)
     assert not failures, failures[:5]

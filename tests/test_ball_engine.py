@@ -105,13 +105,14 @@ def test_cache_rejects_garbage(tmp_path):
         load_ball(str(tmp_path / "missing.ndjson"), BsGroupModel(BsParams(2)))
 
 
-def test_loaded_ball_has_no_parents(tmp_path, ball_bs2_r8):
-    path = tmp_path / "b8.ndjson"
-    save_ball(ball_bs2_r8, str(path))
-    loaded = load_ball(str(path), ball_bs2_r8.model)
-    key = loaded.sphere(3)[0]
-    with pytest.raises(CacheError):
-        loaded.geodesic_word(key)
+@pytest.mark.parametrize("fixture", ["ball_bs2_r8", "ball_st_r4"])
+def test_loaded_ball_gives_the_built_words(fixture, tmp_path, request):
+    built = request.getfixturevalue(fixture)
+    path = tmp_path / "ball.ndjson"
+    save_ball(built, str(path))
+    loaded = load_ball(str(path), built.model)
+    for key in built.keys:
+        assert loaded.geodesic_word(key) == built.geodesic_word(key)
 
 
 def test_geodesic_words_are_geodesic(ball_bs2_r8):
@@ -313,12 +314,17 @@ def test_generators_without_inverses_are_refused():
 
 
 def test_ids_follow_sphere_and_discovery_order(ball_bs2_r8):
-    assert ball_bs2_r8.keys == [k for sphere in ball_bs2_r8.spheres for k in sphere]
-    # BFS discovers the children of each element before those of the next
-    parents = list(ball_bs2_r8.parent[1:])
-    assert parents == sorted(parents)
-    for x in (0, 1, 100, len(ball_bs2_r8) - 1):
-        assert ball_bs2_r8.ids[ball_bs2_r8.keys[x]] == x
+    ball = ball_bs2_r8
+    assert ball.keys == [k for sphere in ball.spheres for k in sphere]
+    # BFS discovers the children of each element before those of the next:
+    # within a sphere, the least neighbour one sphere nearer (the element BFS
+    # reached it from) does not decrease with id
+    for r in range(1, ball.radius + 1):
+        parents = [min(j for j in ball.row(x) if j >= 0) for x in ball.sphere_ids(r)]
+        assert all(ball.depth(j) == r - 1 for j in parents)
+        assert parents == sorted(parents)
+    for x in (0, 1, 100, len(ball) - 1):
+        assert ball.ids[ball.keys[x]] == x
 
 
 def test_loaded_ball_has_the_built_table(tmp_path, ball_st_r4):

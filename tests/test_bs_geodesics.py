@@ -49,7 +49,7 @@ def _ref_element(q: int, ref_el) -> BsElement:
 
 @pytest.mark.parametrize("q,radius", [(2, 8), (7, 5)] + [
     (q, 7) for q in (3, 4, 5, 6, 8, 9, 10)] + [
-    (q, 9) for q in (11, 12, 13, 14, 15, 16, 17, 20)])
+    (q, 9) for q in (11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21)])
 def test_length_matches_reference_bfs(q, radius):
     params = BsParams(q)
     dist, _ = reference.ball(q, radius)

@@ -190,3 +190,9 @@ def test_scan_raises_on_disconnected_pair():
     table[x * ball.ngens:(x + 1) * ball.ngens] = array("i", [-1] * ball.ngens)
     with pytest.raises(InvariantError, match="disconnected"):
         scan(model, 4, 4, ball=ball)
+
+
+def test_scan_refuses_a_ball_of_another_group(ball_bs2_r8):
+    # the q = 2 rows would otherwise be reported under bs:q=3
+    with pytest.raises(ValueError, match="prebuilt ball is of bs:q=2, not bs:q=3"):
+        scan(BsGroupModel(BsParams(3)), 3, 5, ball=ball_bs2_r8)

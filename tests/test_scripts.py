@@ -51,3 +51,11 @@ def test_witness_sweep_boundingm():
         "boundingm\tq=10\tn=8\tR=17\tbound=30000000\tok",
         "5/5 witnesses ok",
     ]
+
+
+def test_case_sweep_searchers():
+    proc = _run("case_sweep.py", "--case", "4", "--instances", "1", "--searchers")
+    assert proc.returncode == 0, proc.stderr
+    searches = [line for line in proc.stdout.splitlines() if line.startswith("search ")]
+    assert searches == [f"search {case}\thits=0"
+                        for case in ("1", "10.3.2", "2", "3", "7.1")]

@@ -11,7 +11,7 @@ import pytest
 import reference
 from convexlab import witness_lab
 from convexlab.ball_engine import build_ball
-from convexlab.bs_arith import BsGroupModel, BsParams, bs_eval, bs_mul
+from convexlab.bs_arith import BsGroupModel, BsParams, bs_eval, bs_key, bs_mul
 from convexlab.bs_geodesics import geodesic_length, is_geodesic
 from convexlab.errors import InvariantError
 from convexlab.witness_lab import (
@@ -29,14 +29,9 @@ from convexlab.witness_lab import (
     _CASE6_SAME_EMPTY,
     _case6_same_instance,
 )
-from convexlab.words import Word, parse_word, sigma_t
+from convexlab.words import Word, classify, parse_word, sigma_t
 
 BS2 = BsParams(2)
-
-
-@pytest.fixture(scope="module")
-def ball_bs2_r7():
-    return build_ball(BsGroupModel(BS2), 7)
 
 
 # -- constructive case builders ---------------------------------------------
@@ -246,9 +241,8 @@ def test_random_filler_contract():
 # -- impossibility searchers -------------------------------------------------
 
 @pytest.mark.parametrize("case_id", IMPOSSIBLE_CASES)
-def test_impossible_cases_have_no_realizations(case_id, ball_bs2_r7):
-    hits = impossibility_search(case_id, radius=7, ball=ball_bs2_r7)
-    assert hits == []
+def test_impossible_cases_have_no_realizations(case_id):
+    assert impossibility_search(case_id, 7) == []
 
 
 def test_impossibility_search_builds_no_ball_for_10_3_2(monkeypatch):
@@ -258,9 +252,26 @@ def test_impossibility_search_builds_no_ball_for_10_3_2(monkeypatch):
     assert impossibility_search("10.3.2", 7) == []
 
 
-def test_impossibility_search_rejects_constructive_id(ball_bs2_r7):
+def test_impossibility_search_rejects_constructive_id():
     with pytest.raises(ValueError):
-        impossibility_search("8.1", radius=7, ball=ball_bs2_r7)
+        impossibility_search("8.1", 7)
+
+
+def test_case_3_tags_equal_brute_force():
+    # every reduced word of length <= 6 that the DP finds geodesic tags the
+    # element it spells with its class
+    letters = [("a", 1), ("a", -1), ("t", 1), ("t", -1)]
+    expected: dict = {}
+    for n in range(7):
+        for spelling in itertools.product(letters, repeat=n):
+            if any(g == h and s == -z for (g, s), (h, z) in zip(spelling, spelling[1:])):
+                continue
+            w = Word.from_letters(spelling)
+            el = bs_eval(w, BS2)
+            if geodesic_length(el, BS2) == n:
+                expected.setdefault(bs_key(el), set()).add(classify(w))
+    ball = build_ball(BsGroupModel(BS2), 6)
+    assert witness_lab._geodesic_word_tags(ball) == expected
 
 
 # -- digit-bound dichotomy ---------------------------------------------------

@@ -46,9 +46,9 @@ outside the ball in sphere_rows().
 
 The plain-text cache ("ball-v4") holds one JSON header line with the group,
 radius, element count and sphere sizes, then one "<distance> <key>" row per
-element in id order.  It is written to a temporary file and renamed into
-place, and a file that disagrees with its header is refused with
-CacheError.
+element in id order.  It is written a few thousand rows at a time to a
+temporary file and renamed into place, and a file that disagrees with its
+header is refused with CacheError.
 """
 
 from __future__ import annotations
@@ -65,6 +65,10 @@ DEFAULT_CAP = 50_000_000
 CACHE_FORMAT = "ball-v4"
 
 _UNKNOWN = -2  # table entry of a row not computed yet
+
+# keys per write of save_ball: one join per chunk costs far less than one
+# row object per key, and a whole sphere at once would raise peak memory
+_SAVE_CHUNK = 4096
 
 
 class BallCapError(RuntimeError):
@@ -348,7 +352,9 @@ def save_ball(ball: BallIndex, path: str) -> None:
                                  "spheres": ball.sphere_sizes()}).encode("ascii") + b"\n")
             for r in range(len(ball.starts) - 1):
                 prefix = b"%d " % r
-                fh.writelines(prefix + key + b"\n" for key in ball.sphere(r))
+                sep, sphere = b"\n" + prefix, ball.sphere(r)
+                for lo in range(0, len(sphere), _SAVE_CHUNK):
+                    fh.write(prefix + sep.join(sphere[lo:lo + _SAVE_CHUNK]) + b"\n")
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -2,13 +2,16 @@
 
 Elements act on the reals as affine maps x |-> q^texp * x + num * q^-dpow and
 are stored as the integer triple (texp, num, dpow), normalized so that
-dpow = 0 or q does not divide num.  All arithmetic is exact big-integer work;
-there are no floats anywhere.
+dpow = 0 or q does not divide num.  Elements are named tuples: the ball
+engine builds one per Cayley-graph edge, and a tuple is the cheapest
+immutable, hashable record to build.  All arithmetic is exact big-integer
+work; there are no floats anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .words import Word
 
@@ -42,8 +45,7 @@ class BsParams:
         return 1 <= abs(s) <= self.q - 1
 
 
-@dataclass(frozen=True, slots=True)
-class BsElement:
+class BsElement(NamedTuple):
     """Affine map x |-> q^texp * x + num * q^-dpow, with dpow = 0 or q !| num."""
 
     texp: int
@@ -112,11 +114,12 @@ def bs_eval(w: Word, params: BsParams) -> BsElement:
 
 def bs_key(g: BsElement) -> bytes:
     """Canonical key 'texp:num:dpow' in decimal."""
-    return f"{g.texp}:{g.num}:{g.dpow}".encode("ascii")
+    return b"%d:%d:%d" % g
 
 
 def bs_element_from_key(key: bytes) -> BsElement:
-    t, n, d = key.decode("ascii").split(":")
+    """The triple a key spells; it is not checked to be canonical."""
+    t, n, d = key.split(b":")
     return BsElement(int(t), int(n), int(d))
 
 
@@ -138,18 +141,29 @@ class BsGroupModel:
 
     def apply_gen(self, g: BsElement, i: int) -> BsElement:
         """Right-multiply by the i-th generator letter."""
-        if i < 2:  # a or A: add +-q^texp to the translation part
-            eps = 1 if i == 0 else -1
-            q = self.params.q
-            e = g.texp + g.dpow
-            if e >= 0:
-                return _make(self.params, g.texp, g.num + eps * q ** e, -g.dpow)
-            return _make(self.params, g.texp, g.num * q ** -e + eps, g.texp)
-        eps = 1 if i == 2 else -1
-        return BsElement(g.texp + eps, g.num, g.dpow)
+        texp, num, dpow = g
+        if i >= 2:  # t or T only shifts the height
+            return BsElement(texp + 1 if i == 2 else texp - 1, num, dpow)
+        # a or A adds +-q^texp to the translation part num * q^-dpow.  With
+        # e = texp + dpow the sum is already reduced unless e = 0: for e > 0
+        # either dpow = 0 or q !| num while q | q^e, and for e < 0 the new
+        # numerator num * q^-e +- 1 is prime to q.  Only e = 0 can reduce.
+        eps = 1 if i == 0 else -1
+        e = texp + dpow
+        if e > 0:
+            return BsElement(texp, num + eps * self.params.q ** e, dpow)
+        if e < 0:
+            return BsElement(texp, num * self.params.q ** -e + eps, -texp)
+        return _make(self.params, texp, num + eps, -dpow)
 
     def key(self, g: BsElement) -> bytes:
         return bs_key(g)
 
     def element_from_key(self, key: bytes) -> BsElement:
-        return bs_element_from_key(key)
+        """The element of a canonical key; ValueError for any other bytes,
+        such as a padded number or a triple that is not reduced."""
+        el = bs_element_from_key(key)
+        texp, num, dpow = el
+        if bs_key(el) != key or dpow < 0 or (dpow > 0 and num % self.params.q == 0):
+            raise ValueError(f"{key!r} is not the key of a reduced element of {self.name}")
+        return el

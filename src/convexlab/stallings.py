@@ -9,16 +9,18 @@ F(a,b) x F(c,d) as a pair (u, v) with total exponent sum zero.
 
 Each part is a freely reduced letter string, uppercase for inverses, and
 one letter changes it only at its ends.  The single letter rule, _letter,
-keeps the factorization reduced with seam-only joins; evaluation, product
-and inverse all fold it, which makes the triple (quo, u, v) a canonical
-form suitable for exhaustive BFS.  A ball key is the ascii text
-"quo|u|v" (cache format "ball-v4").
+keeps the factorization reduced: each part it touches gains or loses one
+letter at one end (drop that letter if it is the inverse of the new one,
+else add the new one).  Evaluation, product and inverse all fold it, which
+makes the triple (quo, u, v) a canonical form suitable for exhaustive BFS.
+The triple is a named tuple.  A ball key is the ascii text "quo|u|v"
+(cache format "ball-v4").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+import re
+from typing import NamedTuple, Optional, Union
 
 from .ball_engine import DEFAULT_CAP, bridge_length, build_ball
 from .words import STALLINGS_ALPHABET, Word, WordError, gen_power, parse_word
@@ -27,9 +29,11 @@ RELATORS = ("acAC", "adAD", "bcBC", "bdBD", "sAbSBa", "sAcSCa", "sAdSDa")
 
 _GEN_NAMES = ("a", "A", "b", "B", "c", "C", "d", "D", "s", "S")
 
+# a letter next to its inverse
+_CANCELLING = re.compile("|".join(x + x.swapcase() for x in _GEN_NAMES))
 
-@dataclass(frozen=True, slots=True)
-class StallingsElement:
+
+class StallingsElement(NamedTuple):
     """Canonical triple of reduced letter strings (uppercase = inverse):
     quo over {a,s}, u over F(a,b), v over F(c,d)."""
 
@@ -61,16 +65,20 @@ def _join(w: str, x: str) -> str:
 
 def _letter(el: StallingsElement, ch: str) -> StallingsElement:
     """Right-multiply by one generator letter: the quotient word takes a or
-    s, and an a, b, c or d letter conjugates u through the matching a."""
+    s, and an a, b, c or d letter conjugates u through the matching a,
+    each part gaining or losing one letter at one end."""
+    quo, u, v = el
+    inv = ch.swapcase()
     if ch in "sS":
-        return StallingsElement(_join(el.quo, ch), el.u, el.v)
-    a = "a" if ch.islower() else "A"
-    u = _join(a.swapcase(), el.u)
+        return StallingsElement(quo[:-1] if quo[-1:] == inv else quo + ch, u, v)
+    a, a_inv = ("a", "A") if ch.islower() else ("A", "a")
+    quo = quo[:-1] if quo[-1:] == a_inv else quo + a
+    u = u[1:] if u[:1] == a else a_inv + u  # a^-1 u
     if ch in "aAbB":
-        u, v = _join(u, ch), el.v
+        u = u[:-1] if u[-1:] == inv else u + ch
     else:
-        v = _join(el.v, ch)
-    return StallingsElement(_join(el.quo, a), u, v)
+        v = v[:-1] if v[-1:] == inv else v + ch
+    return StallingsElement(quo, u, v)
 
 
 def st_eval(w: Union[Word, str]) -> StallingsElement:
@@ -146,6 +154,8 @@ class StallingsModel:
         for part, letters in ((quo, "aAsS"), (u, "aAbB"), (v, "cCdD")):
             if part.strip(letters):  # a letter outside the part's alphabet
                 raise WordError(f"key part {part!r} has a letter outside {letters!r}")
+            if _CANCELLING.search(part):
+                raise WordError(f"key part {part!r} is not freely reduced")
         return StallingsElement(quo, u, v)
 
 

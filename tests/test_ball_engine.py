@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import reference
+from convexlab import ball_engine
 from convexlab.ball_engine import (
     BallCapError,
     BallIndex,
@@ -391,6 +392,33 @@ def test_cache_rejects_header_mismatch(tmp_path, ball_bs2_r8):
         path.write_text("".join(lines) + tail)
         with pytest.raises(CacheError, match="after its last row"):
             load_ball(str(path), ball_bs2_r8.model)
+
+
+@pytest.mark.parametrize("fixture", ["ball_bs2_r8", "ball_st_r4"])
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_cache_bytes_are_one_row_per_key(fixture, chunk, tmp_path, request, monkeypatch):
+    ball = request.getfixturevalue(fixture)
+    monkeypatch.setattr(ball_engine, "_SAVE_CHUNK", chunk)
+    path = tmp_path / "ball.ndjson"
+    save_ball(ball, str(path))
+    header = {"fmt": "ball-v4", "group": ball.model.name, "r": ball.radius,
+              "n": len(ball), "spheres": ball.sphere_sizes()}
+    rows = [b"%d %s\n" % (ball.depth(i), key) for i, key in enumerate(ball.keys)]
+    assert path.read_bytes() == json.dumps(header).encode("ascii") + b"\n" + b"".join(rows)
+
+
+def test_non_canonical_cache_key_is_refused(tmp_path):
+    model = BsGroupModel(BsParams(2))
+    path = tmp_path / "b6.ndjson"
+    save_ball(build_ball(model, 6), str(path))
+    text = path.read_bytes()
+    assert text.count(b"\n1 0:1:0\n") == 1
+    path.write_bytes(text.replace(b"\n1 0:1:0\n", b"\n1 0:01:0\n"))
+    loaded = load_ball(str(path), model)
+    with pytest.raises(ValueError, match="0:01:0"):
+        loaded.neighbours()
+    with pytest.raises(ValueError, match="0:01:0"):
+        loaded.row(loaded.ids[b"0:01:0"])
 
 
 def test_failed_save_keeps_the_old_cache(tmp_path, ball_bs2_r8, monkeypatch):

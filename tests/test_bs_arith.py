@@ -89,6 +89,50 @@ def test_key_separates_small_ball(ball_bs2_r8):
     assert len(set(ball_bs2_r8.keys)) == len(ball_bs2_r8) == 1317
 
 
+@settings(max_examples=300)
+@given(st.sampled_from([2, 3, 7, 64]), words_strategy(max_size=16), st.integers(0, 3))
+def test_apply_gen_is_the_product(q, w, i):
+    params = BsParams(q)
+    model = BsGroupModel(params)
+    el = bs_eval(w, params)
+    name = model.generator_names()[i]
+    assert model.apply_gen(el, i) == bs_mul(el, bs_eval(parse_word(name), params), params)
+
+
+@pytest.mark.parametrize("q, el", [
+    (3, BsElement(1, 4, 0)),      # e = texp + dpow > 0 with dpow = 0
+    (2, BsElement(1, 2, 0)),      # e > 0: A brings num to 0
+    (3, BsElement(2, 1, 1)),      # e > 0 with dpow > 0
+    (2, BsElement(-3, 1, 1)),     # e < 0
+    (7, BsElement(-2, 0, 0)),     # e < 0 at the identity's translation
+    (2, BsElement(-1, 1, 1)),     # e = 0: 1/2 + 1/2 = 1 reduces
+    (2, BsElement(-1, -1, 1)),    # e = 0: -1/2 - 1/2 = -1 reduces
+    (7, BsElement(-2, 6, 2)),     # e = 0: (6 + 1) / 49 = 1/7 reduces
+    (3, BsElement(0, 1, 0)),      # e = 0 with dpow = 0
+])
+def test_apply_gen_branches(q, el):
+    params = BsParams(q)
+    model = BsGroupModel(params)
+    for i, name in enumerate(model.generator_names()):
+        assert model.apply_gen(el, i) == bs_mul(el, bs_eval(parse_word(name), params), params)
+
+
+def test_key_bytes_of_a_wide_number():
+    el = BsElement(-3, -(2 ** 70) - 1, 5)
+    assert bs_key(el) == b"-3:-1180591620717411303425:5"
+    assert BsGroupModel(BsParams(2)).element_from_key(bs_key(el)) == el
+
+
+@pytest.mark.parametrize("key", [
+    b"0:01:0", b"+1:1:0", b" 0:1:0", b"0:1_0:0", b"-0:1:0",  # padded numbers
+    b"0:2:1", b"0:0:1", b"-2:6:1", b"0:1:-1",                # not reduced for q = 2
+    b"0:1", b"0:1:0:0", b"0:a:0", b"",                       # not a triple
+])
+def test_element_from_key_refuses_other_bytes(key):
+    with pytest.raises(ValueError):
+        BsGroupModel(BsParams(2)).element_from_key(key)
+
+
 def test_model_generators_match_words():
     params = BsParams(3)
     model = BsGroupModel(params)

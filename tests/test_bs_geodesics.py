@@ -58,7 +58,7 @@ def test_length_matches_reference_bfs(q, radius):
         assert geodesic_length(el, params) == d, (ref_el, d)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7, 13, 17, 32])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7, 13, 17, 22, 25, 27, 31, 32, 64, 100])
 def test_length_is_a_local_certificate(q):
     # With d(1) = 0, these two conditions characterise graph distance, so
     # they check the DP on long words far beyond the reach of BFS.

@@ -88,6 +88,22 @@ def test_element_from_key_rejects_stray_letters():
             model.element_from_key(key)
 
 
+def test_element_from_key_rejects_unreduced_parts():
+    model = StallingsModel()
+    for key in (b"aA||", b"Ss||", b"saAs||", b"|bB|", b"|aBbA|", b"||Cc", b"||cdDd"):
+        with pytest.raises(WordError, match="freely reduced"):
+            model.element_from_key(key)
+
+
+@settings(max_examples=300)
+@given(words_strategy(max_size=16))
+def test_apply_gen_matches_closed_form(w):
+    model = StallingsModel()
+    el = st_eval(w)
+    for i, letter in enumerate(model.generator_names()):
+        assert model.apply_gen(el, i) == reference.stallings_form(_spell(w) + letter)
+
+
 # -- group laws --------------------------------------------------------------
 
 @settings(max_examples=300)

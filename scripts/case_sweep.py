@@ -35,9 +35,10 @@ def main(argv=None) -> int:
         radii, delta_max = [], 0
         for k in range(args.instances):
             rng = random.Random(f"{args.seed}:{case}:{k}")
-            report = verify_case(build_case(case, rng=rng))
-            radii.append(report["r"])
-            delta_max = max(delta_max, len(report["delta"]))
+            cw = build_case(case, rng=rng)
+            report = verify_case(cw)
+            radii.append(cw.r)
+            delta_max = max(delta_max, len(cw.delta))
             if not report["ok"]:
                 failures.append((case, k, report["first_violation"]))
         status = "ok" if not any(f[0] == case for f in failures) else "FAIL"

@@ -1,5 +1,7 @@
 """Empirical almost-convexity scans over Cayley balls.
 
+scan(ball, r_min) scans the radii r_min..ball.radius of one ball, built or
+loaded from the cache; the report's group and outer radius are the ball's.
 For each radius r the scan enumerates unordered pairs x, y on the sphere
 S(r) at group distance <= 2 (reached by a product of at most two
 generators) and measures the shortest connecting path that stays inside
@@ -25,7 +27,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .ball_engine import DEFAULT_CAP, BallIndex, build_ball, in_ball_distance
+from .ball_engine import BallIndex, in_ball_distance
 from .errors import InvariantError
 
 
@@ -93,23 +95,14 @@ def _middles(rows: array, lo: int, hi: int, ngens: int) -> tuple[array, array]:
     return at, members
 
 
-def scan(model, r_min: int, r_max: int, cap: int = DEFAULT_CAP,
-         ball: BallIndex | None = None) -> ScanReport:
-    """Scan radii r_min..r_max in one ball build, on the ball's neighbour
-    table.  A prebuilt ball must be of the model's group and reach r_max."""
-    if r_min < 1 or r_max < r_min:
-        raise ValueError("need 1 <= r_min <= r_max")
-    if ball is None:
-        ball = build_ball(model, r_max, cap)
-    if ball.model.name != model.name:
-        raise ValueError(f"prebuilt ball is of {ball.model.name}, not {model.name}")
-    if ball.radius < r_max:
-        raise ValueError("prebuilt ball is smaller than r_max")
-
+def scan(ball: BallIndex, r_min: int) -> ScanReport:
+    """Scan radii r_min..ball.radius on the ball's neighbour table."""
+    if not 1 <= r_min <= ball.radius:
+        raise ValueError("need 1 <= r_min <= ball.radius")
     ngens, keys, starts = ball.ngens, ball.keys, ball.starts
     rows = []
     inner = ball.sphere_rows(r_min - 1)
-    for r in range(r_min, r_max + 1):
+    for r in range(r_min, ball.radius + 1):
         # B(r) is the id range 0:hi and S(r) is lo:hi; each unordered pair
         # is counted once, from its smaller id: x < y < hi.  A middle inside
         # B(r) lies on S(r - 1) (rows `inner`) or on S(r) (rows `sphere`).
@@ -165,7 +158,7 @@ def scan(model, r_min: int, r_max: int, cap: int = DEFAULT_CAP,
             r, fmax, npairs,
             witness[0].decode("ascii") if witness else "",
             witness[1].decode("ascii") if witness else ""))
-    return ScanReport(model.name, r_min, r_max, tuple(rows))
+    return ScanReport(ball.model.name, r_min, ball.radius, tuple(rows))
 
 
 def _wider(fmax: int, witness, depth: int, kx: bytes, ky: bytes):

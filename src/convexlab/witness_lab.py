@@ -43,11 +43,6 @@ _BS2_MODEL = BsGroupModel(BS2)
 # (generator, sign) -> index of the letter in _BS2_MODEL.GEN_NAMES
 _GEN_INDEX = {("a", 1): 0, ("a", -1): 1, ("t", 1): 2, ("t", -1): 3}
 
-CONSTRUCTIVE_CASES = (
-    "4", "5", "6", "7.2", "7.3", "7.4", "8.1", "8.2",
-    "9.1.1", "9.1.2", "9.2", "10.1", "10.2.1", "10.2.2", "10.2.3", "10.2.4",
-    "10.3.1.1", "10.3.1.2", "10.3.3.1", "10.3.3.2",
-)
 IMPOSSIBLE_CASES = ("1", "2", "3", "7.1", "10.3.2")
 
 _TRIES = 400
@@ -68,13 +63,16 @@ class CaseWitness:
     u: Word
     gamma: Word
     delta: Word
-    r: int
 
     def __post_init__(self) -> None:
-        if len(self.w) != self.r or len(self.u) != self.r:
+        if len(self.u) != len(self.w):
             raise ConstructionError(
-                f"case {self.case}: l(w)={len(self.w)}, l(u)={len(self.u)}, r={self.r}"
-            )
+                f"case {self.case}: l(w)={len(self.w)}, l(u)={len(self.u)}")
+
+    @property
+    def r(self) -> int:
+        """The sphere radius of the pair: l(w) = l(u)."""
+        return len(self.w)
 
 
 @dataclass(frozen=True)
@@ -144,17 +142,15 @@ def random_filler(rng: random.Random, sigma: int) -> Word:
     return w
 
 
-def _random_xblock(rng: random.Random, height: int, top: Optional[int] = None) -> XBlock:
+def _random_xblock(rng: random.Random, height: int) -> XBlock:
     digits = _naf_digits(rng, height)
-    if top is None:
-        top = rng.choice((-3, -2, 2, 3))
-    return XBlock(height, top, tuple(digits))
+    return XBlock(height, rng.choice((-3, -2, 2, 3)), tuple(digits))
 
 
-def _sample_core_word(rng: random.Random, allow_empty: bool = True) -> Word:
+def _sample_core_word(rng: random.Random) -> Word:
     """A w0-style top piece: empty, a plain a-power, or a small X-block."""
     roll = rng.random()
-    if allow_empty and roll < 0.3:
+    if roll < 0.3:
         return Word()
     if roll < 0.7:
         return _ap(rng.choice((-3, -2, -1, 1, 2, 3)))
@@ -303,7 +299,7 @@ def _build_4(rng: random.Random, o: _CaseParams) -> CaseWitness:
         iu = _leading_trun(u)
         delta = (w.suffix(len(w) - h).inverse() * _tp(-(h - 1)) * _tp(iu - 1)
                  * u.suffix(len(u) - iu))
-        return CaseWitness("4", {"h": h, "i": iu, "g": g}, w, u, gamma, delta, len(w))
+        return CaseWitness("4", {"h": h, "i": iu, "g": g}, w, u, gamma, delta)
     return _sample("4", attempt)
 
 
@@ -324,7 +320,7 @@ def _build_5(rng: random.Random, o: _CaseParams) -> CaseWitness:
         delta = (w.suffix(len(w) - h).inverse() * _tp(-(h - 1)) * _tp(iu - 1)
                  * u.suffix(len(u) - iu))
         params = {"h": h, "i": iu, "g": g, "delegates_to": "4"}
-        return CaseWitness("5", params, w, u, gamma, delta, len(w))
+        return CaseWitness("5", params, w, u, gamma, delta)
     return _sample("5", attempt)
 
 
@@ -352,7 +348,7 @@ def _case6_same_instance(digits: list, g: int, kind: str) -> Optional[CaseWitnes
     wr = w.suffix(len(w) - 1 - abs(i))
     ur = u.suffix(len(u) - 1 - abs(i))
     params = {"mode": "same", "i": i, "j": i, "g": g, "gamma_kind": kind}
-    return CaseWitness("6", params, w, u, gamma, wr.inverse() * ur, len(w))
+    return CaseWitness("6", params, w, u, gamma, wr.inverse() * ur)
 
 
 def _build_6(rng: random.Random, o: _CaseParams) -> CaseWitness:
@@ -396,7 +392,7 @@ def _build_6(rng: random.Random, o: _CaseParams) -> CaseWitness:
             return None
         delta = w.suffix(len(w) - 2).inverse() * _ap(-i) * u.suffix(len(u) - 2)
         params = {"mode": "opposite", "i": i, "j": j, "g": g, "h": h}
-        return CaseWitness("6", params, w, u, gamma, delta, len(w))
+        return CaseWitness("6", params, w, u, gamma, delta)
     return _sample("6", opposite)
 
 
@@ -415,7 +411,7 @@ def _build_72(rng: random.Random, o: _CaseParams) -> CaseWitness:
         if u is None:
             return None
         params = {"e": e, "k": k, "i": 0, "delta_is": "gamma"}
-        return CaseWitness("7.2", params, w, u, gamma, gamma, len(w))
+        return CaseWitness("7.2", params, w, u, gamma, gamma)
     return _sample("7.2", attempt)
 
 
@@ -445,7 +441,7 @@ def _build_73(rng: random.Random, o: _CaseParams) -> CaseWitness:
         if other is None or _bottom_digit_of_descent(other) != 0:
             return None
         w, u = (other, drawn) if mode == "i0" else (drawn, other)
-        return CaseWitness("7.3", params, w, u, gamma, delta, len(w))
+        return CaseWitness("7.3", params, w, u, gamma, delta)
     return _sample("7.3", attempt)
 
 
@@ -484,7 +480,7 @@ def _build_74(rng: random.Random, o: _CaseParams) -> CaseWitness:
         u = _partner(w, gamma, 2, w_cls=2)
         if u is None or _bottom_digit_of_descent(u) != params["j"]:
             return None
-        return CaseWitness("7.4", {**params, "e": e}, w, u, gamma, delta, len(w))
+        return CaseWitness("7.4", {**params, "e": e}, w, u, gamma, delta)
     return _sample(f"7.4 ({mode})", attempt)
 
 
@@ -506,7 +502,7 @@ def _build_81(rng: random.Random, o: _CaseParams) -> CaseWitness:
         u = _ap(j) * _tp(1) * v * _tp(1) * _ap(k) * _tp(-p)
         if is_geodesic(w, BS2) and is_geodesic(u, BS2):
             params = {"p": p, "k": k, "s": s, "j": j, "v": v}
-            return CaseWitness("8.1", params, w, u, gamma, delta, len(w))
+            return CaseWitness("8.1", params, w, u, gamma, delta)
         _require(v_given is None, "case 8.1: supplied filler v is not geodesic here")
         return None
     return _sample("8.1", attempt, "geodesic")
@@ -541,7 +537,7 @@ def _build_82(rng: random.Random, o: _CaseParams) -> CaseWitness:
                  * _tp(p) * _ap(2 * s) * _tp(-(p - 1)))
         params = {"p": p, "k": k, "s": s, "j": j, "v": v, "u0": u0,
                   "delegates_to": "8.1"}
-        return CaseWitness("8.2", params, w, u, _ap(-j) * _tp(1), delta, len(w))
+        return CaseWitness("8.2", params, w, u, _ap(-j) * _tp(1), delta)
     return _sample("8.2", attempt)
 
 
@@ -558,7 +554,7 @@ def _build_911(rng: random.Random, o: _CaseParams) -> CaseWitness:
         if w is None:
             return None
         params = {"e": e, "f": 1, "m_e": digits[e - 1], "delta_is": "gamma"}
-        return CaseWitness("9.1.1", params, w, u, gamma, gamma, len(w))
+        return CaseWitness("9.1.1", params, w, u, gamma, gamma)
     return _sample("9.1.1", attempt)
 
 
@@ -585,7 +581,7 @@ def _build_912(rng: random.Random, o: _CaseParams) -> CaseWitness:
         if geodesic_length(_gel(v), BS2) > len(u) - 1:
             return None
         params = {"e": e, "k": k, "f": 1, "branch": "near", "v": v}
-        return CaseWitness("9.1.2", params, w, u, gamma, _ap(2 * k) * _tp(1), len(w))
+        return CaseWitness("9.1.2", params, w, u, gamma, _ap(2 * k) * _tp(1))
     return _sample("9.1.2", attempt)
 
 
@@ -614,7 +610,7 @@ def _build_92(rng: random.Random, o: _CaseParams) -> CaseWitness:
         if len(x) != len(w) or not is_geodesic(x, BS2):
             return None
         params = {"p": p, "k": k, "s": s, "i": i, "v": v, "x": x}
-        return CaseWitness("9.2", params, w, u, gamma, delta, len(w))
+        return CaseWitness("9.2", params, w, u, gamma, delta)
     return _sample("9.2", attempt)
 
 
@@ -660,12 +656,13 @@ def _build_101(rng: random.Random, o: _CaseParams) -> CaseWitness:
         delta = (w.suffix(len(w) - p1).inverse() * _tp(p1 - 1) * _tp(-(p2 - 1))
                  * u.suffix(len(u) - p2))
         params = {"p1": p1, "p2": p2, "g": g, "gamma_kind": kind, "extra": extra}
-        return CaseWitness("10.1", params, w, u, gamma, delta, len(w))
+        return CaseWitness("10.1", params, w, u, gamma, delta)
     return _sample("10.1", attempt)
 
 
-def _build_102(rng: random.Random, o: _CaseParams, sub: str) -> CaseWitness:
+def _build_102(rng: random.Random, o: _CaseParams) -> CaseWitness:
     # w = w0 w1 t^-1 a^(i1) t^(f1): a descent past the bottom then a bare rise.
+    sub = o.case  # 10.2.1 .. 10.2.4
     f1 = o.draw("f1", range(1, 9))  # the rise
     e = o.draw("e", range(f1 + 3, f1 + 13))  # descent depth
     branch = None
@@ -732,13 +729,14 @@ def _build_102(rng: random.Random, o: _CaseParams, sub: str) -> CaseWitness:
             _require(len(w) >= 2 * f1 + 3, "case 10.2.4 needs r >= 2 f1 + 3")
             delta = (_tp(-f1) * _ap(-i1) * _tp(f1) * _ap(2 * k)
                      * _tp(-f1) * _ap(i1) * _tp(f1))
-        return CaseWitness(sub, params, w, u, gamma, delta, len(w))
+        return CaseWitness(sub, params, w, u, gamma, delta)
     return _sample(sub, attempt)
 
 
-def _build_1031(rng: random.Random, o: _CaseParams, sub: str) -> CaseWitness:
+def _build_1031(rng: random.Random, o: _CaseParams) -> CaseWitness:
     # w carries an X-head w3 t a^m t^-l; u is the alternate geodesic that
     # walks the dip first.  gamma = t^2.
+    sub = o.case  # 10.3.1.1 or 10.3.1.2
     p = o.draw("p", range(2, 11))
     l = o.draw("l", range(2, 11) if sub == "10.3.1.1" else (1,))
     m = o.draw("m", (-3, -2, 2, 3))
@@ -767,11 +765,11 @@ def _build_1031(rng: random.Random, o: _CaseParams, sub: str) -> CaseWitness:
             delta = (head * _tp(1) * _ap(-2 * s) * _tp(-1) * _tp(-(p - 1))
                      * _ap(i) * _tp(1) * w2 * _tp(2) * _ap(s))
         params = {"p": p, "l": l, "m": m, "s": s, "i": i, "w3": w3, "w2": w2}
-        return CaseWitness(sub, params, w, u, gamma, delta, len(w))
+        return CaseWitness(sub, params, w, u, gamma, delta)
     return _sample(sub, attempt, "geodesic")
 
 
-def _build_1033(rng: random.Random, o: _CaseParams, sub: str) -> CaseWitness:
+def _build_1033(rng: random.Random, o: _CaseParams) -> CaseWitness:
     # w = a^k t^-p a^i t w2 with a plain head a^k; gamma = t^2.  u walks two
     # levels higher, which costs two extra t letters, so the pair can only
     # share a sphere when u's reading of the value saves that much weight.
@@ -781,6 +779,7 @@ def _build_1033(rng: random.Random, o: _CaseParams, sub: str) -> CaseWitness:
     # p >= 4 for 10.3.3.1: the tie pair and the isolated bottom digit do not
     # fit below that.  p >= 6 for 10.3.3.2: the bottom pair's carry must land
     # two clear levels under the top pair.
+    sub = o.case  # 10.3.3.1 or 10.3.3.2
     p = o.draw("p", range(4 if sub == "10.3.3.1" else 6, 13))
     gamma = _tp(2)
 
@@ -832,12 +831,14 @@ def _build_1033(rng: random.Random, o: _CaseParams, sub: str) -> CaseWitness:
         if mirror:
             params = {"p": p, "k": -k, "s": -s, "i": -i, "j": -jd, "w2": _flip_a(w2)}
             return CaseWitness(sub, params, _flip_a(w), _flip_a(u), gamma,
-                               _flip_a(delta), r)
+                               _flip_a(delta))
         params = {"p": p, "k": k, "s": s, "i": i, "j": jd, "w2": w2}
-        return CaseWitness(sub, params, w, u, gamma, delta, r)
+        return CaseWitness(sub, params, w, u, gamma, delta)
     return _sample(sub, attempt)
 
 
+# case id -> builder; a builder of several sub-cases reads its id from
+# o.case.  Seeded sweeps draw their seeds in this order.
 _BUILDERS = {
     "4": _build_4,
     "5": _build_5,
@@ -851,15 +852,16 @@ _BUILDERS = {
     "9.1.2": _build_912,
     "9.2": _build_92,
     "10.1": _build_101,
-    "10.2.1": lambda rng, o: _build_102(rng, o, "10.2.1"),
-    "10.2.2": lambda rng, o: _build_102(rng, o, "10.2.2"),
-    "10.2.3": lambda rng, o: _build_102(rng, o, "10.2.3"),
-    "10.2.4": lambda rng, o: _build_102(rng, o, "10.2.4"),
-    "10.3.1.1": lambda rng, o: _build_1031(rng, o, "10.3.1.1"),
-    "10.3.1.2": lambda rng, o: _build_1031(rng, o, "10.3.1.2"),
-    "10.3.3.1": lambda rng, o: _build_1033(rng, o, "10.3.3.1"),
-    "10.3.3.2": lambda rng, o: _build_1033(rng, o, "10.3.3.2"),
+    "10.2.1": _build_102,
+    "10.2.2": _build_102,
+    "10.2.3": _build_102,
+    "10.2.4": _build_102,
+    "10.3.1.1": _build_1031,
+    "10.3.1.2": _build_1031,
+    "10.3.3.1": _build_1033,
+    "10.3.3.2": _build_1033,
 }
+CONSTRUCTIVE_CASES = tuple(_BUILDERS)
 
 
 def build_case(case: str, rng: Optional[random.Random] = None, **params) -> CaseWitness:
@@ -897,6 +899,7 @@ def verify_case(cw: CaseWitness) -> dict:
     of delta.  Returns a JSON-ready report."""
     checks: dict = {}
     first_violation = None
+    r = cw.r  # l(w), summed over its runs: read it once
     w_el = bs_eval(cw.w, BS2)
     u_el = bs_eval(cw.u, BS2)
     checks["geodesic"] = is_geodesic(cw.w, BS2) and is_geodesic(cw.u, BS2)
@@ -905,24 +908,24 @@ def verify_case(cw: CaseWitness) -> dict:
     checks["distance"] = (1 <= dist <= 2
                           and bs_eval(cw.w * cw.gamma, BS2) == u_el)
     checks["delta_eval"] = bs_eval(cw.delta, BS2) == bs_eval(cw.gamma, BS2)
-    checks["delta_len"] = len(cw.delta) <= 2 * cw.r - 2
+    checks["delta_len"] = len(cw.delta) <= 2 * r - 2
     inside = True
     cur = w_el
     for idx, (gen, sign) in enumerate(cw.delta.letters(), start=1):
         cur = _BS2_MODEL.apply_gen(cur, _GEN_INDEX[gen, sign])
-        if geodesic_length(cur, BS2) > cw.r:
+        if geodesic_length(cur, BS2) > r:
             inside = False
             first_violation = idx
             break
     checks["in_ball"] = inside
     if "x" in cw.params:
         x = cw.params["x"]
-        checks["alt_u"] = len(x) == cw.r and bs_eval(x, BS2) == u_el
+        checks["alt_u"] = len(x) == r and bs_eval(x, BS2) == u_el
     return {
         "case": cw.case,
         "params": {key: str(val) if isinstance(val, Word) else val
                    for key, val in cw.params.items()},
-        "r": cw.r,
+        "r": r,
         "w": str(cw.w),
         "u": str(cw.u),
         "gamma": str(cw.gamma),

@@ -15,7 +15,6 @@ import pytest
 from convexlab import (
     CONSTRUCTIVE_CASES,
     IMPOSSIBLE_CASES,
-    BsGroupModel,
     BsParams,
     Word,
     WordClass,
@@ -113,7 +112,7 @@ FROZEN_FMAX = {
 
 
 def test_criterion_03_convexity_scan_table(ball_bs2_r10, capsys):
-    report = scan(BsGroupModel(BS2), 3, 10, ball=ball_bs2_r10)
+    report = scan(ball_bs2_r10, 3)
     got = {row.r: (row.fmax, row.pairs) for row in report.rows}
     ok = got == FROZEN_FMAX
     bounded = all(row.fmax <= 2 * row.r - 2 for row in report.rows)

@@ -113,6 +113,15 @@ def test_scan_with_csv(tmp_path, capsys):
     assert out.read_text().count("\n") == 4  # header + 3 rows
 
 
+def test_scan_refuses_a_bad_range_before_building(capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_ball called for a refused range")
+    monkeypatch.setattr("convexlab.cli.build_ball", no_build)
+    for r_min, r_max in (("0", "40"), ("5", "4")):
+        assert main(["scan", "--r-min", r_min, "--r-max", r_max]) == 2
+        assert capsys.readouterr().err == "error: need 1 <= r_min <= r_max\n"
+
+
 def test_witness_notpac(capsys):
     assert main(["witness", "notpac", "--n", "3"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -77,7 +77,7 @@ def _rows(report):
 
 @pytest.fixture(scope="module")
 def report_r8(ball_bs2_r8):
-    return scan(BsGroupModel(BsParams(2)), 3, 8, ball=ball_bs2_r8)
+    return scan(ball_bs2_r8, 3)
 
 
 def test_scan_matches_frozen_table(report_r8):
@@ -86,7 +86,7 @@ def test_scan_matches_frozen_table(report_r8):
 
 
 def test_scan_matches_reference_directly():
-    got = scan(BsGroupModel(BsParams(2)), 4, 4)
+    got = scan(build_ball(BsGroupModel(BsParams(2)), 4), 4)
     ref = reference.fmax_scan(2, 4)
     row = got.row(4)
     assert (row.fmax, row.pairs) == ref
@@ -96,24 +96,24 @@ def test_scan_matches_reference_directly():
 
 @pytest.mark.parametrize("q", sorted(FROZEN_BS3_6))
 def test_scan_rows_between_regimes(q):
-    report = scan(BsGroupModel(BsParams(q)), 3, 9)
+    report = scan(build_ball(BsGroupModel(BsParams(q)), 9), 3)
     assert {row.r: (row.fmax, row.pairs) for row in report.rows} == FROZEN_BS3_6[q]
     if q in (3, 4):
         assert reference.fmax_scan_grouped(q, 7) == FROZEN_BS3_6[q][7]
 
 
 def test_stallings_scan_rows(ball_st_r4):
-    assert _rows(scan(ball_st_r4.model, 1, 4, ball=ball_st_r4)) == FROZEN_STALLINGS
+    assert _rows(scan(ball_st_r4, 1)) == FROZEN_STALLINGS
 
 
 def test_bs7_scan_rows():
-    assert _rows(scan(BsGroupModel(BsParams(7)), 3, 8)) == FROZEN_BS7
+    assert _rows(scan(build_ball(BsGroupModel(BsParams(7)), 8), 3)) == FROZEN_BS7
 
 
 @pytest.mark.parametrize("q", sorted(REFERENCE_RADII))
 def test_scan_matches_grouped_reference(q):
     r = REFERENCE_RADII[q]
-    row = scan(BsGroupModel(BsParams(q)), r, r).row(r)
+    row = scan(build_ball(BsGroupModel(BsParams(q)), r), r).row(r)
     assert (row.fmax, row.pairs) == reference.fmax_scan_grouped(q, r)
 
 
@@ -139,11 +139,16 @@ def test_flags_and_r0(report_r8):
     assert report_r8.r0("mac") == 3
 
 
-def test_scan_validates_range():
+def test_report_is_of_the_ball(report_r8):
+    assert (report_r8.group, report_r8.r_min, report_r8.r_max) == ("bs:q=2", 3, 8)
+    assert [row.r for row in report_r8.rows] == list(range(3, 9))
+
+
+def test_scan_validates_range(ball_bs2_r8):
     with pytest.raises(ValueError):
-        scan(BsGroupModel(BsParams(2)), 0, 4)
+        scan(ball_bs2_r8, 0)
     with pytest.raises(ValueError):
-        scan(BsGroupModel(BsParams(2)), 5, 4)
+        scan(ball_bs2_r8, 9)
 
 
 def test_write_csv(tmp_path, report_r8):
@@ -161,7 +166,7 @@ def test_scan_on_loaded_ball_equals_built(tmp_path, report_r8, ball_bs2_r8):
     path = tmp_path / "b8.ndjson"
     save_ball(ball_bs2_r8, str(path))
     loaded = load_ball(str(path), ball_bs2_r8.model)
-    assert scan(loaded.model, 3, 8, ball=loaded) == report_r8
+    assert scan(loaded, 3) == report_r8
 
 
 def test_scan_ignores_id_order(tmp_path, report_r8, ball_bs2_r8):
@@ -177,7 +182,7 @@ def test_scan_ignores_id_order(tmp_path, report_r8, ball_bs2_r8):
     loaded = load_ball(str(path), ball_bs2_r8.model)
     assert loaded.keys != ball_bs2_r8.keys
     assert sorted(loaded.keys) == sorted(ball_bs2_r8.keys)
-    assert scan(loaded.model, 3, 8, ball=loaded) == report_r8
+    assert scan(loaded, 3) == report_r8
 
 
 def test_scan_raises_on_disconnected_pair():
@@ -189,10 +194,4 @@ def test_scan_raises_on_disconnected_pair():
     x = ball.sphere_ids(4).start
     table[x * ball.ngens:(x + 1) * ball.ngens] = array("i", [-1] * ball.ngens)
     with pytest.raises(InvariantError, match="disconnected"):
-        scan(model, 4, 4, ball=ball)
-
-
-def test_scan_refuses_a_ball_of_another_group(ball_bs2_r8):
-    # the q = 2 rows would otherwise be reported under bs:q=3
-    with pytest.raises(ValueError, match="prebuilt ball is of bs:q=2, not bs:q=3"):
-        scan(BsGroupModel(BsParams(3)), 3, 5, ball=ball_bs2_r8)
+        scan(ball, 4)

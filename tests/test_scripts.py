@@ -1,9 +1,12 @@
 """Smoke runs of the scripts under scripts/ with tiny arguments."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+
+from convexlab import build_case
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,6 +27,15 @@ def test_case_sweep():
     assert lines[0].startswith("case\t")
     assert [line.split("\t")[0] for line in lines[1:]] == ["4", "6"]
     assert all(line.endswith("\tok") for line in lines[1:])
+
+
+def test_case_sweep_delta_max_counts_letters():
+    proc = _run("case_sweep.py", "--case", "8.1", "--instances", "3")
+    assert proc.returncode == 0, proc.stderr
+    _, _, radii, delta_max, _ = proc.stdout.splitlines()[1].split("\t")
+    built = [build_case("8.1", rng=random.Random(f"0:8.1:{k}")) for k in range(3)]
+    assert int(delta_max) == max(len(cw.delta) for cw in built)
+    assert int(delta_max) <= 2 * int(radii.split("..")[1]) - 2
 
 
 def test_case_sweep_refuses_impossible_case():

@@ -7,7 +7,7 @@ detour delta from w-bar to u-bar; verify_case then checks every claim with
 exact integer arithmetic: both words are geodesics, the endpoints really
 are gamma apart, delta evaluates to gamma, l(delta) <= 2r - 2, and every
 prefix of delta stays inside the ball B(r).  No breadth-first search is
-involved, so parameters in the hundreds are cheap.
+involved, so parameters in the thousands are cheap.
 
 The builders share three helpers.  _CaseParams.draw states each int or
 string parameter's values once: it draws the parameter from them, or
@@ -896,28 +896,40 @@ def build_case(case: str, rng: Optional[random.Random] = None, **params) -> Case
 def verify_case(cw: CaseWitness) -> dict:
     """Exact checks for one witness: geodesy of w and u, the gamma link,
     delta's endpoint and length bound, and ball membership of every prefix
-    of delta.  Returns a JSON-ready report."""
+    of delta.  Returns a JSON-ready report.
+
+    Word length is 1-Lipschitz along a path (one letter moves it by at most
+    one), so once a prefix of delta has length L <= r the next r - L
+    prefixes lie in B(r) unseen: the walk runs the DP only where that slack
+    is used up.  The check stays exact, and since a DP runs only at a prefix
+    whose predecessors are all proven inside, the first prefix it finds
+    outside is the first violation."""
     checks: dict = {}
     first_violation = None
     r = cw.r  # l(w), summed over its runs: read it once
     w_el = bs_eval(cw.w, BS2)
     u_el = bs_eval(cw.u, BS2)
-    checks["geodesic"] = is_geodesic(cw.w, BS2) and is_geodesic(cw.u, BS2)
+    gamma_el = bs_eval(cw.gamma, BS2)
+    # l(u) = l(w) = r is a CaseWitness invariant
+    checks["geodesic"] = geodesic_length(w_el, BS2) == r == geodesic_length(u_el, BS2)
     diff = bs_mul(bs_inv(w_el, BS2), u_el, BS2)
     dist = geodesic_length(diff, BS2)
     checks["distance"] = (1 <= dist <= 2
-                          and bs_eval(cw.w * cw.gamma, BS2) == u_el)
-    checks["delta_eval"] = bs_eval(cw.delta, BS2) == bs_eval(cw.gamma, BS2)
+                          and bs_mul(w_el, gamma_el, BS2) == u_el)
+    checks["delta_eval"] = bs_eval(cw.delta, BS2) == gamma_el
     checks["delta_len"] = len(cw.delta) <= 2 * r - 2
-    inside = True
     cur = w_el
+    slack = 0  # prefixes still known to lie in B(r) without a DP call
     for idx, (gen, sign) in enumerate(cw.delta.letters(), start=1):
         cur = _BS2_MODEL.apply_gen(cur, _GEN_INDEX[gen, sign])
-        if geodesic_length(cur, BS2) > r:
-            inside = False
+        if slack:
+            slack -= 1
+            continue
+        slack = r - geodesic_length(cur, BS2)
+        if slack < 0:
             first_violation = idx
             break
-    checks["in_ball"] = inside
+    checks["in_ball"] = first_violation is None
     if "x" in cw.params:
         x = cw.params["x"]
         checks["alt_u"] = len(x) == r and bs_eval(x, BS2) == u_el

@@ -88,6 +88,19 @@ def dist_in_ball(q, dist, radius, src, dst, forbid_identity=False):
     return None
 
 
+def first_exit(start, letters, radius: int, step, length):
+    """1-based index of the first prefix of a path that lies outside the
+    ball of the given radius, or None when every prefix lies inside.  The
+    path starts at start and takes each letter by step(el, letter); length
+    is called on every prefix, one call per letter and no skipping."""
+    el = start
+    for idx, letter in enumerate(letters, start=1):
+        el = step(el, letter)
+        if length(el) > radius:
+            return idx
+    return None
+
+
 def _short_products():
     """Nonempty generator words of length <= 2, excluding obvious inverses."""
     out = [g for g in GEN_ORDER]

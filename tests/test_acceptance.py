@@ -153,6 +153,20 @@ def test_criterion_04_case_paths(capsys):
     assert big and min(big) > 400  # the pinned instances do reach r > 400
 
 
+def test_criterion_04_case_paths_beyond_r_2000():
+    failures = []
+    radii = []
+    for case, pins in sorted(LARGE_INSTANCE.items()):
+        kw = {key: 1000 for key in pins}
+        report = verify_case(build_case(case, rng=random.Random(0), **kw))
+        if not report["ok"]:
+            failures.append((case, report["first_violation"]))
+        radii.append(report["r"])
+    assert len(radii) == 12
+    assert not failures, failures
+    assert min(radii) > 2000
+
+
 # -- criterion 5: the q = 2 sphere pair that defeats sublinear bridging -------
 
 NOTPAC_MINIMA = {2: 3, 3: 7, 4: 11, 5: 16}

@@ -96,6 +96,101 @@ def test_corrupted_delta_leaves_ball():
     assert report["first_violation"] is not None
 
 
+_LETTERS = tuple(Word.from_letters([(g, s)]) for g in "at" for s in (1, -1))
+
+
+def _walked_first_violation(cw, delta):
+    """The first prefix of delta outside B(r), by a DP call on every prefix."""
+    return reference.first_exit(
+        bs_eval(cw.w, BS2), delta.letters(), cw.r,
+        lambda el, letter: bs_mul(el, bs_eval(Word.from_letters([letter]), BS2), BS2),
+        lambda el: geodesic_length(el, BS2))
+
+
+def _exit_letter(cw):
+    """A letter g with l(w g) = r + 1, or None."""
+    w_el = bs_eval(cw.w, BS2)
+    for g in _LETTERS:
+        if geodesic_length(bs_mul(w_el, bs_eval(g, BS2), BS2), BS2) == cw.r + 1:
+            return g
+    return None
+
+
+def _back_and_out(cw, m, g):
+    """Back along the last m letters of w, forward again, then out by g: the
+    prefixes climb r - m, ..., r, and letter 2m + 1 is the first outside."""
+    back = cw.w.suffix(m)
+    return back.inverse() * back * g * cw.delta
+
+
+def _corrupted_deltas(cw):
+    out = []
+    for k in (1, 2, cw.r + 1):
+        out.append((f"loop t^{k}", cw.delta * parse_word(f"t^{k}") * parse_word(f"T^{k}")))
+        out.append((f"a^{k} first", parse_word(f"a^{k}") * cw.delta))
+        out.append((f"A^{k} first", parse_word(f"A^{k}") * cw.delta))
+    g = _exit_letter(cw)
+    if g is not None:
+        out.append(("out at letter 1", g * cw.delta))
+        out.extend((f"back {m} and out", _back_and_out(cw, m, g))
+                   for m in (1, 3, 7) if m <= cw.r)
+    return out
+
+
+@pytest.mark.parametrize("case_id", sorted(CONSTRUCTIVE_CASES))
+def test_first_violation_matches_per_letter_walk(case_id):
+    for seed in range(3):
+        cw = build_case(case_id, random.Random(seed))
+        for name, delta in _corrupted_deltas(cw):
+            report = verify_case(dataclasses.replace(cw, delta=delta))
+            want = _walked_first_violation(cw, delta)
+            assert report["first_violation"] == want, (case_id, seed, name)
+            assert report["checks"]["in_ball"] == (want is None), (case_id, seed, name)
+
+
+def _count_dp_calls(monkeypatch) -> list:
+    calls: list = []
+    real = witness_lab.geodesic_length
+
+    def counted(el, params):
+        calls.append(el)
+        return real(el, params)
+
+    monkeypatch.setattr(witness_lab, "geodesic_length", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case_id,seed", [("8.1", 1), ("9.2", 4), ("10.2.4", 2),
+                                          ("10.3.3.1", 0), ("7.3", 0)])
+def test_violation_right_after_a_skipped_stretch(case_id, seed, monkeypatch):
+    cw = build_case(case_id, random.Random(seed))
+    g = _exit_letter(cw)
+    assert g is not None and cw.r >= 7
+    calls = _count_dp_calls(monkeypatch)
+    assert verify_case(dataclasses.replace(cw, delta=g * cw.delta))["first_violation"] == 1
+    for m in (1, 3, 7):
+        delta = _back_and_out(cw, m, g)
+        calls.clear()
+        report = verify_case(dataclasses.replace(cw, delta=delta))
+        assert report["first_violation"] == 2 * m + 1 == _walked_first_violation(cw, delta)
+        # three calls price w, u and w^-1 u; the walk prices letters 1, 3, 7, ...,
+        # 2m + 1 only, so the exit is the letter right after a skipped stretch
+        assert len(calls) - 3 == (2 * m + 1).bit_length()
+
+
+@pytest.mark.parametrize("case_id,pins", [("8.1", {"p": 1000}), ("9.2", {"p": 1000}),
+                                          ("10.3.3.1", {"p": 1000}),
+                                          ("10.2.4", {"f1": 1000})])
+def test_verify_case_dp_budget(case_id, pins, monkeypatch):
+    cw = build_case(case_id, random.Random(0), **pins)
+    calls = _count_dp_calls(monkeypatch)
+    report = verify_case(cw)
+    assert report["ok"], report["checks"]
+    # a DP call per letter would be a hundred times the budget
+    assert len(cw.delta) >= 4000
+    assert len(calls) <= 40, len(calls)
+
+
 def test_large_instances_by_length_only():
     for case_id, pins in (("8.1", {"p": 200}), ("9.2", {"p": 200}),
                           ("10.3.3.1", {"p": 200})):

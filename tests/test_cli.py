@@ -139,6 +139,57 @@ def test_witness_bs1q(capsys):
     assert main(["witness", "bs1q", "--q", "3", "--n", "2"]) == 2
 
 
+# Whole witness reports as printed, recorded before notpac and bs1q shared
+# one bridge verifier with Stallings: argv -> (exit status, report).
+GOLDEN_WITNESS_REPORTS = {
+    "notpac --n 2": (1, {
+        "witness": "notpac", "q": 2, "n": 2, "R": 6,
+        "w": "t^2a^2T^2", "u": "at^2a^2T", "bridge": 3,
+        "geodesic_detail": {"w": True, "u": True, "wa": True, "wa^-1": False, "wt^-1": True},
+        "checks": {"geodesic": False, "distance": True, "bridge_exceeds": True},
+        "ok": False}),
+    "notpac --n 3": (0, {
+        "witness": "notpac", "q": 2, "n": 3, "R": 8,
+        "w": "t^3a^2T^3", "u": "at^3a^2T^2", "bridge": 7,
+        "geodesic_detail": {"w": True, "u": True, "wa": True, "wa^-1": True, "wt^-1": True},
+        "checks": {"geodesic": True, "distance": True, "bridge_exceeds": True},
+        "ok": True}),
+    "notpac --n 4": (0, {
+        "witness": "notpac", "q": 2, "n": 4, "R": 10,
+        "w": "t^4a^2T^4", "u": "at^4a^2T^3", "bridge": 11,
+        "geodesic_detail": {"w": True, "u": True, "wa": True, "wa^-1": True, "wt^-1": True},
+        "checks": {"geodesic": True, "distance": True, "bridge_exceeds": True},
+        "ok": True}),
+    "notpac --n 5": (0, {
+        "witness": "notpac", "q": 2, "n": 5, "R": 12,
+        "w": "t^5a^2T^5", "u": "at^5a^2T^4", "bridge": 16,
+        "geodesic_detail": {"w": True, "u": True, "wa": True, "wa^-1": True, "wt^-1": True},
+        "checks": {"geodesic": True, "distance": True, "bridge_exceeds": True},
+        "ok": True}),
+    "bs1q --q 7 --n 2": (0, {
+        "witness": "bs1q_notmac", "q": 7, "n": 2, "R": 5,
+        "w": "t^2aT^2", "u": "at^2aT", "bridge": 10, "bridge_no_identity": 12,
+        "geodesic_detail": {"w": True, "u": True, "wa": True, "wa^-1": True, "wt^-1": True},
+        "checks": {"geodesic": True, "distance": True, "bridge_is_2R": True,
+                   "through_identity": True},
+        "ok": True}),
+    "bs1q --q 8 --n 2": (0, {
+        "witness": "bs1q_notmac", "q": 8, "n": 2, "R": 5,
+        "w": "t^2aT^2", "u": "at^2aT", "bridge": 10, "bridge_no_identity": 12,
+        "geodesic_detail": {"w": True, "u": True, "wa": True, "wa^-1": True, "wt^-1": True},
+        "checks": {"geodesic": True, "distance": True, "bridge_is_2R": True,
+                   "through_identity": True},
+        "ok": True}),
+}
+
+
+@pytest.mark.parametrize("argv", GOLDEN_WITNESS_REPORTS)
+def test_witness_report_is_golden(argv, capsys):
+    status, report = GOLDEN_WITNESS_REPORTS[argv]
+    assert main(["witness", *argv.split()]) == status
+    assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+
+
 def test_witness_boundingm(capsys):
     assert main(["witness", "boundingm", "--q", "7", "--n", "12"]) == 0
     report = json.loads(capsys.readouterr().out)

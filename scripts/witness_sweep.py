@@ -9,8 +9,7 @@ import argparse
 import json
 import sys
 
-from convexlab import (verify_boundingm, verify_bs1q_notmac, verify_notpac,
-                       verify_stallings_witness)
+from convexlab import BRIDGE_WITNESSES, verify_boundingm, verify_bridge
 
 
 # (q, n) pairs of the boundingm family: the largest n per q that the
@@ -35,8 +34,7 @@ def _row(report: dict) -> str:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--family",
-                    choices=("notpac", "bs1q", "stallings", "boundingm", "all"),
+    ap.add_argument("--family", choices=(*BRIDGE_WITNESSES, "boundingm", "all"),
                     default="all")
     ap.add_argument("--notpac-min", type=int, default=2)
     ap.add_argument("--notpac-max", type=int, default=5)
@@ -44,17 +42,18 @@ def main(argv=None) -> int:
                     help="comma pair, may repeat (default: 7,2 8,2 7,3)")
     args = ap.parse_args(argv)
 
+    # (q, n) instances per bridge kind; a kind not named here runs once at
+    # its default scale
+    runs = {
+        "notpac": [(None, n) for n in range(args.notpac_min, args.notpac_max + 1)],
+        "bs1q": [tuple(int(x) for x in spec.split(","))
+                 for spec in (args.bs1q or ["7,2", "8,2", "7,3"])],
+    }
     reports = []
-    if args.family in ("notpac", "all"):
-        for n in range(args.notpac_min, args.notpac_max + 1):
-            reports.append(verify_notpac(n))
-    if args.family in ("bs1q", "all"):
-        pairs = [tuple(int(x) for x in spec.split(","))
-                 for spec in (args.bs1q or ["7,2", "8,2", "7,3"])]
-        for q, n in pairs:
-            reports.append(verify_bs1q_notmac(q, n))
-    if args.family in ("stallings", "all"):
-        reports.append(verify_stallings_witness(1))
+    for kind, row in BRIDGE_WITNESSES.items():
+        if args.family in (kind, "all"):
+            for q, n in runs.get(kind, [(None, row.n)]):
+                reports.append(verify_bridge(kind, n, q))
     if args.family in ("boundingm", "all"):
         for q, n in BOUNDINGM_PAIRS:
             reports.append(verify_boundingm(n, q))

@@ -28,14 +28,14 @@ from .ball_engine import (
 from .bs_arith import BsGroupModel, BsParams, bs_eval
 from .bs_geodesics import geodesic_length, normalize
 from .convexity_scan import scan, write_csv
-from .stallings import StallingsModel, verify_stallings_witness
+from .stallings import StallingsModel
 from .witness_lab import (
+    BRIDGE_WITNESSES,
     CONSTRUCTIVE_CASES,
     build_case,
     verify_boundingm,
-    verify_bs1q_notmac,
+    verify_bridge,
     verify_case,
-    verify_notpac,
 )
 from .words import parse_word
 
@@ -114,19 +114,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-# kind -> (default n, --q help or None for no --q, takes --cap, verifier);
-# the verifier's parameters are named n, q and cap like the flags
-_WITNESSES = {
-    "notpac": (3, None, True, verify_notpac),
-    "bs1q": (2, "q >= 7", True, verify_bs1q_notmac),
-    "stallings": (1, None, True, verify_stallings_witness),
-    "boundingm": (2, "q = 2 or q >= 7", False, verify_boundingm),
-}
-
-
 def cmd_witness(args: argparse.Namespace) -> int:
-    flags = {name: val for name, val in vars(args).items() if name in ("n", "q", "cap")}
-    report = _WITNESSES[args.kind][3](**flags)
+    if args.kind == "boundingm":
+        report = verify_boundingm(args.n, args.q)
+    else:
+        report = verify_bridge(args.kind, args.n, getattr(args, "q", None), args.cap)
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1
 
@@ -217,13 +209,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="run a non-convexity witness verifier")
     kinds = p.add_subparsers(dest="kind", required=True)
-    for kind, (n, q_help, takes_cap, _) in _WITNESSES.items():
+    for kind, row in BRIDGE_WITNESSES.items():
         k = kinds.add_parser(kind)
-        k.add_argument("--n", type=int, default=n, help=f"witness scale (default {n})")
-        if q_help:
-            k.add_argument("--q", type=int, default=7, help=f"{q_help} (default 7)")
-        if takes_cap:
-            k.add_argument("--cap", type=int, default=DEFAULT_CAP)
+        k.add_argument("--n", type=int, default=row.n, help=f"witness scale (default {row.n})")
+        if row.q_open:
+            k.add_argument("--q", type=int, default=row.q, help=f"q >= {row.q} (default {row.q})")
+        k.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    k = kinds.add_parser("boundingm")
+    k.add_argument("--n", type=int, default=2, help="witness scale (default 2)")
+    k.add_argument("--q", type=int, default=7, help="q = 2 or q >= 7 (default 7)")
 
     # no abbreviations: --s or --i would otherwise be read as --seed or --id
     p = sub.add_parser("case", allow_abbrev=False,

@@ -58,16 +58,6 @@ class ScanReport:
     r_max: int
     rows: tuple[ScanRow, ...]
 
-    def r0(self, flag: str = "mprime"):
-        """Least radius from which the flag holds through r_max, or None."""
-        best = None
-        for row in reversed(self.rows):
-            if getattr(row, flag):
-                best = row.r
-            else:
-                break
-        return best
-
     def row(self, r: int) -> ScanRow:
         for candidate in self.rows:
             if candidate.r == r:

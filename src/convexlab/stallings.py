@@ -22,8 +22,8 @@ from __future__ import annotations
 import re
 from typing import NamedTuple, Optional, Union
 
-from .ball_engine import DEFAULT_CAP, bridge_length, build_ball
-from .words import STALLINGS_ALPHABET, Word, WordError, gen_power, parse_word
+from .ball_engine import DEFAULT_CAP
+from .words import STALLINGS_ALPHABET, Word, WordError, parse_word
 
 RELATORS = ("acAC", "adAD", "bcBC", "bdBD", "sAbSBa", "sAcSCa", "sAdSDa")
 
@@ -160,41 +160,8 @@ class StallingsModel:
 
 
 def verify_stallings_witness(n: int = 1, cap: int = DEFAULT_CAP) -> dict:
-    """Check the radius-4n witness pair alpha = b^-2n a^2n and
-    beta = s b^-2n a^(2n-1): both sit on the sphere of R = 4n, differ by
-    the length-2 element of "sA", yet every connecting path inside B(R)
-    spends 2R steps, which beats the almost-convexity budget 4n + 4 is
-    compared against.  Returns a JSON-ready report."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    R = 4 * n
-    alpha_word = gen_power("b", -2 * n) * gen_power("a", 2 * n)
-    beta_word = gen_power("s", 1) * gen_power("b", -2 * n) * gen_power("a", 2 * n - 1)
-    alpha_text, beta_text = str(alpha_word), str(beta_word)
-    alpha = st_eval(alpha_word)
-    beta = st_eval(beta_word)
-    checks: dict[str, bool] = {}
-    checks["relators"] = all(st_eval(r).is_identity() for r in RELATORS)
-    checks["gamma_alpha"] = gamma_length_special(alpha) == R
-    checks["gamma_beta"] = gamma_length_special(beta) == R
-    checks["difference"] = st_mul(st_inv(alpha), beta) == st_eval("sA")
-    model = StallingsModel()
-    ball = build_ball(model, R, cap)
-    checks["radius_alpha"] = ball.distance(model.key(alpha)) == R
-    checks["radius_beta"] = ball.distance(model.key(beta)) == R
-    checks["difference_dist"] = ball.distance(model.key(st_eval("sA"))) == 2
-    bridge = bridge_length(ball, alpha, beta)
-    checks["bridge"] = bridge is not None and bridge == 2 * R and bridge >= 4 * n + 4
-    first_violation = next((k for k, ok in checks.items() if not ok), None)
-    return {
-        "witness": "stallings",
-        "n": n,
-        "R": R,
-        "alpha": alpha_text,
-        "beta": beta_text,
-        "ball_size": len(ball),
-        "bridge": bridge,
-        "checks": checks,
-        "first_violation": first_violation,
-        "ok": first_violation is None,
-    }
+    """The stallings bridge witness at scale n: R = 4n, and the bridge
+    inside B(R) costs 2R."""
+    # witness_lab imports this module for its stallings row
+    from .witness_lab import verify_bridge
+    return verify_bridge("stallings", n, cap=cap)

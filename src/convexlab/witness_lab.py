@@ -20,9 +20,10 @@ normal-form rendering of w gamma as the other endpoint.
 Class combinations that admit no valid pair get exhaustive searchers over
 a small ball instead of builders (impossibility_search).
 
-Also here: the a^m reachability jump (verify_boundingm) and the two
-ball-witness checks driven by restricted BFS (verify_notpac,
-verify_bs1q_notmac), which share one section-four verifier.
+Also here: the a^m reachability jump (verify_boundingm) and the table of
+bridge witnesses (BRIDGE_WITNESSES: notpac, bs1q and Stallings' group),
+each a pair on a sphere at distance 2 whose bridge inside the ball is long,
+all checked by one verifier over a BFS ball (verify_bridge).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .bs_arith import BsElement, BsGroupModel, BsParams, bs_eval, bs_inv, bs_key
 from .bs_geodesics import (XBlock, ascent_word, descent_word, element_class,
                            geodesic_length, is_geodesic, normalize)
 from .errors import InvariantError
+from .stallings import StallingsModel, gamma_length_special
 from .words import Word, WordClass, classify, gen_power, parse_word, sigma_t
 
 BS2 = BsParams(2)
@@ -73,17 +75,6 @@ class CaseWitness:
     def r(self) -> int:
         """The sphere radius of the pair: l(w) = l(u)."""
         return len(self.w)
-
-
-@dataclass(frozen=True)
-class SectionFourWitness:
-    """The a^(q^n)-conjugate pair used by the ball-witness checks."""
-
-    q: int
-    n: int
-    R: int
-    w: Word
-    u: Word
 
 
 # ---------------------------------------------------------------------------
@@ -1137,74 +1128,126 @@ def verify_boundingm(n: int, q: int = 2) -> dict:
     }
 
 
-def section_four_witness(q: int, n: int) -> SectionFourWitness:
-    """The pair w = t^n a^c t^-n, u = a t^n a^c t^-(n-1) with c = 2 for
-    q = 2 (radius 2n + 2) and c = 1 for q >= 7 (radius 2n + 1)."""
+# ---------------------------------------------------------------------------
+# bridge witnesses
+
+
+@dataclass(frozen=True)
+class BridgeRow:
+    """One bridge witness: w and u on the sphere S(R), with w gamma = u at
+    distance 2, whose bridge inside B(R) the row's rule says is long."""
+
+    witness: str  # the report's name
+    n: int  # the default scale
+    q: Optional[int]  # q of BS(1,q), the least one if q_open; None: no q
+    q_open: bool  # whether every q >= self.q is taken (the CLI's --q)
+    model: Callable  # q -> group model
+    length: Callable  # (model, element) -> word length, None if unknown
+    pair: Callable  # (q, n) -> (w, u, gamma, R)
+    tags: tuple  # (tag, word): w times the word must be geodesic too
+    rule: str  # the name of the bridge check
+    holds: Callable  # (bridge, R) -> whether the bridge passes
+    avoid_identity: bool = False  # also measure the identity-avoiding bridge
+
+
+def _conjugate_pair(c: int) -> Callable:
+    """w = t^n a^c t^-n and u = a t^n a^c t^-(n-1) at radius 2n + c, joined
+    by gamma = a t."""
+    return lambda q, n: (_tp(n) * _ap(c) * _tp(-n), _ap(1) * _tp(n) * _ap(c) * _tp(1 - n),
+                         _ap(1) * _tp(1), 2 * n + c)
+
+
+def _stallings_pair(q: None, n: int) -> tuple:
+    """b^-2n a^2n and s b^-2n a^(2n-1) at radius 4n, joined by gamma = s a^-1."""
+    s, b = gen_power("s", 1), gen_power("b", -2 * n)
+    return b * _ap(2 * n), s * b * _ap(2 * n - 1), s * _ap(-1), 4 * n
+
+
+# the fields the BS(1,q) rows share
+_BS = dict(model=lambda q: BsGroupModel(BsParams(q)),
+           length=lambda model, el: geodesic_length(el, model.params),
+           tags=(("wa", _ap(1)), ("wa^-1", _ap(-1)), ("wt^-1", _tp(-1))))
+
+# kind -> row; the kinds are the CLI's bridge witnesses
+BRIDGE_WITNESSES = {
+    # BS(1,2) is not P(2): the bridge exceeds R - 8, the threshold that
+    # defeats a linear bridging bound with slope 1
+    "notpac": BridgeRow(
+        "notpac", n=3, q=2, q_open=False, pair=_conjugate_pair(2), rule="bridge_exceeds",
+        holds=lambda bridge, R: bridge is not None and bridge > R - 8, **_BS),
+    # BS(1,q) for q >= 7 is not MAC: the bridge costs 2R, and every minimal
+    # one runs through the identity
+    "bs1q": BridgeRow(
+        "bs1q_notmac", n=2, q=7, q_open=True, pair=_conjugate_pair(1), rule="bridge_is_2R",
+        holds=lambda bridge, R: bridge == 2 * R, avoid_identity=True, **_BS),
+    # Stallings' group is not MAC: the bridge costs 2R
+    "stallings": BridgeRow(
+        "stallings", n=1, q=None, q_open=False, model=lambda q: StallingsModel(),
+        length=lambda model, el: gamma_length_special(el), pair=_stallings_pair, tags=(),
+        rule="bridge_is_2R", holds=lambda bridge, R: bridge == 2 * R),
+}
+
+
+def _walk(model, word: Word, el=None):
+    """el (the identity by default) times the element of word, one
+    apply_gen per letter."""
+    index = {name: i for i, name in enumerate(model.generator_names())}
+    el = model.identity() if el is None else el
+    for gen, sign in word.letters():
+        el = model.apply_gen(el, index[gen if sign > 0 else gen.upper()])
+    return el
+
+
+def verify_bridge(kind: str, n: int, q: Optional[int] = None,
+                  cap: int = DEFAULT_CAP) -> dict:
+    """Check BRIDGE_WITNESSES[kind] at scale n: w, u and w times each tag
+    word are geodesic by the row's length oracle, w and u lie on S(R) of
+    B(R) (BallCapError past `cap` elements), w gamma = u with w^-1 u at
+    distance 2, and the bridge inside B(R) passes the row's rule; the row
+    may also ask for a longer bridge once the identity is avoided."""
+    row = BRIDGE_WITNESSES[kind]
+    if q is None:
+        q = row.q
+    elif not row.q_open or q < row.q:
+        raise ValueError(f"q must be at least {row.q}" if row.q_open
+                         else f"the {kind} witness takes no q")
     if n < 1:
         raise ValueError("n must be at least 1")
-    if q == 2:
-        w = _tp(n) * _ap(2) * _tp(-n)
-        u = _ap(1) * _tp(n) * _ap(2) * _tp(-(n - 1))
-        radius = 2 * n + 2
-    else:
-        if q < 7:
-            raise ValueError("q must be 2 or at least 7")
-        w = _tp(n) * _ap(1) * _tp(-n)
-        u = _ap(1) * _tp(n) * _ap(1) * _tp(-(n - 1))
-        radius = 2 * n + 1
-    return SectionFourWitness(q, n, radius, w, u)
+    model = row.model(q)
+    w, u, gamma, radius = row.pair(q, n)
+    w_el, u_el = _walk(model, w), _walk(model, u)
+    spelled = [("w", w, w_el), ("u", u, u_el)]
+    spelled += [(tag, w * x, _walk(model, x, w_el)) for tag, x in row.tags]
+    detail = {tag: row.length(model, el) == len(word) for tag, word, el in spelled}
+    ball = build_ball(model, radius, cap=cap)
 
+    def dist(el):
+        return ball.distance(model.key(el))
 
-def _verify_section_four(q: int, n: int, cap: int) -> dict:
-    """The section-four checks on section_four_witness(q, n): the five
-    geodesic tags, w gamma = u at distance 2 for gamma = a t, and the
-    bridge from w-bar to u-bar inside B(R).  For q = 2 the bridge must
-    exceed R - 8; for q >= 7 it must cost exactly 2R and run through the
-    identity."""
-    params = BsParams(q)
-    wit = section_four_witness(q, n)
-    checks: dict = {}
-    w, u, radius = wit.w, wit.u, wit.R
-    tagged = (("w", w), ("u", u), ("wa", w * _ap(1)),
-              ("wa^-1", w * _ap(-1)), ("wt^-1", w * _tp(-1)))
-    detail = {tag: is_geodesic(x, params) for tag, x in tagged}
-    checks["geodesic"] = all(detail.values())
-    w_el, u_el = bs_eval(w, params), bs_eval(u, params)
-    gamma = _ap(1) * _tp(1)
-    diff = bs_mul(bs_inv(w_el, params), u_el, params)
-    checks["distance"] = (bs_mul(w_el, bs_eval(gamma, params), params) == u_el
-                          and geodesic_length(diff, params) == 2)
-    ball = build_ball(BsGroupModel(params), radius, cap=cap)
+    checks = {
+        "geodesic": all(detail.values()) and dist(w_el) == radius == dist(u_el),
+        "distance": (_walk(model, gamma, w_el) == u_el
+                     and dist(_walk(model, w.inverse() * u)) == 2),
+    }
     bridge = bridge_length(ball, w_el, u_el)
-    report = {"witness": "notpac" if q == 2 else "bs1q_notmac", "q": q, "n": n,
-              "R": radius, "w": str(w), "u": str(u), "bridge": bridge}
-    if q == 2:
-        checks["bridge_exceeds"] = bridge is not None and bridge > radius - 8
-    else:
-        checks["bridge_is_2R"] = bridge == 2 * radius
+    checks[row.rule] = row.holds(bridge, radius)
+    report = {"witness": row.witness}
+    if q is not None:
+        report["q"] = q
+    report.update(n=n, R=radius, w=str(w), u=str(u), bridge=bridge)
+    if row.avoid_identity:
         detour = bridge_length(ball, w_el, u_el, forbid_identity=True)
-        checks["through_identity"] = detour is None or detour > 2 * radius
+        checks["through_identity"] = detour is None or detour > bridge
         report["bridge_no_identity"] = detour
     report.update(geodesic_detail=detail, checks=checks, ok=all(checks.values()))
     return report
 
 
 def verify_notpac(n: int, cap: int = DEFAULT_CAP) -> dict:
-    """Build B(2n + 2) for q = 2 (BallCapError past `cap` elements), bridge
-    w-bar to u-bar inside it and record the cost.
-
-    The pair sits distance 2 apart on the sphere; the checks confirm the
-    geodesy bookkeeping and that the in-ball bridge exceeds R - 8, the
-    threshold that defeats a linear bridging bound with slope 1.
-    """
-    return _verify_section_four(2, n, cap)
+    """The notpac row at scale n: R = 2n + 2 in BS(1,2)."""
+    return verify_bridge("notpac", n, cap=cap)
 
 
 def verify_bs1q_notmac(q: int, n: int, cap: int = DEFAULT_CAP) -> dict:
-    """For q >= 7, build B(2n + 1) (BallCapError past `cap` elements) and
-    check that the bridge inside it costs exactly 2R, and that every minimal
-    bridge runs through the identity (forbidding it lengthens or
-    disconnects the route)."""
-    if q < 7:
-        raise ValueError("q must be at least 7")
-    return _verify_section_four(q, n, cap)
+    """The bs1q row at scale n: R = 2n + 1 in BS(1,q), q >= 7."""
+    return verify_bridge("bs1q", n, q, cap)

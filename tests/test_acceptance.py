@@ -15,6 +15,7 @@ import pytest
 from convexlab import (
     CONSTRUCTIVE_CASES,
     IMPOSSIBLE_CASES,
+    RELATORS,
     BsParams,
     Word,
     WordClass,
@@ -228,8 +229,8 @@ def test_criterion_07_digit_bounds(capsys):
 def test_criterion_08_stallings(ball_st_r4, ball_st_r5, capsys):
     failures = []
     report = verify_stallings_witness(1)
-    if not (report["ok"] and report["bridge"] == 8 and report["bridge"] >= 8
-            and report["R"] == 4 and report["checks"]["relators"]):
+    if not (report["ok"] and report["bridge"] == 8 and report["R"] == 4
+            and all(st_eval(r).is_identity() for r in RELATORS)):
         failures.append(("witness", report["checks"]))
     for ball in (ball_st_r4, ball_st_r5):
         for i, key in enumerate(ball.keys):

@@ -208,7 +208,10 @@ def test_witness_boundingm(capsys):
 def test_witness_stallings(capsys):
     assert main(["witness", "stallings"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["bridge"] == 8 and report["ball_size"] == 3233
+    # the report shape of every bridge witness; Stallings' group has no q
+    assert list(report) == ["witness", "n", "R", "w", "u", "bridge",
+                            "geodesic_detail", "checks", "ok"]
+    assert report["ok"] and report["R"] == 4 and report["bridge"] == 8
 
 
 def test_case_ok(capsys):

@@ -130,13 +130,11 @@ def test_scan_witness_pair_is_valid(report_r8, ball_bs2_r8):
     assert ball_bs2_r8.distance(kx) == 6 and ball_bs2_r8.distance(ky) == 6
 
 
-def test_flags_and_r0(report_r8):
+def test_flags(report_r8):
     for row in report_r8.rows:
         assert row.mac == (row.fmax <= 2 * row.r - 1)
         assert row.mprime == (row.fmax <= 2 * row.r - 2)
         assert row.mprime  # holds throughout the frozen range
-    assert report_r8.r0("mprime") == 3
-    assert report_r8.r0("mac") == 3
 
 
 def test_report_is_of_the_ball(report_r8):

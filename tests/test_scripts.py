@@ -52,6 +52,15 @@ def test_witness_sweep():
     assert "1/2 witnesses ok" in proc.stdout
 
 
+def test_witness_sweep_stallings():
+    proc = _run("witness_sweep.py", "--family", "stallings")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "stallings\tq=-\tn=1\tR=4\tbridge=8\tok",
+        "1/1 witnesses ok",
+    ]
+
+
 def test_witness_sweep_boundingm():
     proc = _run("witness_sweep.py", "--family", "boundingm")
     assert proc.returncode == 0, proc.stderr

@@ -220,8 +220,9 @@ def test_stallings_witness_n1():
     assert report["ok"], report
     assert report["R"] == 4
     assert report["bridge"] == 8
-    assert report["ball_size"] == 3233
-    assert report["alpha"] == "B^2a^2"
-    assert report["beta"] == "sB^2a"
+    assert report["w"] == "B^2a^2"
+    assert report["u"] == "sB^2a"
+    assert report["geodesic_detail"] == {"w": True, "u": True}
+    assert report["checks"] == {"geodesic": True, "distance": True, "bridge_is_2R": True}
     with pytest.raises(ValueError):
         verify_stallings_witness(0)

@@ -15,14 +15,15 @@ from convexlab.bs_arith import BsGroupModel, BsParams, bs_eval, bs_key, bs_mul
 from convexlab.bs_geodesics import geodesic_length, is_geodesic
 from convexlab.errors import InvariantError
 from convexlab.witness_lab import (
+    BRIDGE_WITNESSES,
     CONSTRUCTIVE_CASES,
     IMPOSSIBLE_CASES,
     ConstructionError,
     build_case,
     impossibility_search,
     random_filler,
-    section_four_witness,
     verify_boundingm,
+    verify_bridge,
     verify_bs1q_notmac,
     verify_case,
     verify_notpac,
@@ -440,18 +441,22 @@ def test_boundingm_refuses_what_the_dp_prices_longer(monkeypatch):
 
 # -- section-four witnesses ---------------------------------------------------
 
-def test_section_four_witness_shapes():
-    wit = section_four_witness(2, 3)
-    assert str(wit.w) == "t^3a^2T^3"
-    assert str(wit.u) == "at^3a^2T^2"
-    assert wit.R == 8
-    wit7 = section_four_witness(7, 2)
-    assert str(wit7.w) == "t^2aT^2"
-    assert wit7.R == 5
-    with pytest.raises(ValueError):
-        section_four_witness(3, 2)
-    with pytest.raises(ValueError):
-        section_four_witness(2, 0)
+def test_bridge_witness_pairs():
+    spelled = {kind: tuple(map(str, row.pair(row.q, 3)))
+               for kind, row in BRIDGE_WITNESSES.items()}
+    assert spelled == {
+        "notpac": ("t^3a^2T^3", "at^3a^2T^2", "at", "8"),
+        "bs1q": ("t^3aT^3", "at^3aT^2", "at", "7"),
+        "stallings": ("B^6a^6", "sB^6a^5", "sA", "12"),
+    }
+    # q and n are refused before any ball is built
+    with pytest.raises(ValueError, match="q must be at least 7"):
+        verify_bridge("bs1q", 2, q=3)
+    with pytest.raises(ValueError, match="takes no q"):
+        verify_bridge("notpac", 2, q=2)
+    for kind in BRIDGE_WITNESSES:
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            verify_bridge(kind, 0)
 
 
 def test_notpac_n3_passes():

@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import json
+import pathlib
 import random
 import re
 from fractions import Fraction
@@ -60,6 +62,25 @@ def test_constructive_cases_verify(case_id):
         assert report["ok"], (case_id, seed, report["checks"])
         assert cw.case == case_id
         assert len(cw.delta) <= 2 * cw.r - 2
+
+
+# The whole verify_case report of every constructive case for seeds 0..2,
+# recorded before the builders shared one partner step: "case seed" -> report.
+GOLDEN_CASE_REPORTS = json.loads(
+    (pathlib.Path(__file__).parent / "golden_case_reports.json").read_text())
+
+
+@pytest.mark.parametrize("key", GOLDEN_CASE_REPORTS)
+def test_case_report_is_golden(key):
+    case_id, seed = key.split()
+    report = verify_case(build_case(case_id, random.Random(int(seed))))
+    # tuples in params print as lists, so compare the JSON text
+    assert json.dumps(report) == json.dumps(GOLDEN_CASE_REPORTS[key])
+
+
+def test_golden_case_reports_cover_every_case():
+    assert list(GOLDEN_CASE_REPORTS) == [f"{c} {s}" for c in CONSTRUCTIVE_CASES
+                                         for s in range(3)]
 
 
 def test_worked_example_81():

@@ -117,12 +117,6 @@ def bs_key(g: BsElement) -> bytes:
     return b"%d:%d:%d" % g
 
 
-def bs_element_from_key(key: bytes) -> BsElement:
-    """The triple a key spells; it is not checked to be canonical."""
-    t, n, d = key.split(b":")
-    return BsElement(int(t), int(n), int(d))
-
-
 class BsGroupModel:
     """Generator-level interface used by the ball engine."""
 
@@ -162,8 +156,9 @@ class BsGroupModel:
     def element_from_key(self, key: bytes) -> BsElement:
         """The element of a canonical key; ValueError for any other bytes,
         such as a padded number or a triple that is not reduced."""
-        el = bs_element_from_key(key)
-        texp, num, dpow = el
+        t, n, d = key.split(b":")
+        num, dpow = int(n), int(d)
+        el = BsElement(int(t), num, dpow)
         if bs_key(el) != key or dpow < 0 or (dpow > 0 and num % self.params.q == 0):
             raise ValueError(f"{key!r} is not the key of a reduced element of {self.name}")
         return el

@@ -402,8 +402,8 @@ def _tilde_prefix(w: Word, params: BsParams) -> Word:
                 break
     if cut is None:
         raise ValueError("word has no X-shaped prefix")
-    xpart = Word.from_letters(letters[:cut])
-    rest = Word.from_letters(letters[cut:])
+    xpart = Word.from_runs(letters[:cut])
+    rest = Word.from_runs(letters[cut:])
     el = bs_eval(xpart, params)
     if el.texp != 0 or el.dpow != 0:
         raise ValueError("prefix does not evaluate to an a-power")

@@ -13,9 +13,10 @@ The builders share three helpers.  _CaseParams.draw states each int or
 string parameter's values once: it draws the parameter from them, or
 refuses a pin outside them before any sampling.  _sample retries a
 builder's random attempt (free digits, core and fillers drawn in a fixed
-order) until one yields a witness.  _partner checks that w is geodesic and
-that w gamma lies in the wanted class at the same length, and returns the
-normal-form rendering of w gamma as the other endpoint.
+order) until one yields a witness.  _same_sphere is the one partner step:
+the other endpoint must lie in the wanted class at the drawn word's
+length, and one normalize call both prices it and gives the normal form
+that spells it.  _partner applies it to u = w gamma for a geodesic w.
 
 Class combinations that admit no valid pair get exhaustive searchers over
 a small ball instead of builders (impossibility_search).
@@ -33,9 +34,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .ball_engine import DEFAULT_CAP, BallIndex, bridge_length, build_ball
-from .bs_arith import BsElement, BsGroupModel, BsParams, bs_eval, bs_inv, bs_key, bs_mul
-from .bs_geodesics import (XBlock, ascent_word, descent_word, element_class,
-                           geodesic_length, is_geodesic, normalize)
+from .bs_arith import BsElement, BsGroupModel, BsParams, bs_eval, bs_key, bs_mul
+from .bs_geodesics import (GeodesicNormalForm, XBlock, ascent_word, descent_word,
+                           element_class, geodesic_length, is_geodesic, normalize)
 from .errors import InvariantError
 from .stallings import StallingsModel, gamma_length_special
 from .words import Word, WordClass, classify, gen_power, parse_word, sigma_t
@@ -102,6 +103,12 @@ def _as_word(v) -> Word:
 
 def _gel(w: Word) -> BsElement:
     return bs_eval(w, BS2)
+
+
+def _geodesic_el(w: Word) -> Optional[BsElement]:
+    """The element of w if w is geodesic, else None."""
+    el = _gel(w)
+    return el if geodesic_length(el, BS2) == len(w) else None
 
 
 def _naf_digits(rng: random.Random, n: int) -> list:
@@ -236,9 +243,9 @@ class _CaseParams(dict):
 # lies outside them, and unpinned parameters are drawn from them.  The
 # builder then hands _sample an attempt: one random draw of the free digits
 # and fillers that returns a CaseWitness, or None when the draw misses.
-# _sample retries up to _TRIES times.  Most attempts find the other endpoint
-# with _partner: w must be geodesic, and w gamma must sit in the wanted
-# class at the same length; its normal-form rendering is the second word.
+# _sample retries up to _TRIES times.  An attempt that derives the other
+# endpoint from the drawn word finds it only through _same_sphere, mostly
+# by way of _partner; 8.2, 9.2 and 10.3.3 call it on their own products.
 # Explicit fillers fail hard instead of resampling.  The remaining _require
 # checks tie two parameters together or check a filler word.
 
@@ -252,22 +259,26 @@ def _sample(case: str, attempt: Callable[[], Optional[CaseWitness]],
     raise ConstructionError(f"case {case}: sampling found no {what} instance")
 
 
+def _same_sphere(u_el: BsElement, r: int,
+                 cls: Optional[int] = None) -> Optional[GeodesicNormalForm]:
+    """The normal form of u_el when it lies in class cls (any class for
+    None) at distance r; None otherwise.  One DP run prices and spells it."""
+    if cls is not None and element_class(u_el) != cls:
+        return None
+    nf = normalize(u_el, BS2)
+    return nf if nf.length == r else None
+
+
 def _partner(w: Word, gamma: Word, cls: Optional[int], w_cls: Optional[int] = None,
              class4_form: Optional[str] = None) -> Optional[Word]:
     """The PN rendering of w gamma, provided w is geodesic (of class w_cls
     when given) and w gamma lies in class cls (any class for None) at
     distance l(w); None otherwise."""
-    if not is_geodesic(w, BS2):
+    w_el = _geodesic_el(w)
+    if w_el is None or (w_cls is not None and element_class(w_el) != w_cls):
         return None
-    w_el = _gel(w)
-    if w_cls is not None and element_class(w_el) != w_cls:
-        return None
-    u_el = bs_mul(w_el, _gel(gamma), BS2)
-    if cls is not None and element_class(u_el) != cls:
-        return None
-    if geodesic_length(u_el, BS2) != len(w):
-        return None
-    return normalize(u_el, BS2).render(class4_form=class4_form)
+    nf = _same_sphere(bs_mul(w_el, _gel(gamma), BS2), len(w), cls)
+    return None if nf is None else nf.render(class4_form=class4_form)
 
 
 def _build_4(rng: random.Random, o: _CaseParams) -> CaseWitness:
@@ -377,9 +388,8 @@ def _build_6(rng: random.Random, o: _CaseParams) -> CaseWitness:
         block = XBlock(h, rng.choice((-3, -2, 2, 3)), tuple(digits)).render()
         w = _ap(i) * _tp(1) * block
         u = _ap(j) * _tp(1) * block
-        if not (is_geodesic(w, BS2) and is_geodesic(u, BS2)):
-            return None
-        if bs_mul(_gel(w), _gel(gamma), BS2) != _gel(u):
+        w_el, u_el = _geodesic_el(w), _geodesic_el(u)
+        if w_el is None or u_el is None or bs_mul(w_el, _gel(gamma), BS2) != u_el:
             return None
         delta = w.suffix(len(w) - 2).inverse() * _ap(-i) * u.suffix(len(u) - 2)
         params = {"mode": "opposite", "i": i, "j": j, "g": g, "h": h}
@@ -515,14 +525,15 @@ def _build_82(rng: random.Random, o: _CaseParams) -> CaseWitness:
         w = _tp(1) * w0 * _tp(-1)
         if not is_geodesic(w, BS2):
             return None
-        u0_el = bs_mul(_gel(_ap(-j)), _gel(w0), BS2)
-        if element_class(u0_el) != 1 or geodesic_length(u0_el, BS2) != len(w0):
+        # l(u0) = l(w0) makes l(u) = l(w)
+        u0_nf = _same_sphere(bs_mul(_gel(_ap(-j)), _gel(w0), BS2), len(w0), 1)
+        if u0_nf is None:
             return None
-        u0 = normalize(u0_el, BS2).render()
+        u0 = u0_nf.render()
         if classify(u0) is not WordClass.X:
             return None
         u = _ap(j) * _tp(1) * u0
-        if len(u) != len(w) or not is_geodesic(u, BS2):
+        if not is_geodesic(u, BS2):
             return None
         delta = (_tp(p) * _ap(-2 * s) * _tp(-p) * _ap(-j)
                  * _tp(p) * _ap(2 * s) * _tp(-(p - 1)))
@@ -592,11 +603,14 @@ def _build_92(rng: random.Random, o: _CaseParams) -> CaseWitness:
         v = _as_word(v_given) if v_given is not None else random_filler(rng, p)
         _require(sigma_t(v) == p, f"case 9.2 needs sigma_t(v) = p = {p}")
         w = v * _tp(1) * _ap(k) * _tp(-(p + 2)) * _ap(i)
-        u = _partner(w, gamma, None)
-        if u is None:
-            _require(v_given is None or is_geodesic(w, BS2),
-                     "case 9.2: supplied filler v is not geodesic here")
+        w_el = _geodesic_el(w)
+        if w_el is None:
+            _require(v_given is None, "case 9.2: supplied filler v is not geodesic here")
             return None
+        u_nf = _same_sphere(bs_mul(w_el, _gel(gamma), BS2), len(w))
+        if u_nf is None:
+            return None
+        u = u_nf.render()
         x = _tp(-1) * _ap(i) * _tp(1) * v * _tp(1) * _ap(k) * _tp(-p)
         if len(x) != len(w) or not is_geodesic(x, BS2):
             return None
@@ -617,14 +631,8 @@ def _build_101(rng: random.Random, o: _CaseParams) -> CaseWitness:
     # none of the four gives w gamma at distance l(w) in class 4
     _require(not (p1 == 1 and kind == "a2" and extra == 0),
              "case 10.1 has no instance for p = 1, gamma_kind = a2, extra = 0")
-    if kind == "a2":
-        gamma = _ap(2 * g)
-    elif kind == "at":
-        gamma = _ap(g) * _tp(1)
-    elif kind == "Ta":
-        gamma = _tp(-1) * _ap(g)
-    else:
-        gamma = _ap(g) * _tp(-1)
+    gamma = {"a2": _ap(2 * g), "at": _ap(g) * _tp(1), "Ta": _tp(-1) * _ap(g),
+             "aT": _ap(g) * _tp(-1)}[kind]
 
     def attempt():
         digits = _naf_digits(rng, p1 + extra)
@@ -667,14 +675,8 @@ def _build_102(rng: random.Random, o: _CaseParams) -> CaseWitness:
     def attempt():
         i1 = o.draw("i1", (-1, 1))
         k = o.draw("k", (-1, 1))
-        if sub == "10.2.1":
-            gamma = _ap(k) * _tp(1)
-        elif sub == "10.2.2":
-            gamma = _ap(k)
-        elif sub == "10.2.3":
-            gamma = _tp(1) * _ap(k)
-        else:
-            gamma = _ap(2 * k)
+        gamma = {"10.2.1": _ap(k) * _tp(1), "10.2.2": _ap(k), "10.2.3": _tp(1) * _ap(k),
+                 "10.2.4": _ap(2 * k)}[sub]
         digits = _naf_digits(rng, e)
         digits[e - 1] = i1
         digits[e - 2] = 0
@@ -801,21 +803,16 @@ def _build_1033(rng: random.Random, o: _CaseParams) -> CaseWitness:
                 m[idx] = rng.choice((-1, 1))
         w2 = _ascent_with(m[p - 1:0:-1])
         w = _ap(k) * _tp(-p) * _ap(i) * _tp(1) * w2
-        if not is_geodesic(w, BS2):
+        w_el, r = _geodesic_el(w), len(w)
+        if w_el is None:
             return None
-        r = len(w)
-        u_el = bs_mul(_gel(w), _gel(gamma), BS2)
-        if geodesic_length(u_el, BS2) != r:
-            return None
-        gnf = normalize(u_el, BS2)
-        if gnf.element.texp != 1 or gnf.bottom != -p:
+        gnf = _same_sphere(bs_mul(w_el, _gel(gamma), BS2), r)
+        if gnf is None or gnf.element.texp != 1 or gnf.bottom != -p:
             return None
         jd = gnf.digit_at(-p)
         if jd != (i if sub == "10.3.3.1" else -i):
             return None
         u = gnf.render(class4_form="down_first")
-        if len(u) != r:
-            return None
         u_rest = u.suffix(r - p - 2)
         head = w2.inverse() * _tp(p - 1) * _ap(-k) * _tp(-(p - 1))
         delta = head * u_rest if sub == "10.3.3.1" else head * _ap(jd) * u_rest
@@ -903,9 +900,8 @@ def verify_case(cw: CaseWitness) -> dict:
     gamma_el = bs_eval(cw.gamma, BS2)
     # l(u) = l(w) = r is a CaseWitness invariant
     checks["geodesic"] = geodesic_length(w_el, BS2) == r == geodesic_length(u_el, BS2)
-    diff = bs_mul(bs_inv(w_el, BS2), u_el, BS2)
-    dist = geodesic_length(diff, BS2)
-    checks["distance"] = (1 <= dist <= 2
+    # once w gamma = u holds, w^-1 u is gamma, so d(w, u) = l(gamma)
+    checks["distance"] = (1 <= geodesic_length(gamma_el, BS2) <= 2
                           and bs_mul(w_el, gamma_el, BS2) == u_el)
     checks["delta_eval"] = bs_eval(cw.delta, BS2) == gamma_el
     checks["delta_len"] = len(cw.delta) <= 2 * r - 2
@@ -1005,7 +1001,7 @@ def impossibility_search(case: str, radius: int = 7) -> list:
     tsq = bs_eval(_tp(2), BS2)
     if case in _CONNECTOR_CASES:
         source, words, target = _CONNECTOR_CASES[case]
-        gammas = [(str(gw), bs_eval(gw, BS2)) for gw in words if is_geodesic(gw, BS2)]
+        gammas = [(str(gw), g) for gw in words if (g := _geodesic_el(gw)) is not None]
         for x, r in _ball_ids(ball):
             el = ball.element_at(x)
             if element_class(el) != source:
@@ -1031,10 +1027,11 @@ def impossibility_search(case: str, radius: int = 7) -> list:
             for k in range(-3, 4):
                 for i in (-1, 1):
                     w = _ap(k) * _tp(-p) * _ap(i) * _tp(p - 1)
-                    if len(w) > radius or not is_geodesic(w, BS2):
+                    r = len(w)
+                    if r > radius:
                         continue
-                    y = bs_mul(bs_eval(w, BS2), tsq, BS2)
-                    if geodesic_length(y, BS2) == len(w):
+                    w_el = _geodesic_el(w)
+                    if w_el is not None and geodesic_length(bs_mul(w_el, tsq, BS2), BS2) == r:
                         hits.append({"case": case, "w": str(w)})
     return hits
 
@@ -1205,7 +1202,10 @@ def verify_bridge(kind: str, n: int, q: Optional[int] = None,
     B(R) (BallCapError past `cap` elements), w gamma = u with w^-1 u at
     distance 2, and the bridge inside B(R) passes the row's rule; the row
     may also ask for a longer bridge once the identity is avoided."""
-    row = BRIDGE_WITNESSES[kind]
+    row = BRIDGE_WITNESSES.get(kind)
+    if row is None:
+        raise ValueError(f"unknown bridge witness {kind!r};"
+                         f" known: {', '.join(BRIDGE_WITNESSES)}")
     if q is None:
         q = row.q
     elif not row.q_open or q < row.q:
@@ -1226,8 +1226,8 @@ def verify_bridge(kind: str, n: int, q: Optional[int] = None,
 
     checks = {
         "geodesic": all(detail.values()) and dist(w_el) == radius == dist(u_el),
-        "distance": (_walk(model, gamma, w_el) == u_el
-                     and dist(_walk(model, w.inverse() * u)) == 2),
+        # once w gamma = u holds, w^-1 u is gamma
+        "distance": _walk(model, gamma, w_el) == u_el and dist(_walk(model, gamma)) == 2,
     }
     bridge = bridge_length(ball, w_el, u_el)
     checks[row.rule] = row.holds(bridge, radius)

@@ -85,10 +85,6 @@ class Word:
     def from_runs(runs: Iterable[tuple[str, int]]) -> "Word":
         return Word(_canonical_runs(runs))
 
-    @staticmethod
-    def from_letters(letters: Iterable[tuple[str, int]]) -> "Word":
-        return Word(_canonical_runs((g, s) for g, s in letters))
-
     def __len__(self) -> int:
         return sum(abs(e) for _, e in self.runs)
 

@@ -49,7 +49,7 @@ def _verdict(capsys, k: int, ok: bool) -> None:
 
 
 def _word_of(letters) -> Word:
-    return Word.from_letters(
+    return Word.from_runs(
         (c.lower(), -1 if c.isupper() else 1) for c in letters)
 
 
@@ -274,7 +274,7 @@ def test_criterion_09_pinch_properties(capsys):
     failures = []
     witnesses = 0
     for seq in _reduced_words(10):
-        w = Word.from_letters(seq)
+        w = Word.from_runs(seq)
         if has_pinch(w, BS2):
             if geodesic_length(bs_eval(w, BS2), BS2) >= len(w):
                 failures.append(("geodesic-pinch", str(w)))

@@ -20,7 +20,7 @@ QS = st.sampled_from([2, 3, 7, 10])
 
 def words_strategy(max_size=10):
     return st.lists(st.sampled_from("aAtT"), max_size=max_size).map(
-        lambda cs: Word.from_letters(
+        lambda cs: Word.from_runs(
             (c.lower(), -1 if c.isupper() else 1) for c in cs))
 
 

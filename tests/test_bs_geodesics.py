@@ -33,7 +33,7 @@ BS2 = BsParams(2)
 
 def words_strategy(max_size=12):
     return st.lists(st.sampled_from("aAtT"), max_size=max_size).map(
-        lambda cs: Word.from_letters(
+        lambda cs: Word.from_runs(
             (c.lower(), -1 if c.isupper() else 1) for c in cs))
 
 
@@ -66,7 +66,7 @@ def test_length_is_a_local_certificate(q):
     model = BsGroupModel(params)
     rng = random.Random(q)
     for _ in range(300):
-        w = Word.from_letters((rng.choice("at"), rng.choice((-1, 1)))
+        w = Word.from_runs((rng.choice("at"), rng.choice((-1, 1)))
                               for _ in range(rng.randint(60, 200)))
         g = bs_eval(w, params)
         d = geodesic_length(g, params)

@@ -26,7 +26,7 @@ GENS = "aAbBcCdDsS"
 
 def words_strategy(max_size=12):
     return st.lists(st.sampled_from(GENS), max_size=max_size).map(
-        lambda cs: Word.from_letters(
+        lambda cs: Word.from_runs(
             (c.lower(), -1 if c.isupper() else 1) for c in cs))
 
 
@@ -150,7 +150,7 @@ def test_h_normality():
     letters = "abcd" + "ABCD"
     for _ in range(200):
         chars = [rng.choice(letters) for _ in range(rng.randint(0, 6))]
-        v = Word.from_letters(
+        v = Word.from_runs(
             (c.lower(), -1 if c.isupper() else 1) for c in chars)
         h_word = v * parse_word(f"A^{exp_sum(v)}" if exp_sum(v) > 0
                                 else f"a^{-exp_sum(v)}",
@@ -206,7 +206,7 @@ def test_parity_matches_distance(ball_st_r4):
     model = ball_st_r4.model
     for _ in range(500):
         chars = [rng.choice(GENS) for _ in range(rng.randint(0, 6))]
-        w = Word.from_letters(
+        w = Word.from_runs(
             (c.lower(), -1 if c.isupper() else 1) for c in chars)
         d = ball_st_r4.distance(model.key(st_eval(w)))
         if d is not None:

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import reference
-from convexlab import witness_lab
+from convexlab import bs_geodesics, witness_lab
 from convexlab.ball_engine import build_ball
 from convexlab.bs_arith import BsGroupModel, BsParams, bs_eval, bs_key, bs_mul
 from convexlab.bs_geodesics import geodesic_length, is_geodesic
@@ -118,14 +118,14 @@ def test_corrupted_delta_leaves_ball():
     assert report["first_violation"] is not None
 
 
-_LETTERS = tuple(Word.from_letters([(g, s)]) for g in "at" for s in (1, -1))
+_LETTERS = tuple(Word.from_runs([(g, s)]) for g in "at" for s in (1, -1))
 
 
 def _walked_first_violation(cw, delta):
     """The first prefix of delta outside B(r), by a DP call on every prefix."""
     return reference.first_exit(
         bs_eval(cw.w, BS2), delta.letters(), cw.r,
-        lambda el, letter: bs_mul(el, bs_eval(Word.from_letters([letter]), BS2), BS2),
+        lambda el, letter: bs_mul(el, bs_eval(Word.from_runs([letter]), BS2), BS2),
         lambda el: geodesic_length(el, BS2))
 
 
@@ -170,15 +170,15 @@ def test_first_violation_matches_per_letter_walk(case_id):
             assert report["checks"]["in_ball"] == (want is None), (case_id, seed, name)
 
 
-def _count_dp_calls(monkeypatch) -> list:
+def _count_dp_calls(monkeypatch, module=witness_lab, name="geodesic_length") -> list:
     calls: list = []
-    real = witness_lab.geodesic_length
+    real = getattr(module, name)
 
     def counted(el, params):
         calls.append(el)
         return real(el, params)
 
-    monkeypatch.setattr(witness_lab, "geodesic_length", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -195,7 +195,7 @@ def test_violation_right_after_a_skipped_stretch(case_id, seed, monkeypatch):
         calls.clear()
         report = verify_case(dataclasses.replace(cw, delta=delta))
         assert report["first_violation"] == 2 * m + 1 == _walked_first_violation(cw, delta)
-        # three calls price w, u and w^-1 u; the walk prices letters 1, 3, 7, ...,
+        # three calls price w, u and gamma; the walk prices letters 1, 3, 7, ...,
         # 2m + 1 only, so the exit is the letter right after a skipped stretch
         assert len(calls) - 3 == (2 * m + 1).bit_length()
 
@@ -211,6 +211,20 @@ def test_verify_case_dp_budget(case_id, pins, monkeypatch):
     # a DP call per letter would be a hundred times the budget
     assert len(cw.delta) >= 4000
     assert len(calls) <= 40, len(calls)
+
+
+# DP runs (bs_geodesics._price calls) that build_case makes for seeds 0..2:
+# an attempt prices its drawn word once and the other endpoint once, the
+# latter inside the normalize call that also spells it.
+@pytest.mark.parametrize("case_id,pins,runs", [
+    ("4", {}, 8), ("7.4", {}, 9), ("10.2.3", {}, 10), ("9.2", {}, 12),
+    ("6", {"mode": "opposite"}, 6), ("8.2", {}, 12), ("10.3.3.1", {}, 6),
+    ("10.3.3.2", {}, 7)])
+def test_build_case_dp_budget(case_id, pins, runs, monkeypatch):
+    calls = _count_dp_calls(monkeypatch, bs_geodesics, "_price")
+    for seed in range(3):
+        build_case(case_id, random.Random(seed), **pins)
+    assert len(calls) == runs
 
 
 def test_large_instances_by_length_only():
@@ -392,7 +406,7 @@ def test_case_3_tags_equal_brute_force():
         for spelling in itertools.product(letters, repeat=n):
             if any(g == h and s == -z for (g, s), (h, z) in zip(spelling, spelling[1:])):
                 continue
-            w = Word.from_letters(spelling)
+            w = Word.from_runs(spelling)
             el = bs_eval(w, BS2)
             if geodesic_length(el, BS2) == n:
                 expected.setdefault(bs_key(el), set()).add(classify(w))
@@ -478,6 +492,12 @@ def test_bridge_witness_pairs():
     for kind in BRIDGE_WITNESSES:
         with pytest.raises(ValueError, match="n must be at least 1"):
             verify_bridge(kind, 0)
+
+
+def test_verify_bridge_rejects_unknown_kind():
+    with pytest.raises(ValueError, match=r"unknown bridge witness 'foo'; known: "
+                                         r"notpac, bs1q, stallings"):
+        verify_bridge("foo", 2)
 
 
 def test_notpac_n3_passes():

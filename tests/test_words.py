@@ -24,7 +24,7 @@ def letters_strategy(max_size=12):
 
 
 def word_from(chars) -> Word:
-    return Word.from_letters(
+    return Word.from_runs(
         (c.lower(), -1 if c.isupper() else 1) for c in chars)
 
 

@@ -32,9 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Sequence, Union
+from heapq import heappop, heappush
+from typing import Optional, Sequence, Union
 
-from .bs_arith import BsElement, BsParams, bs_eval
+from .bs_arith import IDENTITY, BsElement, BsGroupModel, BsParams, bs_eval, bs_inv, bs_mul
 from .errors import InvariantError
 from .words import Word, WordClass, classify, gen_power
 
@@ -201,6 +202,59 @@ def geodesic_length(g: Union[BsElement, Word], params: BsParams) -> int:
 
 def is_geodesic(w: Word, params: BsParams) -> bool:
     return len(w) == geodesic_length(bs_eval(w, params), params)
+
+
+def in_ball_bridge(src: BsElement, dst: BsElement, radius: int, params: BsParams,
+                   avoid_identity: bool = False) -> Optional[int]:
+    """Length of a shortest path from src to dst inside B(radius), or None
+    when there is none.  With avoid_identity no path passes through the
+    identity, though src or dst may be it.
+
+    An A* search (Hart, Nilsson and Raphael, 1968) that builds no ball: a
+    node x lies in B(radius) when geodesic_length(x) <= radius, priced once
+    per node, and its heuristic is the exact group distance from x to dst,
+    geodesic_length(dst^-1 x), priced once per node pushed.  dst^-1 x is
+    carried along each edge with x.  The heuristic is consistent (one
+    letter moves it by at most one), so the first pop of dst gives the
+    bridge; an unreachable dst is proven by exhausting every node that src
+    reaches inside the ball."""
+    for end in (src, dst):
+        if geodesic_length(end, params) > radius:
+            raise ValueError("bridge endpoints must lie inside the ball")
+    if src == dst:
+        return 0
+    apply_gen = BsGroupModel(params).apply_gen
+    gens = range(len(BsGroupModel.GEN_NAMES))
+    y = bs_mul(bs_inv(dst, params), src, params)
+    best = {src: 0}  # least path length found to each node inside the ball
+    # nodes never entered: those found outside the ball, and the identity
+    # when it is avoided and is not dst
+    barred = {IDENTITY} if avoid_identity and dst != IDENTITY else set()
+    heap = [(geodesic_length(y, params), 0, src, y)]
+    while heap:
+        _, minus_g, x, y = heappop(heap)
+        g = -minus_g
+        if x == dst:
+            return g
+        if g > best[x]:
+            continue  # a shorter path to x was expanded already
+        g += 1
+        for i in gens:
+            x2 = apply_gen(x, i)
+            old = best.get(x2)
+            if old is None:
+                if x2 in barred:
+                    continue
+                if geodesic_length(x2, params) > radius:
+                    barred.add(x2)
+                    continue
+            elif old <= g:
+                continue
+            best[x2] = g
+            y2 = apply_gen(y, i)
+            # ties go to the deeper node, which is nearer dst
+            heappush(heap, (g + geodesic_length(y2, params), -g, x2, y2))
+    return None
 
 
 def descent_word(core: Word, digits_down: Sequence[int], rise: int = 0) -> Word:

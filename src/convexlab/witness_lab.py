@@ -24,7 +24,10 @@ a small ball instead of builders (impossibility_search).
 Also here: the a^m reachability jump (verify_boundingm) and the table of
 bridge witnesses (BRIDGE_WITNESSES: notpac, bs1q and Stallings' group),
 each a pair on a sphere at distance 2 whose bridge inside the ball is long,
-all checked by one verifier over a BFS ball (verify_bridge).
+all checked by one verifier (verify_bridge).  The BS(1,q) rows build no
+ball: the digit DP gives their distances and an A* search over it
+(in_ball_bridge) their bridges.  Stallings' group has no exact length
+oracle, so its row reads both off a BFS ball.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from typing import Callable, Optional
 from .ball_engine import DEFAULT_CAP, BallIndex, bridge_length, build_ball
 from .bs_arith import BsElement, BsGroupModel, BsParams, bs_eval, bs_key, bs_mul
 from .bs_geodesics import (GeodesicNormalForm, XBlock, ascent_word, descent_word,
-                           element_class, geodesic_length, is_geodesic, normalize)
+                           element_class, geodesic_length, in_ball_bridge, is_geodesic,
+                           normalize)
 from .errors import InvariantError
 from .stallings import StallingsModel, gamma_length_special
 from .words import Word, WordClass, classify, gen_power, parse_word, sigma_t
@@ -894,17 +898,16 @@ def verify_case(cw: CaseWitness) -> dict:
     outside is the first violation."""
     checks: dict = {}
     first_violation = None
-    r = cw.r  # l(w), summed over its runs: read it once
     w_el = bs_eval(cw.w, BS2)
     u_el = bs_eval(cw.u, BS2)
     gamma_el = bs_eval(cw.gamma, BS2)
     # l(u) = l(w) = r is a CaseWitness invariant
-    checks["geodesic"] = geodesic_length(w_el, BS2) == r == geodesic_length(u_el, BS2)
+    checks["geodesic"] = geodesic_length(w_el, BS2) == cw.r == geodesic_length(u_el, BS2)
     # once w gamma = u holds, w^-1 u is gamma, so d(w, u) = l(gamma)
     checks["distance"] = (1 <= geodesic_length(gamma_el, BS2) <= 2
                           and bs_mul(w_el, gamma_el, BS2) == u_el)
     checks["delta_eval"] = bs_eval(cw.delta, BS2) == gamma_el
-    checks["delta_len"] = len(cw.delta) <= 2 * r - 2
+    checks["delta_len"] = len(cw.delta) <= 2 * cw.r - 2
     cur = w_el
     slack = 0  # prefixes still known to lie in B(r) without a DP call
     for idx, (gen, sign) in enumerate(cw.delta.letters(), start=1):
@@ -912,19 +915,19 @@ def verify_case(cw: CaseWitness) -> dict:
         if slack:
             slack -= 1
             continue
-        slack = r - geodesic_length(cur, BS2)
+        slack = cw.r - geodesic_length(cur, BS2)
         if slack < 0:
             first_violation = idx
             break
     checks["in_ball"] = first_violation is None
     if "x" in cw.params:
         x = cw.params["x"]
-        checks["alt_u"] = len(x) == r and bs_eval(x, BS2) == u_el
+        checks["alt_u"] = len(x) == cw.r and bs_eval(x, BS2) == u_el
     return {
         "case": cw.case,
         "params": {key: str(val) if isinstance(val, Word) else val
                    for key, val in cw.params.items()},
-        "r": r,
+        "r": cw.r,
         "w": str(cw.w),
         "u": str(cw.u),
         "gamma": str(cw.gamma),
@@ -1145,6 +1148,10 @@ class BridgeRow:
     rule: str  # the name of the bridge check
     holds: Callable  # (bridge, R) -> whether the bridge passes
     avoid_identity: bool = False  # also measure the identity-avoiding bridge
+    # (model, w, u, R, avoid_identity) -> the bridge inside B(R), found with
+    # no ball when `length` is exact; None: build B(R) and read the
+    # distances and bridges off it
+    bridge: Optional[Callable] = None
 
 
 def _conjugate_pair(c: int) -> Callable:
@@ -1163,7 +1170,8 @@ def _stallings_pair(q: None, n: int) -> tuple:
 # the fields the BS(1,q) rows share
 _BS = dict(model=lambda q: BsGroupModel(BsParams(q)),
            length=lambda model, el: geodesic_length(el, model.params),
-           tags=(("wa", _ap(1)), ("wa^-1", _ap(-1)), ("wt^-1", _tp(-1))))
+           tags=(("wa", _ap(1)), ("wa^-1", _ap(-1)), ("wt^-1", _tp(-1))),
+           bridge=lambda model, w, u, R, avoid: in_ball_bridge(w, u, R, model.params, avoid))
 
 # kind -> row; the kinds are the CLI's bridge witnesses
 BRIDGE_WITNESSES = {
@@ -1198,10 +1206,12 @@ def _walk(model, word: Word, el=None):
 def verify_bridge(kind: str, n: int, q: Optional[int] = None,
                   cap: int = DEFAULT_CAP) -> dict:
     """Check BRIDGE_WITNESSES[kind] at scale n: w, u and w times each tag
-    word are geodesic by the row's length oracle, w and u lie on S(R) of
-    B(R) (BallCapError past `cap` elements), w gamma = u with w^-1 u at
-    distance 2, and the bridge inside B(R) passes the row's rule; the row
-    may also ask for a longer bridge once the identity is avoided."""
+    word are geodesic by the row's length oracle, w and u lie at distance
+    R, w gamma = u with w^-1 u at distance 2, and the bridge inside B(R)
+    passes the row's rule; the row may also ask for a longer bridge once
+    the identity is avoided.  A row with a ball-free bridge reads every
+    distance off its exact length oracle; any other row builds B(R)
+    (BallCapError past `cap` elements) and reads them off the ball."""
     row = BRIDGE_WITNESSES.get(kind)
     if row is None:
         raise ValueError(f"unknown bridge witness {kind!r};"
@@ -1219,35 +1229,45 @@ def verify_bridge(kind: str, n: int, q: Optional[int] = None,
     spelled = [("w", w, w_el), ("u", u, u_el)]
     spelled += [(tag, w * x, _walk(model, x, w_el)) for tag, x in row.tags]
     detail = {tag: row.length(model, el) == len(word) for tag, word, el in spelled}
-    ball = build_ball(model, radius, cap=cap)
+    if row.bridge is None:
+        ball = build_ball(model, radius, cap=cap)
 
-    def dist(el):
-        return ball.distance(model.key(el))
+        def dist(el):
+            return ball.distance(model.key(el))
+
+        def bridge_of(avoid_identity):
+            return bridge_length(ball, w_el, u_el, avoid_identity)
+    else:
+        def dist(el):
+            return row.length(model, el)
+
+        def bridge_of(avoid_identity):
+            return row.bridge(model, w_el, u_el, radius, avoid_identity)
 
     checks = {
         "geodesic": all(detail.values()) and dist(w_el) == radius == dist(u_el),
         # once w gamma = u holds, w^-1 u is gamma
         "distance": _walk(model, gamma, w_el) == u_el and dist(_walk(model, gamma)) == 2,
     }
-    bridge = bridge_length(ball, w_el, u_el)
+    bridge = bridge_of(False)
     checks[row.rule] = row.holds(bridge, radius)
     report = {"witness": row.witness}
     if q is not None:
         report["q"] = q
     report.update(n=n, R=radius, w=str(w), u=str(u), bridge=bridge)
     if row.avoid_identity:
-        detour = bridge_length(ball, w_el, u_el, forbid_identity=True)
+        detour = bridge_of(True)
         checks["through_identity"] = detour is None or detour > bridge
         report["bridge_no_identity"] = detour
     report.update(geodesic_detail=detail, checks=checks, ok=all(checks.values()))
     return report
 
 
-def verify_notpac(n: int, cap: int = DEFAULT_CAP) -> dict:
+def verify_notpac(n: int) -> dict:
     """The notpac row at scale n: R = 2n + 2 in BS(1,2)."""
-    return verify_bridge("notpac", n, cap=cap)
+    return verify_bridge("notpac", n)
 
 
-def verify_bs1q_notmac(q: int, n: int, cap: int = DEFAULT_CAP) -> dict:
+def verify_bs1q_notmac(q: int, n: int) -> dict:
     """The bs1q row at scale n: R = 2n + 1 in BS(1,q), q >= 7."""
-    return verify_bridge("bs1q", n, q, cap)
+    return verify_bridge("bs1q", n, q)

@@ -10,7 +10,7 @@ remembers its exact letter sequence.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -80,13 +80,17 @@ class Word:
     (``a A`` stays two runs and is distinct from the empty word)."""
 
     runs: tuple[tuple[str, int], ...] = ()
+    # the number of letters, summed on the first len() and kept
+    _len: int = field(default=-1, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_runs(runs: Iterable[tuple[str, int]]) -> "Word":
         return Word(_canonical_runs(runs))
 
     def __len__(self) -> int:
-        return sum(abs(e) for _, e in self.runs)
+        if self._len < 0:
+            object.__setattr__(self, "_len", sum(abs(e) for _, e in self.runs))
+        return self._len
 
     def __bool__(self) -> bool:
         return bool(self.runs)

@@ -271,6 +271,9 @@ def test_case_refuses_repeated_opt(capsys):
     ["witness", "notpac", "--q", "99"],
     ["witness", "stallings", "--q", "7"],
     ["witness", "boundingm", "--cap", "10"],
+    # the BS(1,q) bridge rows build no ball, so they take no cap
+    ["witness", "notpac", "--cap", "10"],
+    ["witness", "bs1q", "--cap", "100000"],
     ["case", "--id", "8.1", "--p", "12"],
     # --s and --i must not be read as abbreviations of --seed and --id
     ["case", "--id", "8.1", "--s", "3"],

@@ -12,9 +12,9 @@ import pytest
 
 import reference
 from convexlab import bs_geodesics, witness_lab
-from convexlab.ball_engine import build_ball
+from convexlab.ball_engine import bridge_length, build_ball
 from convexlab.bs_arith import BsGroupModel, BsParams, bs_eval, bs_key, bs_mul
-from convexlab.bs_geodesics import geodesic_length, is_geodesic
+from convexlab.bs_geodesics import geodesic_length, in_ball_bridge, is_geodesic
 from convexlab.errors import InvariantError
 from convexlab.witness_lab import (
     BRIDGE_WITNESSES,
@@ -527,6 +527,85 @@ def test_bs1q_q7_n2():
     assert report["bridge_no_identity"] == 12
     with pytest.raises(ValueError):
         verify_bs1q_notmac(3, 2)
+
+
+# -- the ball-free bridge against bridge_length on a BFS ball ------------------
+
+
+def _both_bridges(src, dst, radius, params, ball):
+    """(A* bridge, BFS bridge), each without and with avoid_identity."""
+    return ([in_ball_bridge(src, dst, radius, params, avoid) for avoid in (False, True)],
+            [bridge_length(ball, src, dst, avoid) for avoid in (False, True)])
+
+
+@pytest.mark.parametrize("kind,q,n", [("notpac", 2, n) for n in range(2, 8)]
+                         + [("bs1q", q, n) for q in (7, 8) for n in (2, 3)])
+def test_in_ball_bridge_matches_bfs_on_witness_pairs(kind, q, n):
+    model = BsGroupModel(BsParams(q))
+    w, u, _, radius = BRIDGE_WITNESSES[kind].pair(q, n)
+    w_el, u_el = bs_eval(w, model.params), bs_eval(u, model.params)
+    astar, bfs = _both_bridges(w_el, u_el, radius, model.params, build_ball(model, radius))
+    assert astar == bfs
+
+
+@pytest.mark.parametrize("q", [2, 3, 7])
+def test_in_ball_bridge_matches_bfs_on_sphere_pairs(q):
+    # pairs x, y on one sphere S(r), r <= 8, at group distance 1 or 2: the
+    # bridge inside B(r) by A* and by BFS on the built B(r)
+    model = BsGroupModel(BsParams(q))
+    params = model.params
+    balls = {r: build_ball(model, r) for r in range(1, 9)}
+    rng = random.Random(q)
+    tried = 0
+    while tried < 70:
+        r = rng.randint(1, 8)
+        ball = balls[r]
+        x = ball.element_at(rng.choice(ball.sphere_ids(r)))
+        y = x
+        for _ in range(rng.randint(1, 2)):
+            y = model.apply_gen(y, rng.randrange(4))
+        if y == x or ball.distance(model.key(y)) != r:
+            continue
+        tried += 1
+        astar, bfs = _both_bridges(x, y, r, params, ball)
+        assert astar == bfs, (q, r, x, y)
+
+
+def test_in_ball_bridge_edge_cases():
+    params = BsParams(2)
+    a, big_a = bs_eval(parse_word("a"), params), bs_eval(parse_word("A"), params)
+    # in B(1), a and a^-1 meet only through the identity
+    assert in_ball_bridge(a, big_a, 1, params) == 2
+    assert in_ball_bridge(a, big_a, 1, params, avoid_identity=True) is None
+    ball = build_ball(BsGroupModel(params), 1)
+    assert bridge_length(ball, a, big_a, forbid_identity=True) is None
+    # the identity may be an endpoint of an identity-avoiding path
+    one = bs_eval(Word(), params)
+    assert in_ball_bridge(one, a, 1, params, avoid_identity=True) == 1
+    assert in_ball_bridge(a, one, 1, params, avoid_identity=True) == 1
+    assert in_ball_bridge(a, a, 1, params, avoid_identity=True) == 0
+    with pytest.raises(ValueError, match="inside the ball"):
+        in_ball_bridge(a, bs_eval(parse_word("a^2"), params), 1, params)
+
+
+# -- bridge witnesses at scales a BFS ball makes slow --------------------------
+
+
+def test_notpac_bridges_to_n9():
+    # bridges 4n - 4 at R = 2n + 2; BFS on B(R) agrees for n <= 7
+    for n, bridge in {6: 20, 7: 24, 8: 28, 9: 32}.items():
+        report = verify_notpac(n)
+        assert report["ok"], (n, report["checks"])
+        assert (report["R"], report["bridge"]) == (2 * n + 2, bridge)
+
+
+def test_bs1q_bridges_to_n5():
+    # the bridge is 2R and avoiding the identity costs two more letters
+    for (q, n), bridges in {(8, 3): (14, 16), (7, 4): (18, 20), (7, 5): (22, 24),
+                            (8, 4): (18, 20)}.items():
+        report = verify_bs1q_notmac(q, n)
+        assert report["ok"], (q, n, report["checks"])
+        assert (report["bridge"], report["bridge_no_identity"]) == bridges
 
 
 # -- case 6: combinations without instances -----------------------------------

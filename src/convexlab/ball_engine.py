@@ -167,7 +167,9 @@ class BallIndex:
         """x's row, with the entries not computed yet computed into the
         table.  Given `virtual` (key -> virtual id), each product outside
         the ball is named in the returned row by its virtual id, a new key
-        taking the next one."""
+        taking the next one.  Every product of an element below the
+        outermost sphere lies in the ball, so a loaded ball whose keys
+        miss one raises CacheError rather than read it as outside."""
         table, ngens = self._table, self.ngens
         if len(table) < len(self.keys) * ngens:
             self._allocate()
@@ -179,9 +181,14 @@ class BallIndex:
                 if j == _UNKNOWN or (j == -1 and virtual is not None):
                     key = model.key(model.apply_gen(el, i))
                     if j == _UNKNOWN:
-                        table[base + i] = row[i] = j = self.ids.get(key, -1)
+                        j = self.ids.get(key, -1)
                         if j >= 0:
                             table[j * ngens + inverse[i]] = x
+                        elif x < self.starts[-2]:
+                            raise CacheError(
+                                f"ball lacks {key!r}, a neighbour of {self.keys[x]!r}"
+                                f" below its outermost sphere: some key is not canonical")
+                        table[base + i] = row[i] = j
                     if j == -1 and virtual is not None:
                         row[i] = virtual.setdefault(key, len(self.keys) + len(virtual))
         return row

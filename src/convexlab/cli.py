@@ -32,6 +32,7 @@ from .stallings import StallingsModel
 from .witness_lab import (
     BRIDGE_WITNESSES,
     CONSTRUCTIVE_CASES,
+    _ball_measure,
     build_case,
     verify_boundingm,
     verify_bridge,
@@ -215,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
         k.add_argument("--n", type=int, default=row.n, help=f"witness scale (default {row.n})")
         if row.q_open:
             k.add_argument("--q", type=int, default=row.q, help=f"q >= {row.q} (default {row.q})")
-        if row.bridge is None:  # only a row that builds its ball reads a cap
+        if row.measure is _ball_measure:  # only a row that builds its ball reads a cap
             k.add_argument("--cap", type=int, default=DEFAULT_CAP)
     k = kinds.add_parser("boundingm")
     k.add_argument("--n", type=int, default=2, help="witness scale (default 2)")

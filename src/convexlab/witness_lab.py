@@ -13,10 +13,10 @@ The builders share three helpers.  _CaseParams.draw states each int or
 string parameter's values once: it draws the parameter from them, or
 refuses a pin outside them before any sampling.  _sample retries a
 builder's random attempt (free digits, core and fillers drawn in a fixed
-order) until one yields a witness.  _same_sphere is the one partner step:
-the other endpoint must lie in the wanted class at the drawn word's
-length, and one normalize call both prices it and gives the normal form
-that spells it.  _partner applies it to u = w gamma for a geodesic w.
+order; fillers are never pinned) until one yields a witness.
+_same_sphere is the one partner step: the other endpoint must lie in the
+wanted class at the drawn word's length, and one normalize call both
+prices it and gives the normal form that spells it.  _partner applies it to u = w gamma for a geodesic w.
 
 Class combinations that admit no valid pair get exhaustive searchers over
 a small ball instead of builders (impossibility_search).
@@ -24,10 +24,11 @@ a small ball instead of builders (impossibility_search).
 Also here: the a^m reachability jump (verify_boundingm) and the table of
 bridge witnesses (BRIDGE_WITNESSES: notpac, bs1q and Stallings' group),
 each a pair on a sphere at distance 2 whose bridge inside the ball is long,
-all checked by one verifier (verify_bridge).  The BS(1,q) rows build no
-ball: the digit DP gives their distances and an A* search over it
-(in_ball_bridge) their bridges.  Stallings' group has no exact length
-oracle, so its row reads both off a BFS ball.
+all checked by one verifier (verify_bridge), which runs one search: for
+the bridge that avoids the identity.  The BS(1,q) rows build no ball: the
+digit DP gives their distances and an A* search over it (in_ball_bridge)
+that bridge.  Stallings' group has no exact length oracle, so its row
+reads both off a BFS ball.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .bs_geodesics import (GeodesicNormalForm, XBlock, ascent_word, descent_word
                            element_class, geodesic_length, in_ball_bridge, is_geodesic,
                            normalize)
 from .errors import InvariantError
-from .stallings import StallingsModel, gamma_length_special
-from .words import Word, WordClass, classify, gen_power, parse_word, sigma_t
+from .stallings import StallingsModel
+from .words import Word, WordClass, classify, gen_power, sigma_t
 
 BS2 = BsParams(2)
 _BS2_MODEL = BsGroupModel(BS2)
@@ -97,12 +98,6 @@ def _tp(n: int) -> Word:
 def _flip_a(w: Word) -> Word:
     """The image of w under the automorphism a -> a^-1, t -> t."""
     return Word.from_runs((g, -e if g == "a" else e) for g, e in w.runs)
-
-
-def _as_word(v) -> Word:
-    if isinstance(v, Word):
-        return v
-    return parse_word(str(v))
 
 
 def _gel(w: Word) -> BsElement:
@@ -250,8 +245,7 @@ class _CaseParams(dict):
 # _sample retries up to _TRIES times.  An attempt that derives the other
 # endpoint from the drawn word finds it only through _same_sphere, mostly
 # by way of _partner; 8.2, 9.2 and 10.3.3 call it on their own products.
-# Explicit fillers fail hard instead of resampling.  The remaining _require
-# checks tie two parameters together or check a filler word.
+# The few _require checks tie two parameters together.
 
 
 def _sample(case: str, attempt: Callable[[], Optional[CaseWitness]],
@@ -495,20 +489,17 @@ def _build_81(rng: random.Random, o: _CaseParams) -> CaseWitness:
     k = o.draw("k", (-3, -2, 2, 3))
     j = o.draw("j", (-1, 1))
     s = 1 if k > 0 else -1
-    v_given = o.get("v")
     gamma = _ap(j) * _tp(1)
     delta = (_tp(p) * _ap(-2 * s) * _tp(-p) * _ap(j)
              * _tp(p) * _ap(2 * s) * _tp(-(p - 1)))
 
     def attempt():
-        v = _as_word(v_given) if v_given is not None else random_filler(rng, p - 1)
-        _require(sigma_t(v) == p - 1, f"case 8.1 needs sigma_t(v) = p - 1 = {p - 1}")
+        v = random_filler(rng, p - 1)
         w = _tp(1) * v * _tp(1) * _ap(k) * _tp(-(p + 1))
         u = _ap(j) * _tp(1) * v * _tp(1) * _ap(k) * _tp(-p)
         if is_geodesic(w, BS2) and is_geodesic(u, BS2):
             params = {"p": p, "k": k, "s": s, "j": j, "v": v}
             return CaseWitness("8.1", params, w, u, gamma, delta)
-        _require(v_given is None, "case 8.1: supplied filler v is not geodesic here")
         return None
     return _sample("8.1", attempt, "geodesic")
 
@@ -598,18 +589,15 @@ def _build_92(rng: random.Random, o: _CaseParams) -> CaseWitness:
     k = o.draw("k", (-3, -2, 2, 3))
     i = o.draw("i", (-1, 1))
     s = 1 if k > 0 else -1
-    v_given = o.get("v")
     gamma = _tp(2)
     delta = (_ap(-i) * _tp(p + 1) * _ap(-2 * s) * _tp(-(p + 1))
              * _ap(i) * _tp(p + 1) * _ap(2 * s) * _tp(-(p - 1)))
 
     def attempt():
-        v = _as_word(v_given) if v_given is not None else random_filler(rng, p)
-        _require(sigma_t(v) == p, f"case 9.2 needs sigma_t(v) = p = {p}")
+        v = random_filler(rng, p)
         w = v * _tp(1) * _ap(k) * _tp(-(p + 2)) * _ap(i)
         w_el = _geodesic_el(w)
         if w_el is None:
-            _require(v_given is None, "case 9.2: supplied filler v is not geodesic here")
             return None
         u_nf = _same_sphere(bs_mul(w_el, _gel(gamma), BS2), len(w))
         if u_nf is None:
@@ -739,20 +727,15 @@ def _build_1031(rng: random.Random, o: _CaseParams) -> CaseWitness:
     m = o.draw("m", (-3, -2, 2, 3))
     i = o.draw("i", (-1, 1))
     s = 1 if m > 0 else -1
-    w3_given, w2_given = o.get("w3"), o.get("w2")
     gamma = _tp(2)
 
     def attempt():
-        w3 = _as_word(w3_given) if w3_given is not None else random_filler(rng, l - 1)
-        w2 = _as_word(w2_given) if w2_given is not None else random_filler(rng, p - 2)
-        _require(sigma_t(w3) == l - 1, f"case {sub} needs sigma_t(w3) = l - 1")
-        _require(sigma_t(w2) == p - 2, f"case {sub} needs sigma_t(w2) = p - 2")
+        w3 = random_filler(rng, l - 1)
+        w2 = random_filler(rng, p - 2)
         w = w3 * _tp(1) * _ap(m) * _tp(-(l + p)) * _ap(i) * _tp(1) * w2
         u = (_tp(-p) * _ap(i) * _tp(1) * w2 * _tp(1) * w3 * _tp(1) * _ap(m)
              * _tp(-(l - 1)))
         if not (is_geodesic(w, BS2) and is_geodesic(u, BS2) and len(w) == len(u)):
-            _require(w3_given is None or w2_given is None,
-                     f"case {sub}: supplied fillers give a non-geodesic pair")
             return None
         head = w2.inverse() * _tp(-1) * _ap(-i) * _tp(p - 1)
         if sub == "10.3.1.1":
@@ -859,9 +842,9 @@ CONSTRUCTIVE_CASES = tuple(_BUILDERS)
 def build_case(case: str, rng: Optional[random.Random] = None, **params) -> CaseWitness:
     """Construct a CaseWitness for the given constructive case id.
 
-    Int and string parameters (p, l, f1, k, j, mode, ...) and filler words
-    (v, w2, w3) may be pinned by keyword; anything left unspecified is
-    sampled.  A pin may be given as a string: the case converts it to the
+    Int and string parameters (p, l, f1, k, j, mode, ...) may be pinned by
+    keyword; anything left unspecified, filler words included, is sampled.
+    A pin may be given as a string: the case converts it to the
     parameter's type.  Pinning one parameter leaves the draws of the others
     unchanged.  Raises ConstructionError when a pin lies outside its
     parameter's values (at once, before any sampling), a precondition tying
@@ -1142,16 +1125,30 @@ class BridgeRow:
     q: Optional[int]  # q of BS(1,q), the least one if q_open; None: no q
     q_open: bool  # whether every q >= self.q is taken (the CLI's --q)
     model: Callable  # q -> group model
-    length: Callable  # (model, element) -> word length, None if unknown
+    # (model, R, cap) -> (dist, detour): dist(el) is el's distance from the
+    # identity (None outside B(R) when read off a ball), detour(w, u) the
+    # shortest path from w to u inside B(R) that avoids the identity
+    measure: Callable
     pair: Callable  # (q, n) -> (w, u, gamma, R)
     tags: tuple  # (tag, word): w times the word must be geodesic too
     rule: str  # the name of the bridge check
     holds: Callable  # (bridge, R) -> whether the bridge passes
-    avoid_identity: bool = False  # also measure the identity-avoiding bridge
-    # (model, w, u, R, avoid_identity) -> the bridge inside B(R), found with
-    # no ball when `length` is exact; None: build B(R) and read the
-    # distances and bridges off it
-    bridge: Optional[Callable] = None
+    avoid_identity: bool = False  # also report the identity-avoiding bridge
+
+
+def _dp_measure(model, radius: int, cap: int) -> tuple:
+    """Distances by the digit DP and the detour by A* over it: no ball."""
+    params = model.params
+    return (lambda el: geodesic_length(el, params),
+            lambda w, u: in_ball_bridge(w, u, radius, params, avoid_identity=True))
+
+
+def _ball_measure(model, radius: int, cap: int) -> tuple:
+    """Distances and the detour read off B(R), built once (BallCapError
+    past `cap` elements)."""
+    ball = build_ball(model, radius, cap=cap)
+    return (lambda el: ball.distance(model.key(el)),
+            lambda w, u: bridge_length(ball, w, u, forbid_identity=True))
 
 
 def _conjugate_pair(c: int) -> Callable:
@@ -1168,10 +1165,8 @@ def _stallings_pair(q: None, n: int) -> tuple:
 
 
 # the fields the BS(1,q) rows share
-_BS = dict(model=lambda q: BsGroupModel(BsParams(q)),
-           length=lambda model, el: geodesic_length(el, model.params),
-           tags=(("wa", _ap(1)), ("wa^-1", _ap(-1)), ("wt^-1", _tp(-1))),
-           bridge=lambda model, w, u, R, avoid: in_ball_bridge(w, u, R, model.params, avoid))
+_BS = dict(model=lambda q: BsGroupModel(BsParams(q)), measure=_dp_measure,
+           tags=(("wa", _ap(1)), ("wa^-1", _ap(-1)), ("wt^-1", _tp(-1))))
 
 # kind -> row; the kinds are the CLI's bridge witnesses
 BRIDGE_WITNESSES = {
@@ -1188,7 +1183,7 @@ BRIDGE_WITNESSES = {
     # Stallings' group is not MAC: the bridge costs 2R
     "stallings": BridgeRow(
         "stallings", n=1, q=None, q_open=False, model=lambda q: StallingsModel(),
-        length=lambda model, el: gamma_length_special(el), pair=_stallings_pair, tags=(),
+        measure=_ball_measure, pair=_stallings_pair, tags=(),
         rule="bridge_is_2R", holds=lambda bridge, R: bridge == 2 * R),
 }
 
@@ -1206,12 +1201,13 @@ def _walk(model, word: Word, el=None):
 def verify_bridge(kind: str, n: int, q: Optional[int] = None,
                   cap: int = DEFAULT_CAP) -> dict:
     """Check BRIDGE_WITNESSES[kind] at scale n: w, u and w times each tag
-    word are geodesic by the row's length oracle, w and u lie at distance
-    R, w gamma = u with w^-1 u at distance 2, and the bridge inside B(R)
-    passes the row's rule; the row may also ask for a longer bridge once
-    the identity is avoided.  A row with a ball-free bridge reads every
-    distance off its exact length oracle; any other row builds B(R)
-    (BallCapError past `cap` elements) and reads them off the ball."""
+    word are geodesic, w and u have length R, w gamma = u with w^-1 u at
+    distance 2, and the bridge inside B(R) passes the row's rule; the row
+    may also ask for a longer bridge once the identity is avoided.  The
+    row's measure gives every distance and the one search, for the
+    identity-avoiding bridge.  A path through the identity costs at least
+    d(w) + d(u), and the two geodesics give one of exactly that length
+    inside B(R), so the bridge is the lesser of the two."""
     row = BRIDGE_WITNESSES.get(kind)
     if row is None:
         raise ValueError(f"unknown bridge witness {kind!r};"
@@ -1225,38 +1221,26 @@ def verify_bridge(kind: str, n: int, q: Optional[int] = None,
         raise ValueError("n must be at least 1")
     model = row.model(q)
     w, u, gamma, radius = row.pair(q, n)
+    dist, detour_of = row.measure(model, radius, cap)
     w_el, u_el = _walk(model, w), _walk(model, u)
     spelled = [("w", w, w_el), ("u", u, u_el)]
     spelled += [(tag, w * x, _walk(model, x, w_el)) for tag, x in row.tags]
-    detail = {tag: row.length(model, el) == len(word) for tag, word, el in spelled}
-    if row.bridge is None:
-        ball = build_ball(model, radius, cap=cap)
-
-        def dist(el):
-            return ball.distance(model.key(el))
-
-        def bridge_of(avoid_identity):
-            return bridge_length(ball, w_el, u_el, avoid_identity)
-    else:
-        def dist(el):
-            return row.length(model, el)
-
-        def bridge_of(avoid_identity):
-            return row.bridge(model, w_el, u_el, radius, avoid_identity)
-
+    d = {tag: dist(el) for tag, _, el in spelled}
+    detail = {tag: d[tag] == len(word) for tag, word, _ in spelled}
     checks = {
-        "geodesic": all(detail.values()) and dist(w_el) == radius == dist(u_el),
+        "geodesic": all(detail.values()) and len(w) == radius == len(u),
         # once w gamma = u holds, w^-1 u is gamma
         "distance": _walk(model, gamma, w_el) == u_el and dist(_walk(model, gamma)) == 2,
     }
-    bridge = bridge_of(False)
+    detour = detour_of(w_el, u_el)
+    through = d["w"] + d["u"]
+    bridge = through if detour is None else min(through, detour)
     checks[row.rule] = row.holds(bridge, radius)
     report = {"witness": row.witness}
     if q is not None:
         report["q"] = q
     report.update(n=n, R=radius, w=str(w), u=str(u), bridge=bridge)
     if row.avoid_identity:
-        detour = bridge_of(True)
         checks["through_identity"] = detour is None or detour > bridge
         report["bridge_no_identity"] = detour
     report.update(geodesic_detail=detail, checks=checks, ok=all(checks.values()))

@@ -92,9 +92,6 @@ class Word:
             object.__setattr__(self, "_len", sum(abs(e) for _, e in self.runs))
         return self._len
 
-    def __bool__(self) -> bool:
-        return bool(self.runs)
-
     def letters(self) -> Iterator[tuple[str, int]]:
         """Yield (generator, sign) letter by letter."""
         for gen, exp in self.runs:

@@ -415,10 +415,17 @@ def test_non_canonical_cache_key_is_refused(tmp_path):
     assert text.count(b"\n1 0:1:0\n") == 1
     path.write_bytes(text.replace(b"\n1 0:1:0\n", b"\n1 0:01:0\n"))
     loaded = load_ball(str(path), model)
-    with pytest.raises(ValueError, match="0:01:0"):
+    # the identity's neighbour a = 0:1:0 lies inside B(6), so its missing
+    # key is refused, not read as outside; the refusal is not cached
+    for _ in range(2):
+        with pytest.raises(CacheError, match="0:1:0"):
+            loaded.row(0)
+    with pytest.raises(CacheError, match="0:1:0"):
         loaded.neighbours()
     with pytest.raises(ValueError, match="0:01:0"):
         loaded.row(loaded.ids[b"0:01:0"])
+    path.write_bytes(text)
+    assert load_ball(str(path), model).neighbours() == build_ball(model, 6).neighbours()
 
 
 def test_failed_save_keeps_the_old_cache(tmp_path, ball_bs2_r8, monkeypatch):

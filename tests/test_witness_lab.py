@@ -247,7 +247,11 @@ def test_build_case_rejects_stray_params():
     with pytest.raises(ConstructionError) as exc:
         build_case("8.1", random.Random(0), zz=3)
     assert str(exc.value) == ("case 8.1 does not take parameter(s) ['zz'];"
-                              " it reads ['j', 'k', 'p', 'v']")
+                              " it reads ['j', 'k', 'p']")
+    # filler words are always drawn, never pinned
+    for case, pin in (("8.1", "v"), ("9.2", "v"), ("10.3.1.1", "w2"), ("10.3.1.2", "w3")):
+        with pytest.raises(ConstructionError, match=rf"parameter\(s\) \['{pin}'\]"):
+            build_case(case, random.Random(0), **{pin: "t"})
 
 
 def test_build_case_rejects_bad_values():
@@ -538,6 +542,12 @@ def _both_bridges(src, dst, radius, params, ball):
             [bridge_length(ball, src, dst, avoid) for avoid in (False, True)])
 
 
+def _through_or_detour(through, detour):
+    """The bridge as verify_bridge derives it: a path through the identity
+    costs d(x) + d(y), so the bridge is the lesser of that and the detour."""
+    return through if detour is None else min(through, detour)
+
+
 @pytest.mark.parametrize("kind,q,n", [("notpac", 2, n) for n in range(2, 8)]
                          + [("bs1q", q, n) for q in (7, 8) for n in (2, 3)])
 def test_in_ball_bridge_matches_bfs_on_witness_pairs(kind, q, n):
@@ -569,6 +579,42 @@ def test_in_ball_bridge_matches_bfs_on_sphere_pairs(q):
         tried += 1
         astar, bfs = _both_bridges(x, y, r, params, ball)
         assert astar == bfs, (q, r, x, y)
+        for bridge, detour in (astar, bfs):
+            assert bridge == _through_or_detour(2 * r, detour), (q, r, x, y)
+
+
+def test_stallings_bridge_is_through_or_detour(ball_st_r4):
+    # seeded pairs x, y in B(4) at group distance 1 or 2, on any spheres
+    ball, model = ball_st_r4, ball_st_r4.model
+    rng = random.Random(4)
+    tried = 0
+    while tried < 300:
+        x = ball.element_at(rng.randrange(len(ball)))
+        y = x
+        for _ in range(rng.randint(1, 2)):
+            y = model.apply_gen(y, rng.randrange(ball.ngens))
+        dx, dy = ball.distance(model.key(x)), ball.distance(model.key(y))
+        if dy is None or model.key(y) == model.key(x):
+            continue
+        tried += 1
+        bridge, detour = (bridge_length(ball, x, y, avoid) for avoid in (False, True))
+        assert bridge == _through_or_detour(dx + dy, detour), (model.key(x), model.key(y))
+
+
+def test_each_bridge_report_runs_one_search(monkeypatch):
+    calls = []
+    for name in ("in_ball_bridge", "bridge_length"):
+        def counted(*args, _name=name, _search=getattr(witness_lab, name), **kwargs):
+            calls.append(_name)
+            return _search(*args, **kwargs)
+        monkeypatch.setattr(witness_lab, name, counted)
+    for kind, n, q, search in (("notpac", 3, None, "in_ball_bridge"),
+                               ("bs1q", 2, 7, "in_ball_bridge"),
+                               ("bs1q", 3, 8, "in_ball_bridge"),
+                               ("stallings", 1, None, "bridge_length")):
+        calls.clear()
+        assert verify_bridge(kind, n, q)["ok"]
+        assert calls == [search], kind
 
 
 def test_in_ball_bridge_edge_cases():

@@ -106,9 +106,6 @@ class BallIndex:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def __contains__(self, key: bytes) -> bool:
-        return key in self.ids
-
     def depth(self, i: int) -> int:
         """Distance from the identity of the element with id i."""
         return bisect_right(self.starts, i) - 1
@@ -127,10 +124,6 @@ class BallIndex:
     def sphere(self, r: int) -> list[bytes]:
         ids = self.sphere_ids(r)
         return self.keys[ids.start:ids.stop]
-
-    @property
-    def spheres(self) -> list[list[bytes]]:
-        return [self.sphere(r) for r in range(len(self.starts) - 1)]
 
     def sphere_sizes(self) -> list[int]:
         return [b - a for a, b in zip(self.starts, self.starts[1:])]
@@ -337,14 +330,14 @@ def in_ball_distance(ball: BallIndex, x: int, y: int, bound: int,
     return None
 
 
-def bridge_length(ball: BallIndex, src, dst, forbid_identity: bool = False) -> Optional[int]:
+def bridge_length(ball: BallIndex, src, dst, avoid_identity: bool = False) -> Optional[int]:
     """Shortest path length from src to dst staying inside the ball
     (optionally avoiding the identity as an interior vertex), or None."""
     s = ball.ids.get(ball.model.key(src))
     t = ball.ids.get(ball.model.key(dst))
     if s is None or t is None:
         raise ValueError("bridge endpoints must lie inside the ball")
-    return in_ball_distance(ball, s, t, len(ball), forbid_identity)
+    return in_ball_distance(ball, s, t, len(ball), avoid_identity)
 
 
 def save_ball(ball: BallIndex, path: str) -> None:

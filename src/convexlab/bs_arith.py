@@ -105,7 +105,8 @@ def bs_eval(w: Word, params: BsParams) -> BsElement:
             if e >= 0:
                 num += exp * q ** e
             else:
-                num = num * q ** (-e) + exp
+                # with num = 0, q^-e (maybe far too large to build) is skipped
+                num = num * q ** (-e) + exp if num else exp
                 dpow += -e
         else:
             raise ValueError(f"letter {gen!r} is not a BS(1,q) generator")

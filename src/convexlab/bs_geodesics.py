@@ -41,6 +41,9 @@ from .words import Word, WordClass, classify, gen_power
 
 _INF = float("inf")
 
+# most levels a normal form may span: it holds one digit per level
+_MAX_SPAN = 10 ** 6
+
 
 class NotGeodesicError(ValueError):
     """normalize() was handed a non-geodesic word."""
@@ -89,10 +92,17 @@ def _step(frontier: dict[int, int], params: BsParams) -> dict[int, int]:
 
 def _below_frontiers(m0: int, levels: int, params: BsParams) -> list[dict[int, int]]:
     """Forward frontiers of the below stage: frontiers[j] maps the remainder
-    after j levels to the minimal digit cost spent so far."""
+    after j levels to the minimal digit cost spent so far.  The walk stops
+    at remainder 0 once no state costs less: from 0 the rest is free (digit
+    0 on every level left, core 0) and from any other state it costs at
+    least 1, so every path it drops is strictly worse."""
     frontiers = [{m0: 0}]
     for _ in range(levels):
-        frontiers.append(_step(frontiers[-1], params))
+        frontier = frontiers[-1]
+        if 0 in frontier and frontier[0] == min(frontier.values()):
+            frontiers[-1] = {0: frontier[0]}
+            break
+        frontiers.append(_step(frontier, params))
     return frontiers
 
 
@@ -182,11 +192,10 @@ def _trace(frontiers: list[dict[int, int]], last: dict[int, Union[int, float]],
 def _price(el: BsElement, params: BsParams
            ) -> tuple[int, list[dict[int, int]], dict[int, Union[int, float]], int]:
     """(bottom, frontiers, last, length) of el's digit walk: the below-stage
-    frontiers from the bottom, where the digits must spell c * q^-bottom, up
-    to the base; the core cost of each top state; the word length of el."""
+    frontiers from height -dpow (digit 0 below it) up to the base or the
+    walk's stop; the core cost of each top state; the word length of el."""
     bottom = min(0, el.texp, -el.dpow)
-    m0 = el.num * params.q ** (-el.dpow - bottom)
-    frontiers = _below_frontiers(m0, max(0, el.texp) - bottom, params)
+    frontiers = _below_frontiers(el.num, max(0, el.texp) + el.dpow, params)
     last = {m: _core(m, params)[0] for m in frontiers[-1]}
     best = min(c + last[m] for m, c in frontiers[-1].items())
     if best == _INF:
@@ -321,19 +330,6 @@ class GeodesicNormalForm:
         core = abs(self.core) if isinstance(self.core, int) else self.core.cost()
         return walk + sum(abs(d) for d in self.digits) + core
 
-    def digit_at(self, height: int) -> int:
-        return self.digits[height - self.bottom]
-
-    @property
-    def dip_count(self) -> int:
-        """e: number of descending levels (0 unless the walk dips below 0)."""
-        return -self.bottom
-
-    @property
-    def rise_count(self) -> int:
-        """f: number of ascending levels above the bottom."""
-        return self.element.texp - self.bottom
-
     def render(self, class4_form: str | None = None) -> Word:
         """Geodesic word spelling the element, in one of two layouts:
         'down_first' (t^-e, then ascend writing a digit before each t, core
@@ -383,12 +379,12 @@ class GeodesicNormalForm:
                 raise InvariantError(f"top digit {xb.top} out of range")
             if any(abs(k) > params.half for k in xb.digits):
                 raise InvariantError("climb digit out of range")
-        cls = self.class_tag
-        if cls == 2 and self.dip_count < 1:
+        cls, dip, rise = self.class_tag, -self.bottom, el.texp - self.bottom
+        if cls == 2 and dip < 1:
             raise InvariantError("class 2 without a dip")
-        if cls == 3 and self.rise_count < 1:
+        if cls == 3 and rise < 1:
             raise InvariantError("class 3 without a rise")
-        if cls == 4 and (self.dip_count < 1 or self.rise_count < 1):
+        if cls == 4 and (dip < 1 or rise < 1):
             raise InvariantError("class 4 needs a dip and a rise")
         rendered = self.render()
         if bs_eval(rendered, params) != el:
@@ -400,10 +396,15 @@ class GeodesicNormalForm:
 def _solve(el: BsElement, params: BsParams) -> GeodesicNormalForm:
     """Run the digit DP and reconstruct the deterministic minimal form."""
     bottom, frontiers, last, length = _price(el, params)
+    span = max(0, el.texp) - bottom
+    if span > _MAX_SPAN:
+        raise ValueError(f"the normal form spans {span} levels, more than {_MAX_SPAN}")
     digits, m = _trace(frontiers, last, params)
     core = _core(m, params)[1]
     if core is None:
         raise InvariantError(f"remainder {m} admits no core block")
+    lead = [0] * (-el.dpow - bottom)
+    digits = lead + digits + [0] * (span - len(lead) - len(digits))
     nf = GeodesicNormalForm(params, el, bottom, tuple(digits), core)
     if nf.length != length:
         raise InvariantError("normal form length differs from the digit cost")
@@ -412,8 +413,8 @@ def _solve(el: BsElement, params: BsParams) -> GeodesicNormalForm:
 
 def normalize(w: Union[Word, BsElement], params: BsParams) -> GeodesicNormalForm:
     """Geodesic normal form of the element spelled by w.  Raises
-    NotGeodesicError when w is a word that is longer than the distance
-    (elements are always accepted)."""
+    NotGeodesicError when w is a word longer than the distance (elements
+    are always accepted), ValueError for a form of over _MAX_SPAN levels."""
     if isinstance(w, Word):
         el = bs_eval(w, params)
         nf = _solve(el, params)

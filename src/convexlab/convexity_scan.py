@@ -58,12 +58,6 @@ class ScanReport:
     r_max: int
     rows: tuple[ScanRow, ...]
 
-    def row(self, r: int) -> ScanRow:
-        for candidate in self.rows:
-            if candidate.r == r:
-                return candidate
-        raise KeyError(r)
-
 
 def _middles(rows: array, lo: int, hi: int, ngens: int) -> tuple[array, array]:
     """For the rows of the sphere lo:hi (see BallIndex.sphere_rows), the

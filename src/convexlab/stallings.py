@@ -22,7 +22,6 @@ from __future__ import annotations
 import re
 from typing import NamedTuple, Optional, Union
 
-from .ball_engine import DEFAULT_CAP
 from .words import STALLINGS_ALPHABET, Word, WordError, parse_word
 
 RELATORS = ("acAC", "adAD", "bcBC", "bdBD", "sAbSBa", "sAcSCa", "sAdSDa")
@@ -159,9 +158,9 @@ class StallingsModel:
         return StallingsElement(quo, u, v)
 
 
-def verify_stallings_witness(n: int = 1, cap: int = DEFAULT_CAP) -> dict:
+def verify_stallings_witness(n: int = 1) -> dict:
     """The stallings bridge witness at scale n: R = 4n, and the bridge
     inside B(R) costs 2R."""
     # witness_lab imports this module for its stallings row
     from .witness_lab import verify_bridge
-    return verify_bridge("stallings", n, cap=cap)
+    return verify_bridge("stallings", n)

@@ -604,7 +604,7 @@ def _build_92(rng: random.Random, o: _CaseParams) -> CaseWitness:
             return None
         u = u_nf.render()
         x = _tp(-1) * _ap(i) * _tp(1) * v * _tp(1) * _ap(k) * _tp(-p)
-        if len(x) != len(w) or not is_geodesic(x, BS2):
+        if not is_geodesic(x, BS2):
             return None
         params = {"p": p, "k": k, "s": s, "i": i, "v": v, "x": x}
         return CaseWitness("9.2", params, w, u, gamma, delta)
@@ -711,7 +711,6 @@ def _build_102(rng: random.Random, o: _CaseParams) -> CaseWitness:
                     return None
                 delta = _tp(-1) * _ap(2 * k) * _tp(1) * _ap(k) * _tp(1)
         else:
-            _require(len(w) >= 2 * f1 + 3, "case 10.2.4 needs r >= 2 f1 + 3")
             delta = (_tp(-f1) * _ap(-i1) * _tp(f1) * _ap(2 * k)
                      * _tp(-f1) * _ap(i1) * _tp(f1))
         return CaseWitness(sub, params, w, u, gamma, delta)
@@ -735,7 +734,7 @@ def _build_1031(rng: random.Random, o: _CaseParams) -> CaseWitness:
         w = w3 * _tp(1) * _ap(m) * _tp(-(l + p)) * _ap(i) * _tp(1) * w2
         u = (_tp(-p) * _ap(i) * _tp(1) * w2 * _tp(1) * w3 * _tp(1) * _ap(m)
              * _tp(-(l - 1)))
-        if not (is_geodesic(w, BS2) and is_geodesic(u, BS2) and len(w) == len(u)):
+        if not (is_geodesic(w, BS2) and is_geodesic(u, BS2)):
             return None
         head = w2.inverse() * _tp(-1) * _ap(-i) * _tp(p - 1)
         if sub == "10.3.1.1":
@@ -796,7 +795,7 @@ def _build_1033(rng: random.Random, o: _CaseParams) -> CaseWitness:
         gnf = _same_sphere(bs_mul(w_el, _gel(gamma), BS2), r)
         if gnf is None or gnf.element.texp != 1 or gnf.bottom != -p:
             return None
-        jd = gnf.digit_at(-p)
+        jd = gnf.digits[0]  # the bottom digit, at height -p
         if jd != (i if sub == "10.3.3.1" else -i):
             return None
         u = gnf.render(class4_form="down_first")
@@ -839,7 +838,7 @@ _BUILDERS = {
 CONSTRUCTIVE_CASES = tuple(_BUILDERS)
 
 
-def build_case(case: str, rng: Optional[random.Random] = None, **params) -> CaseWitness:
+def build_case(case: str, rng: random.Random, **params) -> CaseWitness:
     """Construct a CaseWitness for the given constructive case id.
 
     Int and string parameters (p, l, f1, k, j, mode, ...) may be pinned by
@@ -853,7 +852,6 @@ def build_case(case: str, rng: Optional[random.Random] = None, **params) -> Case
     """
     if case not in _BUILDERS:
         raise ConstructionError(f"unknown constructive case id: {case!r}")
-    rng = rng if rng is not None else random.Random(0xC0FFEE)
     opts = _CaseParams(case, rng, params)
     cw = _BUILDERS[case](rng, opts)
     stray = set(opts) - opts.seen
@@ -881,16 +879,17 @@ def verify_case(cw: CaseWitness) -> dict:
     outside is the first violation."""
     checks: dict = {}
     first_violation = None
+    r = cw.r
     w_el = bs_eval(cw.w, BS2)
     u_el = bs_eval(cw.u, BS2)
     gamma_el = bs_eval(cw.gamma, BS2)
     # l(u) = l(w) = r is a CaseWitness invariant
-    checks["geodesic"] = geodesic_length(w_el, BS2) == cw.r == geodesic_length(u_el, BS2)
+    checks["geodesic"] = geodesic_length(w_el, BS2) == r == geodesic_length(u_el, BS2)
     # once w gamma = u holds, w^-1 u is gamma, so d(w, u) = l(gamma)
     checks["distance"] = (1 <= geodesic_length(gamma_el, BS2) <= 2
                           and bs_mul(w_el, gamma_el, BS2) == u_el)
     checks["delta_eval"] = bs_eval(cw.delta, BS2) == gamma_el
-    checks["delta_len"] = len(cw.delta) <= 2 * cw.r - 2
+    checks["delta_len"] = len(cw.delta) <= 2 * r - 2
     cur = w_el
     slack = 0  # prefixes still known to lie in B(r) without a DP call
     for idx, (gen, sign) in enumerate(cw.delta.letters(), start=1):
@@ -898,19 +897,19 @@ def verify_case(cw: CaseWitness) -> dict:
         if slack:
             slack -= 1
             continue
-        slack = cw.r - geodesic_length(cur, BS2)
+        slack = r - geodesic_length(cur, BS2)
         if slack < 0:
             first_violation = idx
             break
     checks["in_ball"] = first_violation is None
     if "x" in cw.params:
         x = cw.params["x"]
-        checks["alt_u"] = len(x) == cw.r and bs_eval(x, BS2) == u_el
+        checks["alt_u"] = len(x) == r and bs_eval(x, BS2) == u_el
     return {
         "case": cw.case,
         "params": {key: str(val) if isinstance(val, Word) else val
                    for key, val in cw.params.items()},
-        "r": cw.r,
+        "r": r,
         "w": str(cw.w),
         "u": str(cw.u),
         "gamma": str(cw.gamma),
@@ -1148,7 +1147,7 @@ def _ball_measure(model, radius: int, cap: int) -> tuple:
     past `cap` elements)."""
     ball = build_ball(model, radius, cap=cap)
     return (lambda el: ball.distance(model.key(el)),
-            lambda w, u: bridge_length(ball, w, u, forbid_identity=True))
+            lambda w, u: bridge_length(ball, w, u, avoid_identity=True))
 
 
 def _conjugate_pair(c: int) -> Callable:

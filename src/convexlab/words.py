@@ -10,7 +10,7 @@ remembers its exact letter sequence.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -25,15 +25,6 @@ class GenAlphabet:
     """Named generators; inverses are implicit (uppercase letters)."""
 
     letters: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for g in self.letters:
-            if len(g) != 1 or not g.isalpha() or not g.islower():
-                raise ValueError(f"generator must be a single lowercase letter: {g!r}")
-            if g in seen:
-                raise ValueError(f"duplicate generator {g!r}")
-            seen.add(g)
 
     @cached_property
     def signed(self) -> dict[str, tuple[str, int]]:
@@ -80,17 +71,13 @@ class Word:
     (``a A`` stays two runs and is distinct from the empty word)."""
 
     runs: tuple[tuple[str, int], ...] = ()
-    # the number of letters, summed on the first len() and kept
-    _len: int = field(default=-1, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_runs(runs: Iterable[tuple[str, int]]) -> "Word":
         return Word(_canonical_runs(runs))
 
     def __len__(self) -> int:
-        if self._len < 0:
-            object.__setattr__(self, "_len", sum(abs(e) for _, e in self.runs))
-        return self._len
+        return sum(abs(e) for _, e in self.runs)
 
     def letters(self) -> Iterator[tuple[str, int]]:
         """Yield (generator, sign) letter by letter."""

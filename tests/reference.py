@@ -66,7 +66,7 @@ def sphere_sizes(dist) -> list[int]:
     return [sizes.get(i, 0) for i in range(max(sizes) + 1)]
 
 
-def dist_in_ball(q, dist, radius, src, dst, forbid_identity=False):
+def dist_in_ball(q, dist, radius, src, dst, avoid_identity=False):
     """Shortest path length from src to dst through ball elements only
     (optionally dodging the identity), or None when dst is unreachable."""
     if src == dst:
@@ -81,7 +81,7 @@ def dist_in_ball(q, dist, radius, src, dst, forbid_identity=False):
                 return d + 1
             if nb in seen or dist.get(nb, radius + 1) > radius:
                 continue
-            if forbid_identity and nb == START:
+            if avoid_identity and nb == START:
                 continue
             seen.add(nb)
             queue.append((nb, d + 1))

@@ -63,7 +63,7 @@ def test_ball_index_lookups(ball_bs2_r8):
     model = ball_bs2_r8.model
     ident_key = model.key(model.identity())
     assert ball_bs2_r8.distance(ident_key) == 0
-    assert ident_key in ball_bs2_r8
+    assert ident_key in ball_bs2_r8.ids
     assert ball_bs2_r8.sphere(0) == [ident_key]
     assert ball_bs2_r8.distance(b"nonsense") is None
     far = bs_eval(parse_word("a^1000"), BsParams(2))
@@ -119,7 +119,8 @@ def test_loaded_ball_gives_the_built_words(fixture, tmp_path, request):
 def test_geodesic_words_are_geodesic(ball_bs2_r8):
     params = BsParams(2)
     model = ball_bs2_r8.model
-    keys = [s[0] for s in ball_bs2_r8.spheres if s]
+    spheres = [ball_bs2_r8.sphere(r) for r in range(ball_bs2_r8.radius + 1)]
+    keys = [s[0] for s in spheres if s]
     for key in keys:
         w = parse_word("".join(ball_bs2_r8.geodesic_word(key)))
         assert len(w) == ball_bs2_r8.distance(key)
@@ -155,7 +156,7 @@ def test_bridge_forbid_identity(ball_bs2_r8):
     x = bs_eval(parse_word("a"), params)
     y = bs_eval(parse_word("A"), params)
     assert bridge_length(ball_bs2_r8, x, y) == 2
-    detour = bridge_length(ball_bs2_r8, x, y, forbid_identity=True)
+    detour = bridge_length(ball_bs2_r8, x, y, avoid_identity=True)
     assert detour is not None and detour > 2
 
 
@@ -172,7 +173,7 @@ def test_neighbour_table_matches_model(fixture, request):
         el = ball.element(key)
         for i in range(ngens):
             nk = model.key(model.apply_gen(el, i))
-            want = ball.ids[nk] if nk in ball else -1
+            want = ball.ids[nk] if nk in ball.ids else -1
             assert table[x * ngens + i] == want, (key, i)
     # only rows of the outermost sphere reach outside the ball
     inner = ball.sphere_ids(ball.radius).start * ngens
@@ -316,7 +317,7 @@ def test_generators_without_inverses_are_refused():
 
 def test_ids_follow_sphere_and_discovery_order(ball_bs2_r8):
     ball = ball_bs2_r8
-    assert ball.keys == [k for sphere in ball.spheres for k in sphere]
+    assert ball.keys == [k for r in range(ball.radius + 1) for k in ball.sphere(r)]
     # BFS discovers the children of each element before those of the next:
     # within a sphere, the least neighbour one sphere nearer (the element BFS
     # reached it from) does not decrease with id
@@ -473,7 +474,7 @@ def test_in_ball_distance_matches_reference(q):
                 assert in_ball_distance(ball, x, y, bound, avoid) == want, (src, dst, r, avoid)
 
 
-def _bridge_by_keys(ball, src, dst, forbid_identity):
+def _bridge_by_keys(ball, src, dst, avoid_identity):
     """Key-based BFS inside the ball, the way bridges were first computed."""
     model = ball.model
     ks, kd = model.key(src), model.key(dst)
@@ -490,7 +491,7 @@ def _bridge_by_keys(ball, src, dst, forbid_identity):
                 nk = model.key(nb)
                 if nk == kd:
                     return d
-                if nk in seen or nk not in ball or (forbid_identity and nk == ident):
+                if nk in seen or nk not in ball.ids or (avoid_identity and nk == ident):
                     continue
                 seen.add(nk)
                 nxt.append(nb)
@@ -512,5 +513,5 @@ def test_bridge_matches_key_bfs(fixture, request, tmp_path):
     for ball in (built, load_ball(path, built.model)):
         for kx, ky in pairs:
             x, y = ball.element(kx), ball.element(ky)
-            for forbid in (False, True):
-                assert bridge_length(ball, x, y, forbid) == _bridge_by_keys(ball, x, y, forbid)
+            for avoid in (False, True):
+                assert bridge_length(ball, x, y, avoid) == _bridge_by_keys(ball, x, y, avoid)

@@ -7,6 +7,7 @@ soundness on every element the oracle saw.
 
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,31 @@ def test_normalize_class4_forms_agree():
     assert bs_eval(down, BS2) == el
     assert bs_eval(core, BS2) == el
     assert len(down) == len(core) == geodesic_length(el, BS2)
+
+
+HUGE = 10 ** 20
+
+
+@pytest.mark.parametrize("q", [2, 7])
+@pytest.mark.parametrize("text,length", [
+    (f"t^{HUGE}", HUGE), (f"T^{HUGE}", HUGE), (f"a t^{HUGE}", HUGE + 1),
+    (f"T^{HUGE} a", HUGE + 1), (f"a T^{HUGE}", HUGE + 1)])
+def test_length_of_a_huge_t_power(q, text, length):
+    # the walk starts at height -dpow and stops at remainder 0, so none of
+    # these walks 10^20 levels
+    start = time.perf_counter()
+    assert geodesic_length(parse_word(text), BsParams(q)) == length
+    assert time.perf_counter() - start < 0.5
+
+
+def test_normalize_pads_the_stopped_walk():
+    gnf = normalize(parse_word("t^1000"), BS2)
+    assert str(gnf.render()) == "t^1000"
+    gnf.validate()
+    gnf = normalize(parse_word("T^1000 a t^1002"), BS2)
+    assert str(gnf.render()) == "T^1000at^1002"
+    assert gnf.digits == (1,) + (0,) * 1001
+    gnf.validate()
 
 
 def test_validate_raises_invariant_error_on_corruption():

@@ -300,6 +300,14 @@ def test_length(capsys):
     assert capsys.readouterr().out.strip() == "5"
     assert main(["length", "--group", "stallings", "--word", "a"]) == 2
     assert main(["length", "--group", "bs:q=2", "--word", "a^^"]) == 2
+    capsys.readouterr()
+    huge = "t^99999999999999999999"
+    assert main(["length", "--word", huge]) == 0
+    assert capsys.readouterr().out == "99999999999999999999\n"
+    # its normal form would hold one digit per level: refused
+    assert main(["normalize", "--word", huge]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_normalize(capsys):

@@ -88,7 +88,7 @@ def test_scan_matches_frozen_table(report_r8):
 def test_scan_matches_reference_directly():
     got = scan(build_ball(BsGroupModel(BsParams(2)), 4), 4)
     ref = reference.fmax_scan(2, 4)
-    row = got.row(4)
+    (row,) = got.rows
     assert (row.fmax, row.pairs) == ref
     grouped = reference.fmax_scan_grouped(2, 4)
     assert (row.fmax, row.pairs) == grouped
@@ -113,7 +113,7 @@ def test_bs7_scan_rows():
 @pytest.mark.parametrize("q", sorted(REFERENCE_RADII))
 def test_scan_matches_grouped_reference(q):
     r = REFERENCE_RADII[q]
-    row = scan(build_ball(BsGroupModel(BsParams(q)), r), r).row(r)
+    (row,) = scan(build_ball(BsGroupModel(BsParams(q)), r), r).rows
     assert (row.fmax, row.pairs) == reference.fmax_scan_grouped(q, r)
 
 
@@ -123,7 +123,7 @@ def test_scan_witnesses_match_frozen(report_r8):
 
 
 def test_scan_witness_pair_is_valid(report_r8, ball_bs2_r8):
-    row = report_r8.row(6)
+    row = {row.r: row for row in report_r8.rows}[6]
     assert row.witness_x and row.witness_y
     kx = row.witness_x.encode("ascii")
     ky = row.witness_y.encode("ascii")

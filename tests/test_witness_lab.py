@@ -624,7 +624,7 @@ def test_in_ball_bridge_edge_cases():
     assert in_ball_bridge(a, big_a, 1, params) == 2
     assert in_ball_bridge(a, big_a, 1, params, avoid_identity=True) is None
     ball = build_ball(BsGroupModel(params), 1)
-    assert bridge_length(ball, a, big_a, forbid_identity=True) is None
+    assert bridge_length(ball, a, big_a, avoid_identity=True) is None
     # the identity may be an endpoint of an identity-avoiding path
     one = bs_eval(Word(), params)
     assert in_ball_bridge(one, a, 1, params, avoid_identity=True) == 1

@@ -15,6 +15,10 @@ from typing import NamedTuple
 
 from .words import Word
 
+# most base-q levels a word's translation may span, and a normal form: it
+# holds one digit per level
+MAX_LEVELS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class BsParams:
@@ -92,7 +96,8 @@ def bs_inv(g: BsElement, params: BsParams) -> BsElement:
 
 def bs_eval(w: Word, params: BsParams) -> BsElement:
     """Evaluate a word over {a, t} left to right.  An a^m run at current
-    height T contributes m * q^T to the translation part."""
+    height T contributes m * q^T to the translation part.  Raises
+    ValueError when that needs q^k for k > MAX_LEVELS."""
     q = params.q
     texp = 0
     num = 0
@@ -102,6 +107,9 @@ def bs_eval(w: Word, params: BsParams) -> BsElement:
             texp += exp
         elif gen == "a":
             e = texp + dpow
+            if abs(e) > MAX_LEVELS and (e > 0 or num):
+                raise ValueError(f"the translation would span more than {MAX_LEVELS}"
+                                 " base-q levels")
             if e >= 0:
                 num += exp * q ** e
             else:

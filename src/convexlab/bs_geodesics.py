@@ -1,31 +1,51 @@
 """Geodesic lengths and geodesic normal forms in BS(1,q).
 
 Word length of an element g = (texp, num, dpow) with translation part
-c = num * q^-dpow is computed over a two-stage digit walk.  The walk starts
-at height 0, must visit height -dpow (where the lowest base-q digit of c
-lives), ends at height texp, and may climb above base = max(0, texp) when
-writing high digits up there is cheaper than spelling them out in a-letters.
-With bottom B = min(0, texp, -dpow) and climb h the walk spends
-texp - 2B + 2h t-letters; a-letters pay for the digits:
+c = num * q^-dpow comes from a digit walk.  The walk starts at height 0,
+must visit height -dpow (where the lowest base-q digit of c lives), ends
+at height texp, and may climb above base = max(0, texp) when writing high
+digits up there is cheaper than spelling them out in a-letters.  With
+bottom B = min(0, texp, -dpow) and climb h the walk spends texp - 2B + 2h
+t-letters; a-letters pay for the digits:
 
   * one balanced digit d (|d| <= floor(q/2)) per level from B to base - 1,
   * at base either a plain core a^i with |i| <= core_cap, or a climb block
     that writes one balanced digit per climbed level and a top digit s with
     2 <= |s| <= 3 (q = 2) or 1 <= |s| <= q - 1 (q > 2).
 
-Both stages are loops over _step, which writes one balanced digit under
-every state and divides by q; the climb stops once no state can reach a
-top digit.  One helper, _price, runs the below stage and prices each
-state at the base by its cheapest core (_core); the minimal digit cost
-gives the Cayley-graph distance (pinned against brute-force BFS in the
-tests).  geodesic_length returns it; normalize hands _price's frontiers to
-_trace, which reconstructs a minimal form: backward costs, then a forward
-pass taking the smallest optimal digit.  Ties go to the lexicographically
-least below digits (bottom level first), then plain core before climb
-block, smaller climb, smaller top digit, least climb digits.  Words are
-laid out by descent_word (core, t^-1 a^d per level down, t^rise) or
-ascent_word (t^-dip, a^d t per level up, core); every class and the climb
-block use these two.
+Level j of the walk (height j - dpow) holds the remainder F_j + c, where
+F_j = floor(num / q^j) and the carry c is -1, 0 or 1: writing a balanced
+digit never moves the remainder further than that from F_j.  So the walk
+reads the base-q floor digits of num once (_floor_digits: bin() for
+q = 2^k, divide and conquer otherwise) and keeps three costs per level,
+one per carry.  It runs backward, from the top level down, pricing each
+carry by the least cost still to pay: over the climbed levels, where a
+cost is the triple (cost, height of the top digit, top digit); at the
+base, where the plain core competes with the climb; and over the levels
+below.  Each level is one lookup in the per-q transition table of _Walk,
+keyed by the level's digit and the costs above it written as offsets; the
+table is filled on first use.  Only the top few levels, where F_j is
+small, need F_j itself (a top digit or a plain core must equal the
+remainder); there the costs stay exact.  Above the digits of num the
+remainders lie in -2..1, and two levels up the walk is at remainder 0 at
+least as cheaply as anywhere else (the stop of a forward walk), so a below
+stage that reaches that high starts there at remainder 0 and `t^N` costs
+nothing for any N.  A climb is walked down from the first level past both
+the digits of num and the base: a remainder in -2..1 there either is a
+top digit or never reaches one, and climbing on from it never pays.
+
+geodesic_length returns the cost at level 0 (pinned in the tests against
+brute-force BFS and against a quadratic walk over remainders).  normalize
+follows the choice each level stored in a bytearray of codes, from level
+0 up, which gives the least minimal form: every level takes its smallest
+digit among the optimal ones, so ties go to the lexicographically least
+below digits (bottom level first), then plain core before climb block,
+smaller climb, smaller top digit, least climb digits.  Words are laid out
+by descent_word (core, t^-1 a^d per level down, t^rise) or ascent_word
+(t^-dip, a^d t per level up, core); every class and the climb block use
+these two.  The walk refuses no element;
+normalize refuses a form over MAX_LEVELS levels, since it holds one digit
+per level, and bs_eval refuses a word whose translation would span more.
 """
 
 from __future__ import annotations
@@ -33,16 +53,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from heapq import heappop, heappush
+from math import log2
 from typing import Optional, Sequence, Union
 
-from .bs_arith import IDENTITY, BsElement, BsGroupModel, BsParams, bs_eval, bs_inv, bs_mul
+from .bs_arith import (IDENTITY, MAX_LEVELS, BsElement, BsGroupModel, BsParams, bs_eval,
+                       bs_inv, bs_mul)
 from .errors import InvariantError
 from .words import Word, WordClass, classify, gen_power
-
-_INF = float("inf")
-
-# most levels a normal form may span: it holds one digit per level
-_MAX_SPAN = 10 ** 6
 
 
 class NotGeodesicError(ValueError):
@@ -69,144 +86,195 @@ def _digit_table(q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(d for d in (r - q, r) if abs(d) <= q // 2) for r in range(q))
 
 
-def _climb_dead(m: int, q: int) -> bool:
-    # states that can never reach a legal top digit: 0 stays 0; for q = 2
-    # the states +-1 cycle below the |s| >= 2 threshold
-    return m == 0 or (q == 2 and abs(m) == 1)
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _step(frontier: dict[int, int], params: BsParams) -> dict[int, int]:
-    """One level of the digit walk: write a balanced digit under each state
-    and divide by q, keeping the cheapest cost of every remainder."""
-    q = params.q
-    table = _digit_table(q)
-    nxt: dict[int, int] = {}
-    for m, c in frontier.items():
-        for d in table[m % q]:
-            m2 = (m - d) // q
-            c2 = c + abs(d)
-            if c2 < nxt.get(m2, _INF):
-                nxt[m2] = c2
-    return nxt
+def _floor_digits(x: int, q: int) -> list[int]:
+    """Base-q digits of x >= 0, top digit first, none for x = 0."""
+    k = q.bit_length() - 1
+    if q == 1 << k:
+        bits = format(x, "b") if x else ""
+        if k == 1:
+            return list(bits.encode().translate(_BITS))
+        bits = "0" * (-len(bits) % k) + bits
+        return [int(bits[i:i + k], 2) for i in range(0, len(bits), k)]
+    size = int(x.bit_length() / log2(q)) + 2  # q^size > x, with room for rounding
+    powers: dict[int, int] = {}
+
+    def split(x: int, size: int) -> list[int]:
+        # exactly `size` digits of x < q^size; halves of the power split the rest
+        if size <= 64:
+            out = [0] * size
+            for i in range(size - 1, -1, -1):
+                x, out[i] = divmod(x, q)
+            return out
+        half = size // 2
+        if half not in powers:
+            powers[half] = q ** half
+        hi, lo = divmod(x, powers[half])
+        return split(hi, size - half) + split(lo, half)
+
+    digits = split(x, size)
+    lead = 0
+    while lead < len(digits) and not digits[lead]:
+        lead += 1
+    return digits[lead:]
 
 
-def _below_frontiers(m0: int, levels: int, params: BsParams) -> list[dict[int, int]]:
-    """Forward frontiers of the below stage: frontiers[j] maps the remainder
-    after j levels to the minimal digit cost spent so far.  The walk stops
-    at remainder 0 once no state costs less: from 0 the rest is free (digit
-    0 on every level left, core 0) and from any other state it costs at
-    least 1, so every path it drops is strictly worse."""
-    frontiers = [{m0: 0}]
-    for _ in range(levels):
-        frontier = frontiers[-1]
-        if 0 in frontier and frontier[0] == min(frontier.values()):
-            frontiers[-1] = {0: frontier[0]}
-            break
-        frontiers.append(_step(frontier, params))
-    return frontiers
+_BELOW, _BASE, _CLIMB = range(3)
 
 
-def _climb_frontiers(m0: int, params: BsParams) -> list[dict[int, int]]:
-    """Forward frontiers of a climb block, frontiers[h] after h climbed
-    levels.  The climb stops once no state can still reach a top digit."""
-    q = params.q
-    frontiers = [{m0: 0}]
-    live = {} if _climb_dead(m0, q) else frontiers[0]
-    while live:
-        frontiers.append(_step(live, params))
-        # dead states never stop, so dropping them only trims doomed
-        # branches; remainders shrink toward 0, which bounds the height,
-        # but keep a hard stop anyway
-        live = {m: c for m, c in frontiers[-1].items() if not _climb_dead(m, q)}
-        if len(frontiers) > abs(m0).bit_length() + 8:
-            raise InvariantError("climb DP failed to terminate")
-    return frontiers
+class _Walk:
+    """Transition tables of the carry walk for one q, filled on first use.
 
+    A key holds one entry per carry -1, 0, 1 (None: no way on from there).
+    Below the base an entry is the cost still to pay; over a climb it is
+    the triple (cost, levels up to the top digit, top digit).  An entry is
+    exact while the walk is still among the top levels, where F_j is
+    small.  Below them it is offset from the level's least cost (and, for
+    a climb, least height, with each top digit replaced by its rank among
+    the level's, which is all a tie needs), which keeps the number of keys
+    finite.  A level's symbol is its digit r_j in 0..q-1, or q + small + F_j
+    where |F_j| <= small.  rows[stage][key id] maps a symbol to (key id one
+    level down, cost added, code); the code holds two bits per carry: the
+    carry one level up that the cheapest smallest digit leads to, or 3
+    where the walk ends (plain core, top digit) or has no way on."""
 
-_CORE_CACHE: dict[tuple[int, int], tuple[Union[int, float], Union[int, XBlock, None]]] = {}
+    def __init__(self, params: BsParams):
+        self.params = params
+        # a remainder with |F_j| above this is no top digit or plain core
+        self.small = max(params.q, 4)
+        self.keys: list[tuple] = []
+        self.ids: dict[tuple, int] = {}
+        self.rows: tuple[list, list, list] = ([], [], [])
+        self.dead = self.key_id((None, None, None))
 
+    def key_id(self, key: tuple) -> int:
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            for rows in self.rows:
+                rows.append({})
+        return i
 
-def _core(m: int, params: BsParams) -> tuple[Union[int, float], Union[int, XBlock, None]]:
-    """Minimal cost of absorbing remainder m at the base, and the core block
-    that attains it: the plain a^m (cost |m|, |m| <= core_cap) when it is
-    optimal, else the climb block of least (height, top digit), which costs
-    2h + sum|k_j| + |s|.  (inf, None) when neither fits."""
-    key = (params.q, m)
-    hit = _CORE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    plain = abs(m) if abs(m) <= params.core_cap else _INF
-    frontiers = _climb_frontiers(m, params)
-    cost, h, top = min(((2 * h + c + abs(top), h, top)
-                        for h, frontier in enumerate(frontiers[1:], 1)
-                        for top, c in frontier.items() if params.top_digit_ok(top)),
-                       default=(_INF, 0, 0))
-    if plain <= cost:
-        hit = (plain, None if plain == _INF else m)
-    else:
-        digits, end = _trace(frontiers[:h + 1], {top: abs(top)}, params)
-        if end != top:
-            raise InvariantError(f"climb digits end at {end}, not the top digit {top}")
-        hit = (cost, XBlock(h, top, tuple(digits)))
-    _CORE_CACHE[key] = hit
-    return hit
+    def run(self, stage: int, syms: Sequence[int], key: int, codes: bytearray) -> tuple[int, int]:
+        """Walk the levels of syms (top first) from key; returns the key of
+        the lowest level and the cost the levels added, appending one code
+        per level."""
+        rows = self.rows[stage]
+        cost = 0
+        for s in syms:
+            try:
+                key, delta, code = rows[key][s]
+            except KeyError:
+                entry = rows[key][s] = self._entry(stage, key, s)
+                key, delta, code = entry
+            cost += delta
+            codes.append(code)
+        return key, cost
 
+    def _entry(self, stage: int, key: int, s: int) -> tuple[int, int, int]:
+        params = self.params
+        q = params.q
+        f = None if s < q else s - q - self.small
+        r = s if f is None else f % q
+        above = self.keys[key]
+        costs: list = []
+        code = 0
+        for i in range(3):
+            c = i - 1
+            best, choice, plain = None, 3, None
+            if f is not None and stage == _CLIMB and params.top_digit_ok(f + c):
+                best = (abs(f + c), 0, f + c)  # the top digit, here
+            if f is not None and stage == _BASE and abs(f + c) <= params.core_cap:
+                plain = abs(f + c)
+            for d in _digit_table(q)[(r + c) % q]:
+                j = (r + c - d) // q + 1
+                e = above[j]
+                if e is None:
+                    continue
+                cand = abs(d) + e if stage == _BELOW else (abs(d) + 2 + e[0], e[1] + 1, e[2])
+                if best is None or cand < best:
+                    best, choice = cand, j
+            if stage == _BASE:
+                best = None if best is None else best[0]
+                if plain is not None and (best is None or plain <= best):
+                    best, choice = plain, 3
+            costs.append(best)
+            code |= choice << 2 * i
+        live = [e for e in costs if e is not None]
+        # a below or base cost is only compared with those of its own level;
+        # a climb cost stays exact among the top levels, where a top digit
+        # adds its absolute cost, and is offset once only digits remain
+        if stage != _CLIMB:
+            low = min(live, default=0)
+            return self.key_id(tuple(None if e is None else e - low for e in costs)), low, code
+        if f is not None or not live:
+            return self.key_id(tuple(costs)), 0, code
+        # no top digit is written here, so only the order of the tops matters
+        low, height = min(e[0] for e in live), min(e[1] for e in live)
+        rank = sorted({e[2] for e in live}).index
+        return (self.key_id(tuple(None if e is None else (e[0] - low, e[1] - height, rank(e[2]))
+                                  for e in costs)), low, code)
 
-def _trace(frontiers: list[dict[int, int]], last: dict[int, Union[int, float]],
-           params: BsParams) -> tuple[list[int], int]:
-    """Cheapest digit path through the levels of `frontiers`, whose top
-    level is priced by `last` (remaining cost per state) instead.
-
-    Backward costs are computed over the reachable states; the forward pass
-    from the single start state then takes the smallest digit among the
-    optimal ones.  Returns (digits, end state)."""
-    q = params.q
-    table = _digit_table(q)
-    back = [last]
-    for frontier in reversed(frontiers[:-1]):
-        above = back[-1]
-        here: dict[int, Union[int, float]] = {}
-        for m in frontier:
-            best: Union[int, float] = _INF
-            for d in table[m % q]:
-                c = abs(d) + above.get((m - d) // q, _INF)
-                if c < best:
-                    best = c
-            here[m] = best
-        back.append(here)
-    back.reverse()
-    (start,) = frontiers[0]
-    digits = []
-    m = start
-    for j in range(len(frontiers) - 1):
-        for d in table[m % q]:
-            if abs(d) + back[j + 1].get((m - d) // q, _INF) == back[j][m]:
-                digits.append(d)
-                m = (m - d) // q
+    def symbols(self, digits: list[int], fill: int, top: int) -> list[int]:
+        """Symbols of levels top .. 0, for the floor digits of a numerator
+        (top first) and its F past them, 0 or -1."""
+        q, small = self.params.q, self.small
+        fills = top + 1 - len(digits)
+        head = [q + small + fill] * fills
+        f = fill
+        for r in digits:
+            f = f * q + r
+            if abs(f) > small:
                 break
-        else:
-            raise InvariantError("digit reconstruction lost the optimum")
-    return digits, m
+            head.append(q + small + f)
+        return head + digits[len(head) - fills:]
 
 
-def _price(el: BsElement, params: BsParams
-           ) -> tuple[int, list[dict[int, int]], dict[int, Union[int, float]], int]:
-    """(bottom, frontiers, last, length) of el's digit walk: the below-stage
-    frontiers from height -dpow (digit 0 below it) up to the base or the
-    walk's stop; the core cost of each top state; the word length of el."""
+@cache
+def _walk(q: int) -> _Walk:
+    return _Walk(BsParams(q))
+
+
+def _price(el: BsElement, params: BsParams) -> tuple[int, list[int], bytearray]:
+    """(length, syms, codes) of el's digit walk: syms are the symbols of
+    its levels, top first, and codes the choices made there."""
+    walk = _walk(params.q)
     bottom = min(0, el.texp, -el.dpow)
-    frontiers = _below_frontiers(el.num, max(0, el.texp) + el.dpow, params)
-    last = {m: _core(m, params)[0] for m in frontiers[-1]}
-    best = min(c + last[m] for m, c in frontiers[-1].items())
-    if best == _INF:
+    levels = max(0, el.texp) + el.dpow
+    q = params.q
+    if el.num >= 0:
+        digits, fill = _floor_digits(el.num, q), 0
+    else:  # floor digits of num are q - 1 minus those of -num - 1
+        digits, fill = [q - 1 - e for e in _floor_digits(~el.num, q)], -1
+    n = len(digits)
+    codes = bytearray()
+    if levels >= n + 2:
+        # two levels above the digits of num the walk is at remainder 0,
+        # carry -fill
+        syms = walk.symbols(digits, fill, n + 1)
+        start = walk.key_id((None, 0, None) if fill == 0 else (None, None, 0))
+        key, cost = walk.run(_BELOW, syms, start, codes)
+    else:
+        top = max(levels + 1, n)
+        syms = walk.symbols(digits, fill, top)
+        climb = top - levels
+        key, cost = walk.run(_CLIMB, syms[:climb], walk.dead, codes)
+        key, base = walk.run(_BASE, syms[climb:climb + 1], key, codes)
+        key, below = walk.run(_BELOW, syms[climb + 1:], key, codes)
+        cost += base + below
+    rest = walk.keys[key][1]
+    if rest is None:
         raise InvariantError(f"digit walk found no path to {el}")
-    return bottom, frontiers, last, el.texp - 2 * bottom + int(best)
+    return el.texp - 2 * bottom + cost + rest, syms, codes
 
 
 def geodesic_length(g: Union[BsElement, Word], params: BsParams) -> int:
     """Distance from the identity in the Cayley graph of BS(1,q)."""
     el = bs_eval(g, params) if isinstance(g, Word) else g
-    return _price(el, params)[3]
+    return _price(el, params)[0]
 
 
 def is_geodesic(w: Word, params: BsParams) -> bool:
@@ -394,17 +462,33 @@ class GeodesicNormalForm:
 
 
 def _solve(el: BsElement, params: BsParams) -> GeodesicNormalForm:
-    """Run the digit DP and reconstruct the deterministic minimal form."""
-    bottom, frontiers, last, length = _price(el, params)
+    """Run the digit walk and follow its codes from level 0 up to the
+    deterministic minimal form."""
+    bottom = min(0, el.texp, -el.dpow)
     span = max(0, el.texp) - bottom
-    if span > _MAX_SPAN:
-        raise ValueError(f"the normal form spans {span} levels, more than {_MAX_SPAN}")
-    digits, m = _trace(frontiers, last, params)
-    core = _core(m, params)[1]
-    if core is None:
-        raise InvariantError(f"remainder {m} admits no core block")
-    lead = [0] * (-el.dpow - bottom)
-    digits = lead + digits + [0] * (span - len(lead) - len(digits))
+    if span > MAX_LEVELS:
+        raise ValueError(f"the normal form spans {span} levels, more than {MAX_LEVELS}")
+    length, syms, codes = _price(el, params)
+    q, small = params.q, _walk(params.q).small
+    digits = [0] * (-el.dpow - bottom)
+    k, i = len(syms) - 1, 1  # level 0, carry 0
+    while k >= 0:
+        nxt = codes[k] >> 2 * i & 3
+        if nxt == 3:
+            break
+        s = syms[k]
+        digits.append((s if s < q else (s - q - small) % q) + i - 1 - q * (nxt - 1))
+        k, i = k - 1, nxt
+    height = len(digits) - span
+    if k < 0:  # the walk ended at remainder 0 below the base
+        core: Union[int, XBlock] = 0
+    elif syms[k] < q:
+        raise InvariantError(f"digit walk of {el} ends where no core can be")
+    else:
+        end = syms[k] - q - small + i - 1
+        core = end if height == 0 else XBlock(height, end, tuple(digits[span:]))
+        digits = digits[:span]
+    digits += [0] * (span - len(digits))
     nf = GeodesicNormalForm(params, el, bottom, tuple(digits), core)
     if nf.length != length:
         raise InvariantError("normal form length differs from the digit cost")
@@ -414,7 +498,7 @@ def _solve(el: BsElement, params: BsParams) -> GeodesicNormalForm:
 def normalize(w: Union[Word, BsElement], params: BsParams) -> GeodesicNormalForm:
     """Geodesic normal form of the element spelled by w.  Raises
     NotGeodesicError when w is a word longer than the distance (elements
-    are always accepted), ValueError for a form of over _MAX_SPAN levels."""
+    are always accepted), ValueError for a form of over MAX_LEVELS levels."""
     if isinstance(w, Word):
         el = bs_eval(w, params)
         nf = _solve(el, params)

@@ -218,6 +218,84 @@ def digit_forms(q: int, el, budget: int) -> list:
     return out
 
 
+def _walk_step(q: int, frontier: dict) -> dict:
+    nxt: dict = {}
+    for m, c in frontier.items():
+        for d in _balanced(q, m):
+            m2, c2 = (m - d) // q, c + abs(d)
+            if c2 < nxt.get(m2, float("inf")):
+                nxt[m2] = c2
+    return nxt
+
+
+def _walk_trace(q: int, frontiers: list, last: dict) -> tuple[list[int], int]:
+    """Least digits (bottom first) of a cheapest path through the frontiers,
+    whose top level is priced by last; returns (digits, end remainder)."""
+    inf = float("inf")
+    back = [last]
+    for frontier in reversed(frontiers[:-1]):
+        above = back[-1]
+        back.append({m: min(abs(d) + above.get((m - d) // q, inf) for d in _balanced(q, m))
+                     for m in frontier})
+    back.reverse()
+    (m,) = frontiers[0]
+    digits = []
+    for j in range(len(frontiers) - 1):
+        d = next(d for d in _balanced(q, m)
+                 if abs(d) + back[j + 1].get((m - d) // q, inf) == back[j][m])
+        digits.append(d)
+        m = (m - d) // q
+    return digits, m
+
+
+def _walk_core(q: int, m: int):
+    """(cost, core) of remainder m at the base: the plain a^m when it is
+    no dearer, else the climb block (height, top, digits from the base up)
+    of least (cost, height, top digit) and least digits."""
+    plain = abs(m) if abs(m) <= _core_cap(q) else float("inf")
+    frontiers = [{m: 0}]
+
+    def dead(x):
+        return x == 0 or (q == 2 and abs(x) == 1)
+
+    live = {} if dead(m) else frontiers[0]
+    while live:
+        frontiers.append(_walk_step(q, live))
+        live = {x: c for x, c in frontiers[-1].items() if not dead(x)}
+    cost, h, top = min(((2 * h + c + abs(s), h, s)
+                        for h, frontier in enumerate(frontiers[1:], 1)
+                        for s, c in frontier.items() if _top_digit_ok(q, s)),
+                       default=(float("inf"), 0, 0))
+    if plain <= cost:
+        return plain, m
+    digits, _ = _walk_trace(q, frontiers[:h + 1], {top: abs(top)})
+    return cost, (h, top, tuple(digits))
+
+
+def digit_walk(q: int, texp: int, num: int, dpow: int):
+    """(length, bottom, digits, core) of the reduced element (texp, num,
+    dpow) by the remainder walk: one dict of remainder -> cost per level,
+    from height -dpow up to the base, stopped at remainder 0 once no state
+    costs less; each base remainder priced by _walk_core.  digits covers
+    bottom .. base - 1 as in a normal form; core is an int or a climb
+    block (height, top, digits).  Quadratic in the translation's length."""
+    bottom = min(0, texp, -dpow)
+    frontiers = [{num: 0}]
+    for _ in range(max(0, texp) + dpow):
+        frontier = frontiers[-1]
+        if 0 in frontier and frontier[0] == min(frontier.values()):
+            frontiers[-1] = {0: frontier[0]}
+            break
+        frontiers.append(_walk_step(q, frontier))
+    last = {m: _walk_core(q, m)[0] for m in frontiers[-1]}
+    cost = min(c + last[m] for m, c in frontiers[-1].items())
+    digits, m = _walk_trace(q, frontiers, last)
+    span = max(0, texp) - bottom
+    lead = [0] * (-dpow - bottom)
+    digits = lead + digits + [0] * (span - len(lead) - len(digits))
+    return texp - 2 * bottom + cost, bottom, tuple(digits), _walk_core(q, m)[1]
+
+
 def boundingm_scan(n: int, q: int) -> dict:
     """The a^m reachability check by a scan over every m in (bound, q^(n+1)]:
     a^m is reachable when digit_forms finds a form within the radius

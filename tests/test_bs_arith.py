@@ -1,10 +1,13 @@
 """Exact affine arithmetic for BS(1,q): group laws, keys, classes."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from convexlab.bs_arith import (
     IDENTITY,
+    MAX_LEVELS,
     BsElement,
     BsGroupModel,
     BsParams,
@@ -27,6 +30,19 @@ def words_strategy(max_size=10):
 def test_identity_is_trivial():
     assert IDENTITY == BsElement(0, 0, 0)
     assert bs_eval(Word(), BsParams(2)) == IDENTITY
+
+
+def test_eval_refuses_a_translation_past_the_level_bound():
+    params = BsParams(2)
+    start = time.perf_counter()
+    for text in (f"t^{10 ** 20} a", f"a T^{MAX_LEVELS + 1} a", f"T^{MAX_LEVELS + 1} a t^{MAX_LEVELS + 1} a"):
+        with pytest.raises(ValueError, match="more than 1000000 base-q levels"):
+            bs_eval(parse_word(text), params)
+    assert time.perf_counter() - start < 0.5
+    # at the bound itself, and a lone letter far below is only a shift
+    assert bs_eval(parse_word(f"a t^{MAX_LEVELS} A"), params) == BsElement(
+        MAX_LEVELS, 1 - 2 ** MAX_LEVELS, 0)
+    assert bs_eval(parse_word(f"T^{10 ** 20} a"), params) == BsElement(-10 ** 20, 1, 10 ** 20)
 
 
 def test_defining_relation():

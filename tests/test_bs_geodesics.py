@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from convexlab import bs_geodesics
 from convexlab.bs_arith import BsElement, BsGroupModel, BsParams, bs_eval
 from convexlab.bs_geodesics import (
     GeodesicNormalForm,
@@ -186,6 +187,61 @@ def test_normalize_pads_the_stopped_walk():
     assert str(gnf.render()) == "T^1000at^1002"
     assert gnf.digits == (1,) + (0,) * 1001
     gnf.validate()
+
+
+@st.composite
+def walk_elements(draw):
+    """(q, el): a reduced element with a translation of up to 2,000 bits of
+    either sign, dpow >= 0 and texp of either sign."""
+    q = draw(st.sampled_from([2, 3, 4, 7, 8, 13, 64]))
+    bits = draw(st.integers(1, 2000))
+    num = draw(st.integers(1 << bits - 1, (1 << bits) - 1)) * draw(st.sampled_from([1, 0, -1]))
+    dpow = draw(st.integers(0, 80))
+    while dpow and num % q == 0:
+        num //= q
+        dpow -= 1
+    return q, BsElement(draw(st.integers(-2100, 2100)), num, dpow)
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_elements())
+def test_walk_matches_the_remainder_walk(q_el):
+    # the carry walk against the quadratic remainder walk of reference.py:
+    # the same length and the same normal form, tie-breaks included
+    q, el = q_el
+    params = BsParams(q)
+    length, bottom, digits, core = reference.digit_walk(q, *el)
+    assert geodesic_length(el, params) == length
+    nf = normalize(el, params)
+    if isinstance(nf.core, XBlock):
+        assert (nf.core.height, nf.core.top, nf.core.digits) == core
+    else:
+        assert nf.core == core
+    assert (nf.length, nf.bottom, nf.digits) == (length, bottom, digits)
+
+
+def test_long_climb_in_linear_time():
+    # a translation of 100,000 binary digits: a quadratic walk takes
+    # minutes here
+    el = bs_eval(parse_word("a t^100000 A"), BS2)
+    assert geodesic_length(el, BS2) == 100002
+    nf = normalize(el, BS2)
+    assert str(nf.render()) == "at^100000A"
+    assert bs_eval(nf.render(), BS2) == el
+
+
+def test_walk_tables_stay_bounded():
+    # the walk keeps no memo per remainder: 10^5 distinct large remainders
+    # at the base leave each transition table within a fixed size
+    rng = random.Random(7)
+    for i in range(100_000):
+        q = (2, 3, 7)[i % 3]
+        geodesic_length(BsElement(0, rng.getrandbits(64) + (1 << 64), 0), BsParams(q))
+    assert not hasattr(bs_geodesics, "_CORE_CACHE")
+    for q in (2, 3, 7):
+        walk = bs_geodesics._walk(q)
+        assert len(walk.keys) <= 200
+        assert all(sum(map(len, rows)) <= 1000 for rows in walk.rows)
 
 
 def test_validate_raises_invariant_error_on_corruption():

@@ -308,6 +308,10 @@ def test_length(capsys):
     assert main(["normalize", "--word", huge]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    # an a-letter that high would need q^N: refused before it is built
+    assert main(["length", "--word", huge + " a"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the translation would span more than 1000000 base-q levels\n")
 
 
 def test_normalize(capsys):

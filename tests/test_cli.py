@@ -180,6 +180,13 @@ GOLDEN_WITNESS_REPORTS = {
         "checks": {"geodesic": True, "distance": True, "bridge_is_2R": True,
                    "through_identity": True},
         "ok": True}),
+    # recorded while the stallings row still read its bridge off a BFS B(4)
+    "stallings --n 1": (0, {
+        "witness": "stallings", "n": 1, "R": 4,
+        "w": "B^2a^2", "u": "sB^2a", "bridge": 8,
+        "geodesic_detail": {"w": True, "u": True},
+        "checks": {"geodesic": True, "distance": True, "bridge_is_2R": True},
+        "ok": True}),
 }
 
 

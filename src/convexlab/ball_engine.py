@@ -190,9 +190,16 @@ class BallIndex:
         """Give every id without a row one of _UNKNOWN entries, and copy
         into the new rows the edges that the old rows already hold: x * g_i
         = j is j * g_i^-1 = x.  Only the last sphere with rows reaches past
-        them."""
+        them.  A loaded ball (no rows yet) first refuses a non-canonical key
+        on its outermost sphere, where no row below would find it missing."""
         table, ngens, inverse = self._table, self.ngens, self.inverse
         known = len(table) // ngens
+        if not known:
+            for key in self.sphere(self.radius):
+                try:
+                    self.model.element_from_key(key)
+                except ValueError as exc:
+                    raise CacheError(f"ball key {key!r} is not canonical") from exc
         table.extend(array("i", [_UNKNOWN]) * ((len(self.keys) - known) * ngens))
         if known:
             first = self.starts[self.depth(known - 1)]

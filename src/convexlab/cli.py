@@ -32,7 +32,6 @@ from .stallings import StallingsModel
 from .witness_lab import (
     BRIDGE_WITNESSES,
     CONSTRUCTIVE_CASES,
-    _ball_measure,
     build_case,
     verify_boundingm,
     verify_bridge,
@@ -119,8 +118,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     if args.kind == "boundingm":
         report = verify_boundingm(args.n, args.q)
     else:
-        report = verify_bridge(args.kind, args.n, getattr(args, "q", None),
-                               getattr(args, "cap", DEFAULT_CAP))
+        report = verify_bridge(args.kind, args.n, getattr(args, "q", None))
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1
 
@@ -216,8 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
         k.add_argument("--n", type=int, default=row.n, help=f"witness scale (default {row.n})")
         if row.q_open:
             k.add_argument("--q", type=int, default=row.q, help=f"q >= {row.q} (default {row.q})")
-        if row.measure is _ball_measure:  # only a row that builds its ball reads a cap
-            k.add_argument("--cap", type=int, default=DEFAULT_CAP)
     k = kinds.add_parser("boundingm")
     k.add_argument("--n", type=int, default=2, help="witness scale (default 2)")
     k.add_argument("--q", type=int, default=7, help="q = 2 or q >= 7 (default 7)")

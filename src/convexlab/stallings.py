@@ -11,14 +11,18 @@ Each part is a freely reduced letter string, uppercase for inverses, and
 one letter changes it only at its ends.  The single letter rule, _letter,
 keeps the factorization reduced: each part it touches gains or loses one
 letter at one end (drop that letter if it is the inverse of the new one,
-else add the new one).  Evaluation, product and inverse all fold it, which
-makes the triple (quo, u, v) a canonical form suitable for exhaustive BFS.
-The triple is a named tuple.  A ball key is the ascii text "quo|u|v"
-(cache format "ball-v4").
+else add the new one).  Evaluation folds it, which makes the triple (quo,
+u, v) a canonical form suitable for exhaustive BFS.  The triple is a named
+tuple.  A ball key is the ascii text "quo|u|v" (cache format "ball-v4").
+
+As the HNN extension of K = F(a,b) x F(c,d) along H, the group acts on a
+Bass-Serre tree, which prices lengths with no ball (gamma_length_special)
+and bounds paths inside B(R) from K to sK (edge_cut, the bridge witness).
 """
 
 from __future__ import annotations
 
+import os
 import re
 from typing import NamedTuple, Optional, Union
 
@@ -45,10 +49,6 @@ class StallingsElement(NamedTuple):
 
 
 S_IDENTITY = StallingsElement()
-
-
-def _inv(w: str) -> str:
-    return w[::-1].swapcase()
 
 
 def _join(w: str, x: str) -> str:
@@ -90,45 +90,57 @@ def st_eval(w: Union[Word, str]) -> StallingsElement:
     return el
 
 
-def st_mul(g: StallingsElement, h: StallingsElement) -> StallingsElement:
-    """Product in canonical form: g times the section of h's quotient word,
-    then h's part in H."""
-    for ch in h.quo:
-        g = _letter(g, ch)
-    return StallingsElement(g.quo, _join(g.u, h.u), _join(g.v, h.v))
-
-
-def st_inv(g: StallingsElement) -> StallingsElement:
-    el = StallingsElement("", _inv(g.u), _inv(g.v))
-    for ch in _inv(g.quo):
-        el = _letter(el, ch)
-    return el
-
-
 def in_H(g: StallingsElement) -> bool:
     """Membership in the centralized subgroup (trivial quotient image)."""
     return not g.quo
 
 
-def lambda_length(g: StallingsElement) -> int:
-    """Free length of the direct-product form: |a^k u| + |v| where a^k is
-    the (s-free) quotient word.  Raises on elements outside that part."""
-    if "s" in g.quo or "S" in g.quo:
-        raise ValueError("lambda length needs an s-free quotient word")
-    return gamma_length_special(g)
-
-
 def gamma_length_special(g: StallingsElement) -> Optional[int]:
-    """Certified word length for the two easy shapes: s-free quotient word
-    (the lambda length) and a single s^+-1 at either end of the quotient
-    word (1 + lambda of the merged rest, since s commutes with H).  Returns
-    None when neither shortcut applies."""
-    quo = g.quo
-    s_letters = quo.count("s") + quo.count("S")
-    if s_letters > 1 or (s_letters == 1 and quo[0] not in "sS" and quo[-1] not in "sS"):
+    """Word length of x, s x or x s for x = (a^e u, v) in K, or None for an
+    element of any other shape: the number of s letters plus |a^e u| + |v|,
+    since the retraction s -> 1 is 1-Lipschitz and a geodesic has no pinch
+    (Britton's lemma)."""
+    rest = g.quo.strip("sS")
+    if "s" in rest or "S" in rest or len(g.quo) - len(rest) > 1:
         return None
-    k = quo.count("a") - quo.count("A")
-    return s_letters + len(_join("a" * k if k > 0 else "A" * -k, g.u)) + len(g.v)
+    return len(g.quo) - len(rest) + len(_join(rest, g.u)) + len(g.v)
+
+
+def _least_crossing(w1: str, k1: str, budget: int) -> int:
+    """The least |w1^-1 p| + 1 + |p^-1 k1| over p = p1 c^-sigma(p1), p1
+    reduced in F(a,b) and |p| = |p1| + |sigma(p1)| <= budget: the least
+    F(c,d) factor makes it |w1^-1 p1| + |p1^-1 k1| + 2|sigma(p1)| + 1.  Cut
+    back to its longest common prefix q with w1 or k1, p1 loses 2(|p1| -
+    |q|) of the distance sum, at least what 2|sigma| can gain, and stays in
+    budget; so only q = x[:i] for x = w1, k1 is tried, at a distance sum of
+    |w1| + |k1| - 2 min(i, |lcp(w1, k1)|)."""
+    shared, through = len(os.path.commonprefix((w1, k1))), len(w1) + len(k1) + 1
+    least = through  # p = 1
+    for x in (w1, k1):
+        sigma = 0
+        for i, ch in enumerate(x, 1):
+            sigma += 1 if ch.islower() else -1
+            if i + abs(sigma) > budget:  # never falls back as i grows
+                break
+            least = min(least, through - 2 * min(i, shared) + 2 * abs(sigma))
+    return least
+
+
+def edge_cut(w: StallingsElement, u: StallingsElement, radius: int) -> int:
+    """A lower bound on every path from w in F(a,b) to u = s k in s F(a,b)
+    inside B(radius), which must cross the tree edge {K, sK} by a step p ->
+    ps with p in H and |p| <= radius - 1, at a cost of at least |w^-1 p| + 1
+    + |p^-1 k|; p runs over the exponent-sum-zero subgroup, which holds H.
+    p = 1 is the path through the identity, so ValueError unless the cut is
+    d(w) + d(u), and for a pair of any other shape."""
+    if w.v or u.v or w.quo.strip("aA") or u.quo[:1] != "s" or u.quo[1:].strip("aA"):
+        raise ValueError("the edge cut takes w in F(a,b) and u in s F(a,b)")
+    w1, k1 = _join(w.quo, w.u), _join(u.quo[1:], u.u)
+    cut, through = _least_crossing(w1, k1, radius - 1), len(w1) + 1 + len(k1)
+    if cut < through:
+        raise ValueError(f"the edge cut bounds the bridge by {cut} only,"
+                         f" below d(w) + d(u) = {through}")
+    return cut
 
 
 class StallingsModel:

@@ -25,10 +25,10 @@ Also here: the a^m reachability jump (verify_boundingm) and the table of
 bridge witnesses (BRIDGE_WITNESSES: notpac, bs1q and Stallings' group),
 each a pair on a sphere at distance 2 whose bridge inside the ball is long,
 all checked by one verifier (verify_bridge), which runs one search: for
-the bridge that avoids the identity.  The BS(1,q) rows build no ball: the
-digit DP gives their distances and an A* search over it (in_ball_bridge)
-that bridge.  Stallings' group has no exact length oracle, so its row
-reads both off a BFS ball.
+the bridge that avoids the identity.  No row builds a ball: in BS(1,q)
+the digit DP gives distances and an A* search over it (in_ball_bridge)
+that bridge, and in Stallings' group gamma_length_special and an edge cut
+of the Bass-Serre tree (edge_cut) stand in for both.
 """
 
 from __future__ import annotations
@@ -37,13 +37,13 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .ball_engine import DEFAULT_CAP, BallIndex, bridge_length, build_ball
+from .ball_engine import BallIndex, build_ball
 from .bs_arith import BsElement, BsGroupModel, BsParams, bs_eval, bs_key, bs_mul
 from .bs_geodesics import (GeodesicNormalForm, XBlock, ascent_word, descent_word,
                            element_class, geodesic_length, in_ball_bridge, is_geodesic,
                            normalize)
 from .errors import InvariantError
-from .stallings import StallingsModel
+from .stallings import StallingsModel, edge_cut, gamma_length_special
 from .words import Word, WordClass, classify, gen_power, sigma_t
 
 BS2 = BsParams(2)
@@ -154,23 +154,10 @@ def _sample_core_word(rng: random.Random) -> Word:
     return _random_xblock(rng, rng.randint(1, 3)).render()
 
 
-def _leading_trun(w: Word) -> int:
-    """Signed exponent of the leading t-run, 0 if w starts with an a."""
-    if w.runs and w.runs[0][0] == "t":
-        return w.runs[0][1]
-    return 0
-
-
-def _leading_adigit(w: Word) -> int:
-    if w.runs and w.runs[0][0] == "a":
-        return w.runs[0][1]
-    return 0
-
-
-def _bottom_digit_of_descent(w: Word) -> int:
-    """Signed exponent of the final a-run of a class-2 word, 0 if it ends t^-1."""
-    gen, exp = w.runs[-1]
-    return exp if gen == "a" else 0
+def _end_run(w: Word, gen: str, end: int = 0) -> int:
+    """Signed exponent of w's first run (its last for end = -1) if that run
+    is a gen-run, else 0."""
+    return w.runs[end][1] if w.runs and w.runs[end][0] == gen else 0
 
 
 def _require(cond: bool, message: str) -> None:
@@ -294,9 +281,9 @@ def _build_4(rng: random.Random, o: _CaseParams) -> CaseWitness:
             digits[1] = 0
         w = XBlock(h, rng.choice((-3, -2, 2, 3)), tuple(digits)).render()
         u = _partner(w, gamma, 1)
-        if u is None or _leading_trun(u) < 1:
+        if u is None or _end_run(u, "t") < 1:
             return None
-        iu = _leading_trun(u)
+        iu = _end_run(u, "t")
         delta = (w.suffix(len(w) - h).inverse() * _tp(-(h - 1)) * _tp(iu - 1)
                  * u.suffix(len(u) - iu))
         return CaseWitness("4", {"h": h, "i": iu, "g": g}, w, u, gamma, delta)
@@ -314,9 +301,9 @@ def _build_5(rng: random.Random, o: _CaseParams) -> CaseWitness:
         digits[0] = -g  # a^g zeroes the bottom digit, paying for the extra t^-1
         w = XBlock(h, rng.choice((-3, -2, 2, 3)), tuple(digits)).render()
         u = _partner(w, gamma, 2)
-        if u is None or _leading_trun(u) < 1 or classify(u) is not WordClass.XN:
+        if u is None or _end_run(u, "t") < 1 or classify(u) is not WordClass.XN:
             return None
-        iu = _leading_trun(u)
+        iu = _end_run(u, "t")
         delta = (w.suffix(len(w) - h).inverse() * _tp(-(h - 1)) * _tp(iu - 1)
                  * u.suffix(len(u) - iu))
         params = {"h": h, "i": iu, "g": g, "delegates_to": "4"}
@@ -343,7 +330,7 @@ def _case6_same_instance(digits: list, g: int, kind: str) -> Optional[CaseWitnes
     # core -g: gamma = a^(2g) flips it to +g, gamma = a^g t melts it
     w = _ascent_with(digits + [-g])
     u = _partner(w, gamma, 3)
-    if u is None or _leading_adigit(u) != i:
+    if u is None or _end_run(u, "a") != i:
         return None
     wr = w.suffix(len(w) - 1 - abs(i))
     ur = u.suffix(len(u) - 1 - abs(i))
@@ -437,7 +424,7 @@ def _build_73(rng: random.Random, o: _CaseParams) -> CaseWitness:
         digits[e - 2] = 0
         drawn = descent_word(_sample_core_word(rng), digits)
         other = _partner(drawn, _ap(bottom), 2, w_cls=2)
-        if other is None or _bottom_digit_of_descent(other) != 0:
+        if other is None or _end_run(other, "a", -1) != 0:
             return None
         w, u = (other, drawn) if mode == "i0" else (drawn, other)
         return CaseWitness("7.3", params, w, u, gamma, delta)
@@ -477,7 +464,7 @@ def _build_74(rng: random.Random, o: _CaseParams) -> CaseWitness:
         digits[e - len(tail):] = reversed(tail)
         w = descent_word(_sample_core_word(rng), digits)
         u = _partner(w, gamma, 2, w_cls=2)
-        if u is None or _bottom_digit_of_descent(u) != params["j"]:
+        if u is None or _end_run(u, "a", -1) != params["j"]:
             return None
         return CaseWitness("7.4", {**params, "e": e}, w, u, gamma, delta)
     return _sample(f"7.4 ({mode})", attempt)
@@ -641,9 +628,9 @@ def _build_101(rng: random.Random, o: _CaseParams) -> CaseWitness:
             digits[-1] = 0
         w = ascent_word(p1, digits, core)
         u = _partner(w, gamma, 4, w_cls=4)
-        if u is None or sigma_t(u) < 0 or _leading_trun(u) > -1:
+        if u is None or sigma_t(u) < 0 or _end_run(u, "t") > -1:
             return None
-        p2 = -_leading_trun(u)
+        p2 = -_end_run(u, "t")
         delta = (w.suffix(len(w) - p1).inverse() * _tp(p1 - 1) * _tp(-(p2 - 1))
                  * u.suffix(len(u) - p2))
         params = {"p1": p1, "p2": p2, "g": g, "gamma_kind": kind, "extra": extra}
@@ -1124,9 +1111,10 @@ class BridgeRow:
     q: Optional[int]  # q of BS(1,q), the least one if q_open; None: no q
     q_open: bool  # whether every q >= self.q is taken (the CLI's --q)
     model: Callable  # q -> group model
-    # (model, R, cap) -> (dist, detour): dist(el) is el's distance from the
-    # identity (None outside B(R) when read off a ball), detour(w, u) the
-    # shortest path from w to u inside B(R) that avoids the identity
+    # (model, R) -> (dist, detour): dist(el) is el's distance from the
+    # identity, detour(w, u) a lower bound on the paths from w to u inside
+    # B(R) that avoid the identity (None: none), exact if the row reports it
+    # or it is below d(w) + d(u)
     measure: Callable
     pair: Callable  # (q, n) -> (w, u, gamma, R)
     tags: tuple  # (tag, word): w times the word must be geodesic too
@@ -1135,19 +1123,21 @@ class BridgeRow:
     avoid_identity: bool = False  # also report the identity-avoiding bridge
 
 
-def _dp_measure(model, radius: int, cap: int) -> tuple:
+def _dp_measure(model, radius: int) -> tuple:
     """Distances by the digit DP and the detour by A* over it: no ball."""
     params = model.params
     return (lambda el: geodesic_length(el, params),
             lambda w, u: in_ball_bridge(w, u, radius, params, avoid_identity=True))
 
 
-def _ball_measure(model, radius: int, cap: int) -> tuple:
-    """Distances and the detour read off B(R), built once (BallCapError
-    past `cap` elements)."""
-    ball = build_ball(model, radius, cap=cap)
-    return (lambda el: ball.distance(model.key(el)),
-            lambda w, u: bridge_length(ball, w, u, avoid_identity=True))
+def _cut_measure(model, radius: int) -> tuple:
+    """Distances by gamma_length_special, refusing what it cannot price, and
+    the detour by the edge cut (d(w) + d(u) or refused): no ball, no search."""
+    def dist(el):
+        if (d := gamma_length_special(el)) is None:
+            raise ValueError(f"no exact length for {model.key(el).decode()}")
+        return d
+    return dist, lambda w, u: edge_cut(w, u, radius)
 
 
 def _conjugate_pair(c: int) -> Callable:
@@ -1182,7 +1172,7 @@ BRIDGE_WITNESSES = {
     # Stallings' group is not MAC: the bridge costs 2R
     "stallings": BridgeRow(
         "stallings", n=1, q=None, q_open=False, model=lambda q: StallingsModel(),
-        measure=_ball_measure, pair=_stallings_pair, tags=(),
+        measure=_cut_measure, pair=_stallings_pair, tags=(),
         rule="bridge_is_2R", holds=lambda bridge, R: bridge == 2 * R),
 }
 
@@ -1197,8 +1187,7 @@ def _walk(model, word: Word, el=None):
     return el
 
 
-def verify_bridge(kind: str, n: int, q: Optional[int] = None,
-                  cap: int = DEFAULT_CAP) -> dict:
+def verify_bridge(kind: str, n: int, q: Optional[int] = None) -> dict:
     """Check BRIDGE_WITNESSES[kind] at scale n: w, u and w times each tag
     word are geodesic, w and u have length R, w gamma = u with w^-1 u at
     distance 2, and the bridge inside B(R) passes the row's rule; the row
@@ -1220,7 +1209,7 @@ def verify_bridge(kind: str, n: int, q: Optional[int] = None,
         raise ValueError("n must be at least 1")
     model = row.model(q)
     w, u, gamma, radius = row.pair(q, n)
-    dist, detour_of = row.measure(model, radius, cap)
+    dist, detour_of = row.measure(model, radius)
     w_el, u_el = _walk(model, w), _walk(model, u)
     spelled = [("w", w, w_el), ("u", u, u_el)]
     spelled += [(tag, w * x, _walk(model, x, w_el)) for tag, x in row.tags]

@@ -429,6 +429,25 @@ def test_non_canonical_cache_key_is_refused(tmp_path):
     assert load_ball(str(path), model).neighbours() == build_ball(model, 6).neighbours()
 
 
+def test_non_canonical_outer_key_is_refused(tmp_path):
+    # -1:9:1 lies on the outermost sphere of B(6), and no row below it has
+    # it as a neighbour; padded, it used to read as outside the ball from
+    # the row of -1:5:0, its neighbour on the same sphere
+    model = BsGroupModel(BsParams(2))
+    built = build_ball(model, 6)
+    assert built.distance(b"-1:9:1") == built.distance(b"-1:5:0") == 6
+    assert list(built.row(built.ids[b"-1:5:0"])) == [-1, built.ids[b"-1:9:1"], 93, -1]
+    path = tmp_path / "b6.ndjson"
+    save_ball(built, str(path))
+    text = path.read_bytes()
+    assert text.count(b"\n6 -1:9:1\n") == 1
+    path.write_bytes(text.replace(b"\n6 -1:9:1\n", b"\n6 -1:09:1\n"))
+    loaded = load_ball(str(path), model)  # load itself checks no key
+    for _ in range(2):
+        with pytest.raises(CacheError, match="-1:09:1"):
+            loaded.row(loaded.ids[b"-1:5:0"])
+
+
 def test_failed_save_keeps_the_old_cache(tmp_path, ball_bs2_r8, monkeypatch):
     path = tmp_path / "b8.ndjson"
     path.write_text("old\n")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from convexlab import stallings
 from convexlab.cli import UsageError, main, parse_group
 from convexlab.words import STALLINGS_ALPHABET, parse_word
 
@@ -219,6 +220,19 @@ def test_witness_stallings(capsys):
     assert list(report) == ["witness", "n", "R", "w", "u", "bridge",
                             "geodesic_detail", "checks", "ok"]
     assert report["ok"] and report["R"] == 4 and report["bridge"] == 8
+    assert main(["witness", "stallings", "--n", "6"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and report["R"] == 24 and report["bridge"] == 48
+
+
+def test_witness_stallings_refuses_an_uncertified_bridge(capsys, monkeypatch):
+    # a cut below d(w) + d(u) is refused, never printed as a bridge
+    monkeypatch.setattr(stallings, "_least_crossing", lambda w1, k1, budget: 7)
+    assert main(["witness", "stallings"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the edge cut bounds the bridge by 7 only,"
+                            " below d(w) + d(u) = 8\n")
 
 
 def test_case_ok(capsys):
@@ -278,9 +292,10 @@ def test_case_refuses_repeated_opt(capsys):
     ["witness", "notpac", "--q", "99"],
     ["witness", "stallings", "--q", "7"],
     ["witness", "boundingm", "--cap", "10"],
-    # the BS(1,q) bridge rows build no ball, so they take no cap
+    # no bridge row builds a ball, so none takes a cap
     ["witness", "notpac", "--cap", "10"],
     ["witness", "bs1q", "--cap", "100000"],
+    ["witness", "stallings", "--cap", "1000"],
     ["case", "--id", "8.1", "--p", "12"],
     # --s and --i must not be read as abbreviations of --seed and --id
     ["case", "--id", "8.1", "--s", "3"],

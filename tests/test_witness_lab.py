@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import reference
-from convexlab import bs_geodesics, witness_lab
+from convexlab import ball_engine, bs_geodesics, stallings, witness_lab
 from convexlab.ball_engine import bridge_length, build_ball
 from convexlab.bs_arith import BsGroupModel, BsParams, bs_eval, bs_key, bs_mul
 from convexlab.bs_geodesics import geodesic_length, in_ball_bridge, is_geodesic
@@ -32,7 +32,8 @@ from convexlab.witness_lab import (
     _CASE6_SAME_EMPTY,
     _case6_same_instance,
 )
-from convexlab.words import Word, classify, parse_word, sigma_t
+from convexlab.words import (STALLINGS_ALPHABET, Word, classify, exp_sum, free_reduce,
+                             gen_power, parse_word, sigma_t)
 
 BS2 = BsParams(2)
 
@@ -603,18 +604,135 @@ def test_stallings_bridge_is_through_or_detour(ball_st_r4):
 
 def test_each_bridge_report_runs_one_search(monkeypatch):
     calls = []
-    for name in ("in_ball_bridge", "bridge_length"):
-        def counted(*args, _name=name, _search=getattr(witness_lab, name), **kwargs):
+    for module, name in ((witness_lab, "in_ball_bridge"), (witness_lab, "edge_cut"),
+                         (witness_lab, "build_ball"), (ball_engine, "build_ball"),
+                         (ball_engine, "bridge_length")):
+        def counted(*args, _name=name, _search=getattr(module, name), **kwargs):
             calls.append(_name)
             return _search(*args, **kwargs)
-        monkeypatch.setattr(witness_lab, name, counted)
+        monkeypatch.setattr(module, name, counted)
+    # no row builds a ball or searches one
     for kind, n, q, search in (("notpac", 3, None, "in_ball_bridge"),
                                ("bs1q", 2, 7, "in_ball_bridge"),
                                ("bs1q", 3, 8, "in_ball_bridge"),
-                               ("stallings", 1, None, "bridge_length")):
+                               ("stallings", 1, None, "edge_cut"),
+                               ("stallings", 4, None, "edge_cut")):
         calls.clear()
         assert verify_bridge(kind, n, q)["ok"]
         assert calls == [search], kind
+
+
+# -- the Stallings edge cut against the BFS bridge ----------------------------
+
+
+def _crossing_costs(w, k, budget):
+    """p1 -> d(w, p) + 1 + d(p s, s k) for every crossing p = p1
+    c^-sigma(p1), p1 a reduced word of F(a,b) and |p| <= budget, each
+    length priced by the group's own arithmetic."""
+    s_word = gen_power("s", 1)
+
+    def length(word):
+        return stallings.gamma_length_special(stallings.st_eval(word))
+
+    costs, frontier = {}, [Word()]
+    while frontier:
+        grown = []
+        for p1 in frontier:
+            sigma = exp_sum(p1)
+            if len(p1) + abs(sigma) > budget:
+                continue
+            p = p1 * gen_power("c", -sigma)
+            costs[str(p1)] = (length(w.inverse() * p) + 1
+                              + length((p * s_word).inverse() * s_word * k))
+            grown += [q for g, e in itertools.product("ab", (1, -1))
+                      if len(q := free_reduce(p1 * gen_power(g, e))) > len(p1)]
+        frontier = grown
+    return costs
+
+
+def _assert_cut_is_the_bridge(cut, ball):
+    # sound: the cut bounds every path, so it is at most the BFS bridge;
+    # and at n = 1 it is exact
+    w, u, _, radius = BRIDGE_WITNESSES["stallings"].pair(None, 1)
+    assert ball.radius == radius
+    assert cut == bridge_length(ball, stallings.st_eval(w), stallings.st_eval(u)) == 8
+
+
+def test_stallings_cut_is_the_bfs_bridge(ball_st_r4):
+    w, u, _, radius = BRIDGE_WITNESSES["stallings"].pair(None, 1)
+    cut = stallings.edge_cut(stallings.st_eval(w), stallings.st_eval(u), radius)
+    _assert_cut_is_the_bridge(cut, ball_st_r4)
+
+
+def test_stallings_cut_check_bites(ball_st_r4):
+    # over every crossing at n = 1 the least cost is 8, at p1 = 1, B and Ba;
+    # with those dropped the bound reads 12, past the bridge, and the
+    # soundness check fails
+    w, _, _, radius = BRIDGE_WITNESSES["stallings"].pair(None, 1)
+    costs = _crossing_costs(w, parse_word("B^2a", STALLINGS_ALPHABET), radius - 1)
+    assert {p1 for p1, cost in costs.items() if cost == 8} == {"", "B", "Ba"}
+    dropped = min(cost for p1, cost in costs.items() if p1 not in ("", "B", "Ba"))
+    assert dropped == 12
+    with pytest.raises(AssertionError):
+        _assert_cut_is_the_bridge(dropped, ball_st_r4)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stallings_cut_is_the_least_crossing(n):
+    w, u, _, radius = BRIDGE_WITNESSES["stallings"].pair(None, n)
+    k = gen_power("b", -2 * n) * gen_power("a", 2 * n - 1)
+    assert gen_power("s", 1) * k == u
+    cut = stallings.edge_cut(stallings.st_eval(w), stallings.st_eval(u), radius)
+    assert cut == min(_crossing_costs(w, k, radius - 1).values()) == 8 * n
+
+
+def test_least_crossing_needs_only_prefixes():
+    # seeded w and k in F(a,b) sharing a prefix, where a crossing often
+    # undercuts the path through the identity: trying the prefixes of w and
+    # k alone finds the least cost over every crossing
+    rng = random.Random(5)
+
+    def word(size):
+        return Word.from_runs((rng.choice("ab"), rng.choice((1, -1))) for _ in range(size))
+
+    undercut = 0
+    for _ in range(60):
+        shared = word(rng.randint(0, 4))
+        w, k = (free_reduce(shared * word(rng.randint(0, 3))) for _ in range(2))
+        w1, k1 = ("".join(g if e > 0 else g.upper() for g, e in x.letters()) for x in (w, k))
+        budget = rng.randint(0, 6)
+        least = stallings._least_crossing(w1, k1, budget)
+        assert least == min(_crossing_costs(w, k, budget).values()), (w1, k1, budget)
+        undercut += least < len(w1) + len(k1) + 1
+    assert undercut >= 10
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stallings_bridges_to_n6(n):
+    # the edge cut meets the path through the identity: bridge 2R at R = 4n
+    report = verify_bridge("stallings", n)
+    assert report["ok"], report["checks"]
+    assert (report["R"], report["bridge"]) == (4 * n, 8 * n)
+
+
+def test_stallings_row_refuses_what_it_cannot_certify(monkeypatch):
+    def pair(*texts):
+        words = tuple(parse_word(t, STALLINGS_ALPHABET) for t in texts)
+        return dataclasses.replace(BRIDGE_WITNESSES["stallings"],
+                                   pair=lambda q, n: (*words, 3))
+    # w = Ba lies in H, so u = w s = s w is one step away: the cut is 1, far
+    # below d(w) + d(u) = 5, and certifies nothing
+    monkeypatch.setitem(BRIDGE_WITNESSES, "stallings", pair("Ba", "sBa", "s"))
+    with pytest.raises(ValueError, match="bounds the bridge by 1 only"):
+        verify_bridge("stallings", 1)
+    # an element with two s letters has no exact length here
+    monkeypatch.setitem(BRIDGE_WITNESSES, "stallings", pair("sas", "sasa", "a"))
+    with pytest.raises(ValueError, match="no exact length for sas"):
+        verify_bridge("stallings", 1)
+    # the cut takes w in F(a,b) and u in s F(a,b) only
+    for w, u in (("c", "sc"), ("a", "as"), ("s", "s^2"), ("a", "Sa")):
+        with pytest.raises(ValueError, match="takes w in F"):
+            stallings.edge_cut(stallings.st_eval(w), stallings.st_eval(u), 4)
 
 
 def test_in_ball_bridge_edge_cases():

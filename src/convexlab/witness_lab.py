@@ -1192,7 +1192,7 @@ def verify_bridge(kind: str, n: int, q: Optional[int] = None) -> dict:
     word are geodesic, w and u have length R, w gamma = u with w^-1 u at
     distance 2, and the bridge inside B(R) passes the row's rule; the row
     may also ask for a longer bridge once the identity is avoided.  The
-    row's measure gives every distance and the one search, for the
+    row's measure gives every distance and the detour, a bound on the
     identity-avoiding bridge.  A path through the identity costs at least
     d(w) + d(u), and the two geodesics give one of exactly that length
     inside B(R), so the bridge is the lesser of the two."""

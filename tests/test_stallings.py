@@ -147,11 +147,18 @@ def test_h_normality():
 
 # -- length lemmas -----------------------------------------------------------
 
-def test_gamma_length_special_examples():
-    # elements of K = F(a,b) x F(c,d): the sum of the two free lengths
+def test_lambda_length_examples():
+    # elements of K = F(a,b) x F(c,d): the lambda length, the sum of the
+    # two free lengths
     assert gamma_length_special(st_eval("abc")) == 3
     assert gamma_length_special(S_IDENTITY) == 0
     assert gamma_length_special(st_eval("B^2a^2")) == 4
+    assert gamma_length_special(st_eval("aA")) == 0
+    # an s letter is outside K and is counted on top of the lambda length
+    assert gamma_length_special(st_eval("s")) == 1 + gamma_length_special(S_IDENTITY)
+
+
+def test_gamma_length_special_examples():
     assert gamma_length_special(st_eval("abcd")) == 4
     # one s at an end of the quotient word
     assert gamma_length_special(st_eval("sB^2a")) == 4

@@ -28,21 +28,18 @@ ball is computed from its smaller id.  The inverse of each generator is
 found once per ball from the model's own products, and a generator set
 that is not closed under inverses is refused with ValueError.  BFS never
 needs the rows of the outermost sphere, so they are allocated on first use
-(row(), or neighbours() for the whole table), when the edges from the sphere
-below are copied into them without calling the model; the rest of each row
-is computed then, as are the rows of a ball loaded from cache.  A ball that
-is only built and saved does no extra work.  sphere_rows() gives the rows
-of a whole sphere with each product outside the ball named by a virtual id,
-equal products sharing one, so that the scan can group a sphere by the
-middles it shares; it computes each product once, filling the missing rows
-as it goes.
+(row(), rows_below() or neighbours()), when the edges from the sphere below
+are copied into them without calling the model; the rest of a row is
+computed only when row() asks for it, as are the rows of a ball loaded from
+cache.  A ball that is only built and saved does no extra work, and the
+scan of a built ball, which reads the outermost rows only for their edges
+to the sphere below, makes no product at all.
 
 in_ball_distance() is the one search over that table: a BFS from both ends
 of a pair of ids, always expanding the smaller frontier, through ids below
-a bound, so that one B(r_max) serves every B(r) inside it.  bridge_length
-and the scan both run on it.  Byte keys are used only at the I/O edge (the
-cache, witness strings and scan rows) and to tell apart the products
-outside the ball in sphere_rows().
+a bound, so that one ball serves every B(r) inside it.  bridge_length and
+the scan both run on it.  Byte keys are used only at the I/O edge: the
+cache, witness strings and scan rows.
 
 The plain-text cache ("ball-v4") holds one JSON header line with the group,
 radius, element count and sphere sizes, then one "<distance> <key>" row per
@@ -135,56 +132,42 @@ class BallIndex:
         return self.element_at(self.ids[key])
 
     def row(self, x: int) -> array:
-        """Neighbour ids of element x, -1 outside the ball; a row BFS left
-        out is computed here on first use."""
-        return self._products(x)
-
-    def sphere_rows(self, r: int) -> array:
-        """The rows of sphere r, with each product outside the ball named
-        by a virtual id from len(self) on; equal products share one id.
-        Each product is computed once: a row not computed yet is filled from
-        the same products, and a row already computed has only its -1
-        entries keyed."""
-        lo, hi, ngens = self.starts[r], self.starts[r + 1], self.ngens
-        rows = self._table[lo * ngens:hi * ngens]
-        if len(rows) < (hi - lo) * ngens or min(rows, default=0) < 0:
-            virtual: dict[bytes, int] = {}
-            rows = array("i")
-            for x in range(lo, hi):
-                rows += self._products(x, virtual)
-        if lo <= self._lazy_from < hi:
-            self._lazy_from = hi  # every row below hi is computed now
-        return rows
-
-    def _products(self, x: int, virtual: Optional[dict[bytes, int]] = None) -> array:
-        """x's row, with the entries not computed yet computed into the
-        table.  Given `virtual` (key -> virtual id), each product outside
-        the ball is named in the returned row by its virtual id, a new key
-        taking the next one.  Every product of an element below the
-        outermost sphere lies in the ball, so a loaded ball whose keys
-        miss one raises CacheError rather than read it as outside."""
+        """Neighbour ids of element x, -1 outside the ball; the entries BFS
+        left out are computed into the table here on first use.  Every
+        product of an element below the outermost sphere lies in the ball,
+        so a loaded ball whose keys miss one raises CacheError rather than
+        read it as outside."""
         table, ngens = self._table, self.ngens
         if len(table) < len(self.keys) * ngens:
             self._allocate()
         base = x * ngens
         row = table[base:base + ngens]
-        if _UNKNOWN in row or (virtual is not None and -1 in row):
+        if _UNKNOWN in row:
             el, model, inverse = self.element_at(x), self.model, self.inverse
             for i, j in enumerate(row):
-                if j == _UNKNOWN or (j == -1 and virtual is not None):
+                if j == _UNKNOWN:
                     key = model.key(model.apply_gen(el, i))
-                    if j == _UNKNOWN:
-                        j = self.ids.get(key, -1)
-                        if j >= 0:
-                            table[j * ngens + inverse[i]] = x
-                        elif x < self.starts[-2]:
-                            raise CacheError(
-                                f"ball lacks {key!r}, a neighbour of {self.keys[x]!r}"
-                                f" below its outermost sphere: some key is not canonical")
-                        table[base + i] = row[i] = j
-                    if j == -1 and virtual is not None:
-                        row[i] = virtual.setdefault(key, len(self.keys) + len(virtual))
+                    j = self.ids.get(key, -1)
+                    if j >= 0:
+                        table[j * ngens + inverse[i]] = x
+                    elif x < self.starts[-2]:
+                        raise CacheError(
+                            f"ball lacks {key!r}, a neighbour of {self.keys[x]!r}"
+                            f" below its outermost sphere: some key is not canonical")
+                    table[base + i] = row[i] = j
         return row
+
+    def rows_below(self, hi: int) -> array:
+        """The neighbour table with the row of every id below hi computed.
+        Every row is allocated, and one from hi on holds at least its edges
+        to the ids below hi (an edge x * g_i = j is also j * g_i^-1 = x),
+        with -2 where it is not computed yet."""
+        if len(self._table) < len(self.keys) * self.ngens:
+            self._allocate()
+        for x in range(self._lazy_from, hi):
+            self.row(x)
+        self._lazy_from = max(self._lazy_from, hi)
+        return self._table
 
     def _allocate(self) -> None:
         """Give every id without a row one of _UNKNOWN entries, and copy
@@ -210,10 +193,7 @@ class BallIndex:
     def neighbours(self) -> array:
         """The whole neighbour table (see the module docstring), with every
         row computed."""
-        for x in range(self._lazy_from, len(self.keys)):
-            self.row(x)
-        self._lazy_from = len(self.keys)
-        return self._table
+        return self.rows_below(len(self.keys))
 
     def geodesic_word(self, key: bytes) -> list[str]:
         """Generator labels of one geodesic from the identity.  Each step
@@ -373,9 +353,10 @@ def save_ball(ball: BallIndex, path: str) -> None:
 
 def load_ball(path: str, model) -> BallIndex:
     """Rebuild a distance-only BallIndex from a cache, taking file order as
-    id order.  Rows are read one sphere at a time.  Raises CacheError unless
-    every row's distance matches the header's sphere sizes, every row ends
-    in a newline and nothing follows the last row."""
+    id order.  Rows are read one sphere at a time, and a sphere's raw rows
+    are freed once its keys are taken.  Raises CacheError unless every row's
+    distance matches the header's sphere sizes, every row ends in a newline,
+    no key repeats and nothing follows the last row."""
     try:
         with open(path, "rb") as fh:
             return _read_ball(fh, path, model)
@@ -403,24 +384,26 @@ def _read_ball(fh, path: str, model) -> BallIndex:
             or sum(sizes) != header.get("n")):
         raise CacheError("cache header has no usable element count and sphere sizes")
     ball = BallIndex(model, radius)
-    keys = ball.keys
+    ids, keys = ball.ids, ball.keys
     for r, size in enumerate(sizes):
         prefix = b"%d " % r
-        sphere = list(islice(fh, size))
-        if len(sphere) != size or not all(row.startswith(prefix) for row in sphere):
+        rows = list(islice(fh, size))
+        if len(rows) != size or not all(row.startswith(prefix) for row in rows):
             raise CacheError(
                 f"ball cache {path} disagrees with its header on sphere {r}")
         # only the file's last row can lack its newline
-        if sphere and not sphere[-1].endswith(b"\n"):
+        if rows and not rows[-1].endswith(b"\n"):
             raise CacheError(f"ball cache {path} ends inside a row")
-        if not all(map(bytes.isascii, sphere)):
+        if not all(map(bytes.isascii, rows)):
             raise CacheError(f"ball cache {path} holds non-ascii bytes")
-        cut = len(prefix)
-        keys.extend(row[cut:-1] for row in sphere)
+        cut, start = len(prefix), len(keys)
+        # the sphere's raw rows are freed before the next sphere is read
+        rows = [row[cut:-1] for row in rows]
+        ids.update(zip(rows, range(start, start + size)))
+        keys += rows
+        if len(ids) != len(keys):
+            raise CacheError(f"ball cache {path} repeats a key")
         ball.starts.append(len(keys))
     if fh.read(1):
         raise CacheError(f"ball cache {path} has data after its last row")
-    ball.ids = dict(zip(keys, range(len(keys))))
-    if len(ball.ids) != len(keys):
-        raise CacheError(f"ball cache {path} repeats a key")
     return ball

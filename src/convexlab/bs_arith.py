@@ -19,6 +19,10 @@ from .words import Word
 # holds one digit per level
 MAX_LEVELS = 10 ** 6
 
+# most heights _at_q sums by Horner's rule, whose cost grows with the square
+# of their span, before it splits them in halves
+_HORNER = 64
+
 
 @dataclass(frozen=True)
 class BsParams:
@@ -96,29 +100,51 @@ def bs_inv(g: BsElement, params: BsParams) -> BsElement:
 
 def bs_eval(w: Word, params: BsParams) -> BsElement:
     """Evaluate a word over {a, t} left to right.  An a^m run at current
-    height T contributes m * q^T to the translation part.  Raises
-    ValueError when that needs q^k for k > MAX_LEVELS."""
-    q = params.q
+    height T contributes m * q^T to the translation part, so the runs are
+    summed per height and the sums evaluated at q once, by _at_q.  Raises
+    ValueError when a run lies more than MAX_LEVELS levels above the lowest
+    earlier run (or 0), or that far below it while the earlier runs do not
+    cancel, before any such power of q is built."""
     texp = 0
-    num = 0
-    dpow = 0
+    low = 0  # lowest height of an a-run so far, and 0
+    sums: dict[int, int] = {}  # height -> exponent sum of its a-runs
     for gen, exp in w.runs:
         if gen == "t":
             texp += exp
         elif gen == "a":
-            e = texp + dpow
-            if abs(e) > MAX_LEVELS and (e > 0 or num):
-                raise ValueError(f"the translation would span more than {MAX_LEVELS}"
-                                 " base-q levels")
-            if e >= 0:
-                num += exp * q ** e
-            else:
-                # with num = 0, q^-e (maybe far too large to build) is skipped
-                num = num * q ** (-e) + exp if num else exp
-                dpow += -e
+            if abs(texp - low) > MAX_LEVELS:
+                if texp > low or _at_q(sums, low, params.q):
+                    raise ValueError(f"the translation would span more than {MAX_LEVELS}"
+                                     " base-q levels")
+                sums.clear()  # the earlier runs cancel
+            if texp < low:
+                low = texp
+            sums[texp] = sums.get(texp, 0) + exp
         else:
             raise ValueError(f"letter {gen!r} is not a BS(1,q) generator")
-    return _make(params, texp, num, -dpow)
+    return _make(params, texp, _at_q(sums, low, params.q), low)
+
+
+def _at_q(sums: dict[int, int], low: int, q: int) -> int:
+    """The sum of c * q^(h - low) over the items h: c of sums, all h >= low."""
+    items = sorted(sums.items())
+    return _halves(items, 0, len(items), q) * q ** (items[0][0] - low) if items else 0
+
+
+def _halves(items: list[tuple[int, int]], i: int, j: int, q: int) -> int:
+    """The sum of c * q^(h - h_i) over the sorted items[i:j] = (h, c), h_i
+    the lowest height: Horner's rule from the top height down, on halves
+    while there are more than _HORNER items.  The upper half is shifted
+    onto the lower one by one power of q, so the cost stays that of a few
+    big multiplications however many heights there are."""
+    if j - i > _HORNER:
+        m = (i + j) // 2
+        return _halves(items, i, m, q) + _halves(items, m, j, q) * q ** (items[m][0] - items[i][0])
+    acc, above = 0, items[j - 1][0]
+    for h, c in reversed(items[i:j]):
+        acc = acc * q ** (above - h) + c
+        above = h
+    return acc
 
 
 def bs_key(g: BsElement) -> bytes:

@@ -102,7 +102,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     model = parse_group(args.group)
     if not 1 <= args.r_min <= args.r_max:
         raise UsageError("need 1 <= r_min <= r_max")
-    report = scan(build_ball(model, args.r_max, cap=args.cap), args.r_min)
+    # the scan at r reads the rows of S(r + 1)
+    report = scan(build_ball(model, args.r_max + 1, cap=args.cap), args.r_min)
     print("r\tfmax\tpairs\tmac\tmprime\twitness")
     for row in report.rows:
         wit = f"{row.witness_x} ~ {row.witness_y}" if row.pairs else ""

@@ -1,7 +1,8 @@
 """Empirical almost-convexity scans over Cayley balls.
 
-scan(ball, r_min) scans the radii r_min..ball.radius of one ball, built or
-loaded from the cache; the report's group and outer radius are the ball's.
+scan(ball, r_min) scans the radii r_min..ball.radius - 1 of one ball, built
+or loaded from the cache; the report's group is the ball's, and its outer
+radius is ball.radius - 1, since the scan at r reads the rows of S(r + 1).
 For each radius r the scan enumerates unordered pairs x, y on the sphere
 S(r) at group distance <= 2 (reached by a product of at most two
 generators) and measures the shortest connecting path that stays inside
@@ -10,22 +11,20 @@ convex at r when fmax <= 2r - 1 and M'-convex when fmax <= 2r - 2.  A path
 through the identity always exists, so fmax <= 2r is checked as a hard
 sanity bound (InvariantError).
 
-Only the hard pairs are searched.  A pair that is adjacent, or that shares
-a middle inside B(r), is at in-ball distance 1 or 2.  Every other pair
-shares only middles outside B(r): ids of S(r + 1), or products outside the
-ball when S(r) is its outermost sphere.  The generators are closed under
-inverses, so the members of S(r) next to one such middle are exactly the
-pairs that share it; grouping the sphere by its outside middles finds these
-pairs without reading the rows of S(r + 1).  Each hard pair is measured by
+Every pair is read off the neighbour table: y is next to x, or next to a
+middle m next to x.  The generators are closed under inverses, so the
+members of S(r) next to m are the entries of m's row.  A pair that is
+adjacent, or that shares a middle inside B(r), is at in-ball distance 1 or
+2.  Every other pair shares only middles on S(r + 1), whose rows hold their
+edges to S(r) even on the outermost sphere of a built ball, where they are
+copied rather than computed; only these hard pairs are searched, by
 in_ball_distance, so neither the work nor the result depends on id order.
 """
 
 from __future__ import annotations
 
 import csv
-from array import array
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .ball_engine import BallIndex, in_ball_distance
 from .errors import InvariantError
@@ -59,68 +58,33 @@ class ScanReport:
     rows: tuple[ScanRow, ...]
 
 
-def _middles(rows: array, lo: int, hi: int, ngens: int) -> tuple[array, array]:
-    """For the rows of the sphere lo:hi (see BallIndex.sphere_rows), the
-    members of the sphere next to each middle m outside B(r) = 0:hi, in id
-    order: members[at[m - hi]:at[m - hi + 1]].  A counting sort keeps one
-    int per (middle, member); most middles have one member, so a list per
-    middle would cost far more."""
-    count = array("i", [0]) * (max(max(rows, default=0) + 1, hi) - hi + 1)
-    for m in rows:
-        if m >= hi:
-            count[m - hi + 1] += 1
-    at = array("i", accumulate(count))
-    members = array("i", [0]) * at[-1]
-    fill = at[:-1]
-    for k, m in enumerate(rows):
-        if m >= hi:
-            members[fill[m - hi]] = lo + k // ngens
-            fill[m - hi] += 1
-    return at, members
-
-
 def scan(ball: BallIndex, r_min: int) -> ScanReport:
-    """Scan radii r_min..ball.radius on the ball's neighbour table."""
-    if not 1 <= r_min <= ball.radius:
-        raise ValueError("need 1 <= r_min <= ball.radius")
+    """Scan radii r_min..ball.radius - 1 on the ball's neighbour table."""
+    if not 1 <= r_min < ball.radius:
+        raise ValueError("need 1 <= r_min < ball.radius")
     ngens, keys, starts = ball.ngens, ball.keys, ball.starts
     rows = []
-    inner = ball.sphere_rows(r_min - 1)
-    for r in range(r_min, ball.radius + 1):
+    for r in range(r_min, ball.radius):
         # B(r) is the id range 0:hi and S(r) is lo:hi; each unordered pair
-        # is counted once, from its smaller id: x < y < hi.  A middle inside
-        # B(r) lies on S(r - 1) (rows `inner`) or on S(r) (rows `sphere`).
-        start, lo, hi = starts[r - 1], starts[r], starts[r + 1]
-        sphere = ball.sphere_rows(r)
-        at, members = _middles(sphere, lo, hi, ngens)
+        # is counted once, from its smaller id: x < y < hi.
+        lo, hi = starts[r], starts[r + 1]
+        table = ball.rows_below(hi)
         fmax = 0
         npairs = 0
         witness: tuple[bytes, bytes] | None = None
         for x in range(lo, hi):
-            base = (x - lo) * ngens
-            row = sphere[base:base + ngens]
+            row = table[x * ngens:(x + 1) * ngens]
             near: set[int] = set()  # adjacent to x, or sharing a middle in B(r)
-            add = near.add
-            far: set[int] = set()  # sharing a middle outside B(r)
+            far: set[int] = set()  # sharing a middle on S(r + 1)
             for m in row:
-                if m >= hi:
-                    k = m - hi
-                    if at[k + 1] - at[k] > 1:  # x is always a member
-                        far.update(members[at[k]:at[k + 1]])
-                elif m >= lo:
-                    if m > x:
-                        add(m)
-                    k = (m - lo) * ngens
-                    for y in sphere[k:k + ngens]:
-                        if x < y < hi:
-                            add(y)
-                else:
-                    k = (m - start) * ngens
-                    for y in inner[k:k + ngens]:
-                        if x < y < hi:
-                            add(y)
+                add = near.add if m < hi else far.add
+                if x < m < hi:
+                    add(m)
+                for y in table[m * ngens:(m + 1) * ngens]:
+                    if x < y < hi:
+                        add(y)
             if far:
-                far = {y for y in far if y > x and y not in near}
+                far.difference_update(near)
             npairs += len(near) + len(far)
             kx = keys[x]
             for y in far:
@@ -137,12 +101,11 @@ def scan(ball: BallIndex, r_min: int) -> ScanReport:
                 depth = 2 if two else 1
                 for y in two or near:
                     fmax, witness = _wider(fmax, witness, depth, kx, keys[y])
-        inner = sphere
         rows.append(ScanRow(
             r, fmax, npairs,
             witness[0].decode("ascii") if witness else "",
             witness[1].decode("ascii") if witness else ""))
-    return ScanReport(ball.model.name, r_min, ball.radius, tuple(rows))
+    return ScanReport(ball.model.name, r_min, ball.radius - 1, tuple(rows))
 
 
 def _wider(fmax: int, witness, depth: int, kx: bytes, ky: bytes):

@@ -13,8 +13,18 @@ def ball_bs2_r8():
 
 
 @pytest.fixture(scope="session")
+def ball_bs2_r9():
+    return build_ball(BsGroupModel(BsParams(2)), 9)
+
+
+@pytest.fixture(scope="session")
 def ball_bs2_r10():
     return build_ball(BsGroupModel(BsParams(2)), 10)
+
+
+@pytest.fixture(scope="session")
+def ball_bs2_r11():
+    return build_ball(BsGroupModel(BsParams(2)), 11)
 
 
 @pytest.fixture(scope="session")

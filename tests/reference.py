@@ -363,3 +363,32 @@ def stallings_form(word: str) -> tuple[str, str, str]:
     a_power = "A" * exp if exp > 0 else "a" * -exp
     return (free_reduce(quo), free_reduce(a_power + ab),
             free_reduce("".join(ch for ch in word if ch in "cCdD")))
+
+
+def bs_eval_runs(q: int, runs, max_levels: int):
+    """BS(1,q) element (texp, num, dpow) of a word's runs, one run at a
+    time: an a^m run at height T adds m * q^T into the translation part
+    num * q^-dpow, so each add costs as much as every level below it.
+    Raises ValueError where a run lies more than max_levels levels above
+    the lowest earlier run (or 0), or that far below it while num != 0."""
+    texp = num = dpow = 0
+    for gen, exp in runs:
+        if gen == "t":
+            texp += exp
+        elif gen == "a":
+            e = texp + dpow
+            if abs(e) > max_levels and (e > 0 or num):
+                raise ValueError("translation past the level bound")
+            if e >= 0:
+                num += exp * q ** e
+            else:
+                num = num * q ** (-e) + exp if num else exp
+                dpow += -e
+        else:
+            raise ValueError(gen)
+    if num == 0:
+        return (texp, 0, 0)
+    while dpow > 0 and num % q == 0:
+        num //= q
+        dpow -= 1
+    return (texp, num, dpow)

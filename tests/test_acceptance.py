@@ -112,8 +112,8 @@ FROZEN_FMAX = {
 }
 
 
-def test_criterion_03_convexity_scan_table(ball_bs2_r10, capsys):
-    report = scan(ball_bs2_r10, 3)
+def test_criterion_03_convexity_scan_table(ball_bs2_r11, capsys):
+    report = scan(ball_bs2_r11, 3)
     got = {row.r: (row.fmax, row.pairs) for row in report.rows}
     ok = got == FROZEN_FMAX
     bounded = all(row.fmax <= 2 * row.r - 2 for row in report.rows)

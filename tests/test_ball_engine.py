@@ -20,6 +20,7 @@ from convexlab.ball_engine import (
     save_ball,
 )
 from convexlab.bs_arith import BsElement, BsGroupModel, BsParams, bs_eval, bs_key
+from convexlab.convexity_scan import scan
 from convexlab.stallings import StallingsModel
 from convexlab.words import parse_word
 
@@ -224,6 +225,21 @@ def test_build_leaves_outer_rows_for_first_use():
 
 
 @pytest.mark.parametrize("group, radius", [
+    (lambda: BsGroupModel(BsParams(2)), 9),
+    (lambda: BsGroupModel(BsParams(7)), 6),
+    (StallingsModel, 4),
+], ids=["bs2-r9", "bs7-r6", "st-r4"])
+def test_scan_of_a_built_ball_makes_no_product(group, radius):
+    # the outermost sphere's rows are read only for their edges to the
+    # sphere below, which the build computed
+    model = _Counting(group())
+    ball = build_ball(model, radius)
+    before = model.calls
+    scan(ball, 1)
+    assert model.calls == before
+
+
+@pytest.mark.parametrize("group, radius", [
     (lambda: BsGroupModel(BsParams(2)), 10),
     (lambda: BsGroupModel(BsParams(7)), 6),
     (StallingsModel, 4),
@@ -247,11 +263,9 @@ def test_each_edge_is_computed_once(group, radius, tmp_path):
 
 def _one_by_one(ball, words):
     """The neighbour table of the ball, each entry its own product and no
-    entry filled from another, with the products of the outer sphere
-    outside the ball also named by the virtual ids of sphere_rows: from
-    len(ball) on, in order of first appearance.  BS products come from
-    reference.step, Stallings products from reference.stallings_form of
-    the element's geodesic word (words: key -> word) and one more letter."""
+    entry filled from another.  BS products come from reference.step,
+    Stallings products from reference.stallings_form of the element's
+    geodesic word (words: key -> word) and one more letter."""
     model, names = ball.model, ball.model.generator_names()
     if isinstance(model, StallingsModel):
         def product(key, i):
@@ -263,15 +277,8 @@ def _one_by_one(ball, words):
             el = model.element_from_key(key)
             ref = (el.texp, Fraction(el.num, q ** el.dpow))
             return _ref_key(q, reference.step(q, ref, names[i]))
-    table, outer, virtual = array("i"), array("i"), {}
-    for x, key in enumerate(ball.keys):
-        for i in range(ball.ngens):
-            nk = product(key, i)
-            j = ball.ids.get(nk, -1)
-            table.append(j)
-            if x >= ball.starts[ball.radius]:
-                outer.append(j if j >= 0 else virtual.setdefault(nk, len(ball) + len(virtual)))
-    return table, outer
+    return array("i", (ball.ids.get(product(key, i), -1)
+                       for key in ball.keys for i in range(ball.ngens)))
 
 
 @pytest.mark.parametrize("group, radius", [
@@ -283,18 +290,11 @@ def _one_by_one(ball, words):
 def test_table_equals_products_one_by_one(group, radius, tmp_path):
     built = build_ball(group(), radius)
     words = {key: "".join(built.geodesic_word(key)) for key in built.keys}
-    table, outer = _one_by_one(built, words)
+    table = _one_by_one(built, words)
     path = str(tmp_path / "ball.ndjson")
     save_ball(built, path)
-    # the outer sphere's rows first, then the whole table
-    assert built.sphere_rows(radius) == outer
     assert built.neighbours() == table
-    assert built.sphere_rows(radius) == outer
     loaded = load_ball(path, group())
-    assert loaded.neighbours() == table
-    assert loaded.sphere_rows(radius) == outer
-    loaded = load_ball(path, group())
-    assert loaded.sphere_rows(radius) == outer
     assert loaded.neighbours() == table
 
 

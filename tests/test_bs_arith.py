@@ -1,10 +1,13 @@
 """Exact affine arithmetic for BS(1,q): group laws, keys, classes."""
 
+import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
+from convexlab import bs_arith
 from convexlab.bs_arith import (
     IDENTITY,
     MAX_LEVELS,
@@ -43,6 +46,46 @@ def test_eval_refuses_a_translation_past_the_level_bound():
     assert bs_eval(parse_word(f"a t^{MAX_LEVELS} A"), params) == BsElement(
         MAX_LEVELS, 1 - 2 ** MAX_LEVELS, 0)
     assert bs_eval(parse_word(f"T^{10 ** 20} a"), params) == BsElement(-10 ** 20, 1, 10 ** 20)
+    # and so is one below runs that cancel: they are dropped, not shifted
+    assert bs_eval(parse_word(f"a A T^{10 ** 20} a"), params) == BsElement(-10 ** 20, 1, 10 ** 20)
+
+
+RUNS = st.lists(st.tuples(st.sampled_from("at"), st.integers(-12, 12).filter(bool)), max_size=30)
+
+
+def _eval_or_refusal(q, runs, levels):
+    """bs_eval and the run-by-run reference loop under a level bound, each
+    as its (texp, num, dpow) or None for a refusal."""
+    word = Word.from_runs(runs)
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bs_arith, "MAX_LEVELS", levels)
+        for ev in (lambda: tuple(bs_eval(word, BsParams(q))),
+                   lambda: reference.bs_eval_runs(q, word.runs, levels)):
+            try:
+                out.append(ev())
+            except ValueError:
+                out.append(None)
+    return out
+
+
+@settings(max_examples=300)
+@given(QS, RUNS, st.sampled_from([3, 8, MAX_LEVELS]))
+def test_eval_equals_the_run_by_run_loop(q, runs, levels):
+    # a small bound reaches the refusals: far above the lowest earlier run,
+    # and far below it unless the earlier runs cancel
+    got, want = _eval_or_refusal(q, runs, levels)
+    assert got == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 7])
+def test_eval_of_many_heights_equals_the_loop(q):
+    # thousands of heights: the sums are split in halves many times over
+    rng = random.Random(q)
+    runs = [(gen, rng.choice((-1, 1)) * rng.randint(1, 40))
+            for _ in range(3000) for gen in "at"]
+    got, want = _eval_or_refusal(q, runs, MAX_LEVELS)
+    assert got == want and got is not None
 
 
 def test_defining_relation():

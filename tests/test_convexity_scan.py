@@ -8,6 +8,7 @@ import pytest
 import reference
 from convexlab.ball_engine import build_ball, load_ball, save_ball
 from convexlab.bs_arith import BsGroupModel, BsParams
+from convexlab.bs_geodesics import in_ball_bridge
 from convexlab.convexity_scan import scan, write_csv
 from convexlab.errors import InvariantError
 
@@ -76,8 +77,8 @@ def _rows(report):
 
 
 @pytest.fixture(scope="module")
-def report_r8(ball_bs2_r8):
-    return scan(ball_bs2_r8, 3)
+def report_r8(ball_bs2_r9):
+    return scan(ball_bs2_r9, 3)
 
 
 def test_scan_matches_frozen_table(report_r8):
@@ -86,7 +87,7 @@ def test_scan_matches_frozen_table(report_r8):
 
 
 def test_scan_matches_reference_directly():
-    got = scan(build_ball(BsGroupModel(BsParams(2)), 4), 4)
+    got = scan(build_ball(BsGroupModel(BsParams(2)), 5), 4)
     ref = reference.fmax_scan(2, 4)
     (row,) = got.rows
     assert (row.fmax, row.pairs) == ref
@@ -96,24 +97,24 @@ def test_scan_matches_reference_directly():
 
 @pytest.mark.parametrize("q", sorted(FROZEN_BS3_6))
 def test_scan_rows_between_regimes(q):
-    report = scan(build_ball(BsGroupModel(BsParams(q)), 9), 3)
+    report = scan(build_ball(BsGroupModel(BsParams(q)), 10), 3)
     assert {row.r: (row.fmax, row.pairs) for row in report.rows} == FROZEN_BS3_6[q]
     if q in (3, 4):
         assert reference.fmax_scan_grouped(q, 7) == FROZEN_BS3_6[q][7]
 
 
-def test_stallings_scan_rows(ball_st_r4):
-    assert _rows(scan(ball_st_r4, 1)) == FROZEN_STALLINGS
+def test_stallings_scan_rows(ball_st_r5):
+    assert _rows(scan(ball_st_r5, 1)) == FROZEN_STALLINGS
 
 
 def test_bs7_scan_rows():
-    assert _rows(scan(build_ball(BsGroupModel(BsParams(7)), 8), 3)) == FROZEN_BS7
+    assert _rows(scan(build_ball(BsGroupModel(BsParams(7)), 9), 3)) == FROZEN_BS7
 
 
 @pytest.mark.parametrize("q", sorted(REFERENCE_RADII))
 def test_scan_matches_grouped_reference(q):
     r = REFERENCE_RADII[q]
-    (row,) = scan(build_ball(BsGroupModel(BsParams(q)), r), r).rows
+    (row,) = scan(build_ball(BsGroupModel(BsParams(q)), r + 1), r).rows
     assert (row.fmax, row.pairs) == reference.fmax_scan_grouped(q, r)
 
 
@@ -122,12 +123,12 @@ def test_scan_witnesses_match_frozen(report_r8):
         assert (row.witness_x, row.witness_y) == FROZEN_BS2_WITNESSES[row.r], row.r
 
 
-def test_scan_witness_pair_is_valid(report_r8, ball_bs2_r8):
+def test_scan_witness_pair_is_valid(report_r8, ball_bs2_r9):
     row = {row.r: row for row in report_r8.rows}[6]
     assert row.witness_x and row.witness_y
     kx = row.witness_x.encode("ascii")
     ky = row.witness_y.encode("ascii")
-    assert ball_bs2_r8.distance(kx) == 6 and ball_bs2_r8.distance(ky) == 6
+    assert ball_bs2_r9.distance(kx) == 6 and ball_bs2_r9.distance(ky) == 6
 
 
 def test_flags(report_r8):
@@ -142,11 +143,12 @@ def test_report_is_of_the_ball(report_r8):
     assert [row.r for row in report_r8.rows] == list(range(3, 9))
 
 
-def test_scan_validates_range(ball_bs2_r8):
+def test_scan_validates_range(ball_bs2_r9):
     with pytest.raises(ValueError):
-        scan(ball_bs2_r8, 0)
+        scan(ball_bs2_r9, 0)
+    # the scan at r reads the rows of S(r + 1)
     with pytest.raises(ValueError):
-        scan(ball_bs2_r8, 9)
+        scan(ball_bs2_r9, 9)
 
 
 def test_write_csv(tmp_path, report_r8):
@@ -160,36 +162,59 @@ def test_write_csv(tmp_path, report_r8):
     assert rows[0]["mprime"] == "true"
 
 
-def test_scan_on_loaded_ball_equals_built(tmp_path, report_r8, ball_bs2_r8):
-    path = tmp_path / "b8.ndjson"
-    save_ball(ball_bs2_r8, str(path))
-    loaded = load_ball(str(path), ball_bs2_r8.model)
+def test_scan_on_loaded_ball_equals_built(tmp_path, report_r8, ball_bs2_r9):
+    path = tmp_path / "b9.ndjson"
+    save_ball(ball_bs2_r9, str(path))
+    loaded = load_ball(str(path), ball_bs2_r9.model)
     assert scan(loaded, 3) == report_r8
 
 
-def test_scan_ignores_id_order(tmp_path, report_r8, ball_bs2_r8):
-    path = tmp_path / "b8.ndjson"
-    save_ball(ball_bs2_r8, str(path))
+def test_scan_ignores_id_order(tmp_path, report_r8, ball_bs2_r9):
+    path = tmp_path / "b9.ndjson"
+    save_ball(ball_bs2_r9, str(path))
     header, *body = path.read_bytes().splitlines(keepends=True)
     # load_ball takes file order as id order: reverse the ids in every sphere
     flipped, at = [header], 0
-    for size in ball_bs2_r8.sphere_sizes():
+    for size in ball_bs2_r9.sphere_sizes():
         flipped += reversed(body[at:at + size])
         at += size
     path.write_bytes(b"".join(flipped))
-    loaded = load_ball(str(path), ball_bs2_r8.model)
-    assert loaded.keys != ball_bs2_r8.keys
-    assert sorted(loaded.keys) == sorted(ball_bs2_r8.keys)
+    loaded = load_ball(str(path), ball_bs2_r9.model)
+    assert loaded.keys != ball_bs2_r9.keys
+    assert sorted(loaded.keys) == sorted(ball_bs2_r9.keys)
     assert scan(loaded, 3) == report_r8
 
 
 def test_scan_raises_on_disconnected_pair():
     model = BsGroupModel(BsParams(2))
-    ball = build_ball(model, 4)
-    table = ball.neighbours()
-    # The first element of S(4) shares an out-of-ball neighbour with a later
-    # one, so the pair is found; with its row blanked, no path leaves it.
-    x = ball.sphere_ids(4).start
-    table[x * ball.ngens:(x + 1) * ball.ngens] = array("i", [-1] * ball.ngens)
+    ball = build_ball(model, 5)
+    table, ngens = ball.neighbours(), ball.ngens
+    sphere = ball.sphere_ids(4)
+    # The first element x of S(4) shares a middle on S(5), and none inside
+    # B(4), with a later y, so the pair is searched; with y's row blanked, no
+    # path leaves y.
+    x, hi = sphere.start, sphere.stop
+    shared = {m: {y for y in ball.row(m) if x < y < hi} for m in ball.row(x)}
+    inside = {x, *(m for m in shared if m < hi)}.union(*(shared[m] for m in shared if m < hi))
+    y = min(set().union(*shared.values()) - inside)
+    table[y * ngens:(y + 1) * ngens] = array("i", [-1] * ngens)
     with pytest.raises(InvariantError, match="disconnected"):
         scan(ball, 4)
+
+
+# (fmax, pairs, witness_x, witness_y) past FROZEN_BS2, as the scan on B(17)
+# computed them
+FROZEN_BS2_OUTER = {
+    15: (24, 47048, "-1:-191:1", "1:-191:1"),
+    16: (24, 80990, "-1:-255:1", "1:-255:1"),
+}
+
+
+def test_bs2_outer_scan_rows():
+    ball = build_ball(BsGroupModel(BsParams(2)), 17)
+    assert _rows(scan(ball, 15)) == FROZEN_BS2_OUTER
+    # the ball-free A* search gives each witness pair the same bridge
+    params = BsParams(2)
+    for r, (fmax, _, wx, wy) in FROZEN_BS2_OUTER.items():
+        x, y = (ball.element(k.encode("ascii")) for k in (wx, wy))
+        assert in_ball_bridge(x, y, r, params) == fmax

@@ -19,33 +19,34 @@ A ball stores keys, not elements: BFS holds element objects only for the
 sphere it expands and the next one, and element_at() rebuilds an element
 from its key, for built and loaded balls alike.
 
-BFS records the neighbour table as it goes: a flat array('i') with ngens
-entries per id, where entry id * ngens + i is the id of element * generator
-i, or -1 when that neighbour lies outside the ball.  Each edge is computed
-once: a product x * g_i = j also fills the inverse entry j * g_i^-1 = x,
-and an entry already filled is never computed, so every edge inside the
-ball is computed from its smaller id.  The inverse of each generator is
-found once per ball from the model's own products, and a generator set
-that is not closed under inverses is refused with ValueError.  BFS never
-needs the rows of the outermost sphere, so they are allocated on first use
-(row(), rows_below() or neighbours()), when the edges from the sphere below
-are copied into them without calling the model; the rest of a row is
-computed only when row() asks for it, as are the rows of a ball loaded from
-cache.  A ball that is only built and saved does no extra work, and the
-scan of a built ball, which reads the outermost rows only for their edges
-to the sphere below, makes no product at all.
+BFS records the neighbour table as it goes, and is its only source: a flat
+array('i') with ngens entries per id, where entry id * ngens + i is the id
+of element * generator i, or -1 when that neighbour lies outside the ball.
+Each edge is computed once: a product x * g_i = j also fills the inverse
+entry j * g_i^-1 = x, and an entry already filled is never computed, so
+every edge inside the ball is computed from its smaller id.  The inverse of
+each generator is found once per ball from the model's own products, and a
+generator set that is not closed under inverses is refused with ValueError.
+BFS never expands the outermost sphere, so its rows are allocated on first
+use (row() or neighbours()) and hold only the edges to the sphere below,
+copied without calling the model, with -2 in every other entry.  No code
+makes a product once build_ball returns.
 
 in_ball_distance() is the one search over that table: a BFS from both ends
 of a pair of ids, always expanding the smaller frontier, through ids below
-a bound, so that one ball serves every B(r) inside it.  bridge_length and
-the scan both run on it.  Byte keys are used only at the I/O edge: the
-cache, witness strings and scan rows.
+a bound.  Every row below the outermost sphere is complete, so one ball
+B(R) serves every B(r) with r < R, and the search refuses ids or a bound
+that reach the outermost sphere.  bridge_length and the scan both run on
+it.  Byte keys are used only at the I/O edge: the cache, witness strings
+and scan rows.
 
 The plain-text cache ("ball-v4") holds one JSON header line with the group,
 radius, element count and sphere sizes, then one "<distance> <key>" row per
 element in id order.  It is written a few thousand rows at a time to a
 temporary file and renamed into place, and a file that disagrees with its
-header is refused with CacheError.
+header is refused with CacheError.  A ball loaded from it holds keys,
+spheres and distances and has no neighbour table: row(), neighbours(),
+geodesic_word(), the scan and bridge_length raise ValueError on it.
 """
 
 from __future__ import annotations
@@ -61,7 +62,9 @@ DEFAULT_CAP = 50_000_000
 
 CACHE_FORMAT = "ball-v4"
 
-_UNKNOWN = -2  # table entry of a row not computed yet
+# a table entry BFS has not filled; on the outermost sphere, every entry
+# but an edge to the sphere below
+_UNKNOWN = -2
 
 # keys per write of save_ball: one join per chunk costs far less than one
 # row object per key, and a whole sphere at once would raise peak memory
@@ -91,10 +94,9 @@ class BallIndex:
         self.keys: list[bytes] = []
         # sphere r is the id range starts[r]:starts[r + 1]
         self.starts: list[int] = [0]
-        # neighbour rows; rows of ids from _lazy_from on may be missing, or
-        # hold _UNKNOWN entries, until their first use
+        # neighbour rows, filled by build_ball only; the outermost sphere
+        # has none until their first use, and a loaded ball has none at all
         self._table = array("i")
-        self._lazy_from = 0
         # visit marks of in_ball_distance: every search takes three stamps
         # above all earlier ones, so an older mark means "not visited"
         self._marks: list[int] = []
@@ -132,78 +134,39 @@ class BallIndex:
         return self.element_at(self.ids[key])
 
     def row(self, x: int) -> array:
-        """Neighbour ids of element x, -1 outside the ball; the entries BFS
-        left out are computed into the table here on first use.  Every
-        product of an element below the outermost sphere lies in the ball,
-        so a loaded ball whose keys miss one raises CacheError rather than
-        read it as outside."""
-        table, ngens = self._table, self.ngens
-        if len(table) < len(self.keys) * ngens:
-            self._allocate()
-        base = x * ngens
-        row = table[base:base + ngens]
-        if _UNKNOWN in row:
-            el, model, inverse = self.element_at(x), self.model, self.inverse
-            for i, j in enumerate(row):
-                if j == _UNKNOWN:
-                    key = model.key(model.apply_gen(el, i))
-                    j = self.ids.get(key, -1)
-                    if j >= 0:
-                        table[j * ngens + inverse[i]] = x
-                    elif x < self.starts[-2]:
-                        raise CacheError(
-                            f"ball lacks {key!r}, a neighbour of {self.keys[x]!r}"
-                            f" below its outermost sphere: some key is not canonical")
-                    table[base + i] = row[i] = j
-        return row
-
-    def rows_below(self, hi: int) -> array:
-        """The neighbour table with the row of every id below hi computed.
-        Every row is allocated, and one from hi on holds at least its edges
-        to the ids below hi (an edge x * g_i = j is also j * g_i^-1 = x),
-        with -2 where it is not computed yet."""
-        if len(self._table) < len(self.keys) * self.ngens:
-            self._allocate()
-        for x in range(self._lazy_from, hi):
-            self.row(x)
-        self._lazy_from = max(self._lazy_from, hi)
-        return self._table
-
-    def _allocate(self) -> None:
-        """Give every id without a row one of _UNKNOWN entries, and copy
-        into the new rows the edges that the old rows already hold: x * g_i
-        = j is j * g_i^-1 = x.  Only the last sphere with rows reaches past
-        them.  A loaded ball (no rows yet) first refuses a non-canonical key
-        on its outermost sphere, where no row below would find it missing."""
-        table, ngens, inverse = self._table, self.ngens, self.inverse
-        known = len(table) // ngens
-        if not known:
-            for key in self.sphere(self.radius):
-                try:
-                    self.model.element_from_key(key)
-                except ValueError as exc:
-                    raise CacheError(f"ball key {key!r} is not canonical") from exc
-        table.extend(array("i", [_UNKNOWN]) * ((len(self.keys) - known) * ngens))
-        if known:
-            first = self.starts[self.depth(known - 1)]
-            for e, j in enumerate(table[first * ngens:known * ngens], first * ngens):
-                if j >= known:
-                    table[j * ngens + inverse[e % ngens]] = e // ngens
+        """Neighbour ids of element x, -1 outside the ball; a row of the
+        outermost sphere holds only its edges to the sphere below, and -2
+        elsewhere."""
+        base = x * self.ngens
+        return self.neighbours()[base:base + self.ngens]
 
     def neighbours(self) -> array:
-        """The whole neighbour table (see the module docstring), with every
-        row computed."""
-        return self.rows_below(len(self.keys))
+        """The whole neighbour table (see the module docstring).  The first
+        call gives the outermost sphere its rows, of _UNKNOWN entries but
+        for the edges to the sphere below, copied from that sphere's rows:
+        x * g_i = j is j * g_i^-1 = x.  Raises ValueError on a ball loaded
+        from the cache, which has no table."""
+        table, ngens = self._table, self.ngens
+        if not table:
+            raise ValueError(f"a ball loaded from the cache has no neighbour table:"
+                             f" build B({self.radius}) to read its rows")
+        if len(table) < len(self.keys) * ngens:
+            first, known = self.starts[-3], self.starts[-2]
+            table.extend(array("i", [_UNKNOWN]) * ((len(self.keys) - known) * ngens))
+            for e, j in enumerate(table[first * ngens:known * ngens], first * ngens):
+                if j >= known:
+                    table[j * ngens + self.inverse[e % ngens]] = e // ngens
+        return table
 
     def geodesic_word(self, key: bytes) -> list[str]:
         """Generator labels of one geodesic from the identity.  Each step
         back goes to the least neighbour id, which lies one sphere nearer:
         the element BFS reached this one from."""
-        i = self.ids[key]
+        table, ngens, i = self.neighbours(), self.ngens, self.ids[key]
         names, inverse = self.model.generator_names(), self.inverse
         out: list[str] = []
         while i > 0:
-            row = self.row(i)
+            row = table[i * ngens:(i + 1) * ngens]
             j = min(x for x in row if x >= 0)
             out.append(names[inverse[row.index(j)]])
             i = j
@@ -274,7 +237,6 @@ def build_ball(model, radius: int, cap: int = DEFAULT_CAP) -> BallIndex:
                     table[j * ngens + inverse[i]] = x
         sphere = nxt
         ball.starts.append(len(keys))
-    ball._lazy_from = ball.starts[radius]
     return ball
 
 
@@ -284,13 +246,18 @@ def in_ball_distance(ball: BallIndex, x: int, y: int, bound: int,
     `bound` (B(r) is the id range 0:starts[r + 1]), or None when no such
     path exists.  With avoid_identity no path passes through id 0, the
     identity, though x or y may be it.  The search runs from both ends and
-    always expands the smaller frontier."""
+    always expands the smaller frontier.  Only rows below the outermost
+    sphere are complete, so the search stays inside B(radius - 1): ids or a
+    bound that reach the outermost sphere raise ValueError."""
+    table, ngens, outer = ball.neighbours(), ball.ngens, ball.starts[-2]
+    if max(x, y, bound - 1) >= outer:
+        raise ValueError(f"in_ball_distance searches inside B({ball.radius - 1}):"
+                         f" ids and bound must stay below {outer}")
     if x == y:
         return 0
-    table, ngens, lazy, row = ball._table, ball.ngens, ball._lazy_from, ball.row
     marks = ball._marks
-    if len(marks) < len(ball.keys):
-        marks.extend([0] * (len(ball.keys) - len(marks)))
+    if len(marks) < outer:
+        marks.extend([0] * (outer - len(marks)))
     ours = ball._stamp + 1  # marks below this one were left by earlier searches
     fresh, theirs = ours, ours + 1
     ball._stamp = ours + 2
@@ -305,7 +272,7 @@ def in_ball_distance(ball: BallIndex, x: int, y: int, bound: int,
         depth += 1
         nxt = []
         for v in near:
-            for w in table[v * ngens:(v + 1) * ngens] if v < lazy else row(v):
+            for w in table[v * ngens:(v + 1) * ngens]:
                 if 0 <= w < bound:
                     mark = marks[w]
                     if mark < fresh:
@@ -318,13 +285,15 @@ def in_ball_distance(ball: BallIndex, x: int, y: int, bound: int,
 
 
 def bridge_length(ball: BallIndex, src, dst, avoid_identity: bool = False) -> Optional[int]:
-    """Shortest path length from src to dst staying inside the ball
-    (optionally avoiding the identity as an interior vertex), or None."""
+    """Shortest path length from src to dst inside B(radius - 1), the
+    largest ball whose rows the table holds complete (optionally avoiding
+    the identity as an interior vertex), or None.  Endpoints outside that
+    ball raise ValueError."""
     s = ball.ids.get(ball.model.key(src))
     t = ball.ids.get(ball.model.key(dst))
     if s is None or t is None:
         raise ValueError("bridge endpoints must lie inside the ball")
-    return in_ball_distance(ball, s, t, len(ball), avoid_identity)
+    return in_ball_distance(ball, s, t, ball.starts[-2], avoid_identity)
 
 
 def save_ball(ball: BallIndex, path: str) -> None:
@@ -352,11 +321,12 @@ def save_ball(ball: BallIndex, path: str) -> None:
 
 
 def load_ball(path: str, model) -> BallIndex:
-    """Rebuild a distance-only BallIndex from a cache, taking file order as
-    id order.  Rows are read one sphere at a time, and a sphere's raw rows
-    are freed once its keys are taken.  Raises CacheError unless every row's
-    distance matches the header's sphere sizes, every row ends in a newline,
-    no key repeats and nothing follows the last row."""
+    """Rebuild a BallIndex of keys, spheres and distances, with no
+    neighbour table, from a cache, taking file order as id order.  Rows
+    are read one sphere at a time, and a sphere's raw rows are freed
+    once its keys are taken.  Raises CacheError unless every row's
+    distance matches the header's sphere sizes, every row ends in a
+    newline, no key repeats and nothing follows the last row."""
     try:
         with open(path, "rb") as fh:
             return _read_ball(fh, path, model)

@@ -1,8 +1,9 @@
 """Empirical almost-convexity scans over Cayley balls.
 
-scan(ball, r_min) scans the radii r_min..ball.radius - 1 of one ball, built
-or loaded from the cache; the report's group is the ball's, and its outer
-radius is ball.radius - 1, since the scan at r reads the rows of S(r + 1).
+scan(ball, r_min) scans the radii r_min..ball.radius - 1 of one built ball
+(a ball loaded from the cache has no neighbour table, and is refused with
+ValueError); the report's group is the ball's, and its outer radius is
+ball.radius - 1, since the scan at r reads the rows of S(r + 1).
 For each radius r the scan enumerates unordered pairs x, y on the sphere
 S(r) at group distance <= 2 (reached by a product of at most two
 generators) and measures the shortest connecting path that stays inside
@@ -16,9 +17,9 @@ middle m next to x.  The generators are closed under inverses, so the
 members of S(r) next to m are the entries of m's row.  A pair that is
 adjacent, or that shares a middle inside B(r), is at in-ball distance 1 or
 2.  Every other pair shares only middles on S(r + 1), whose rows hold their
-edges to S(r) even on the outermost sphere of a built ball, where they are
-copied rather than computed; only these hard pairs are searched, by
-in_ball_distance, so neither the work nor the result depends on id order.
+edges to S(r) even on the outermost sphere, copied there from S(r)'s rows;
+only these hard pairs are searched, by in_ball_distance, so neither the
+work nor the result depends on id order, and the scan makes no product.
 """
 
 from __future__ import annotations
@@ -62,13 +63,12 @@ def scan(ball: BallIndex, r_min: int) -> ScanReport:
     """Scan radii r_min..ball.radius - 1 on the ball's neighbour table."""
     if not 1 <= r_min < ball.radius:
         raise ValueError("need 1 <= r_min < ball.radius")
-    ngens, keys, starts = ball.ngens, ball.keys, ball.starts
+    table, ngens, keys, starts = ball.neighbours(), ball.ngens, ball.keys, ball.starts
     rows = []
     for r in range(r_min, ball.radius):
         # B(r) is the id range 0:hi and S(r) is lo:hi; each unordered pair
         # is counted once, from its smaller id: x < y < hi.
         lo, hi = starts[r], starts[r + 1]
-        table = ball.rows_below(hi)
         fmax = 0
         npairs = 0
         witness: tuple[bytes, bytes] | None = None

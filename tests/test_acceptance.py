@@ -154,18 +154,32 @@ def test_criterion_04_case_paths(capsys):
     assert big and min(big) > 400  # the pinned instances do reach r > 400
 
 
-def test_criterion_04_case_paths_beyond_r_2000():
+def _large_case_radii(scale):
+    """verify_case on every LARGE_INSTANCE case, seed 0, with its pins at
+    this scale: the failures and the radii reached."""
     failures = []
     radii = []
     for case, pins in sorted(LARGE_INSTANCE.items()):
-        kw = {key: 1000 for key in pins}
+        kw = {key: scale for key in pins}
         report = verify_case(build_case(case, rng=random.Random(0), **kw))
         if not report["ok"]:
             failures.append((case, report["first_violation"]))
         radii.append(report["r"])
     assert len(radii) == 12
+    return failures, radii
+
+
+def test_criterion_04_case_paths_beyond_r_2000():
+    failures, radii = _large_case_radii(1000)
     assert not failures, failures
     assert min(radii) > 2000
+
+
+def test_criterion_04_case_paths_beyond_r_20000():
+    # p or f1 = 10^4: the digit walk is linear, so all 12 take seconds
+    failures, radii = _large_case_radii(10_000)
+    assert not failures, failures
+    assert min(radii) > 20_000
 
 
 # -- criterion 5: the q = 2 sphere pair that defeats sublinear bridging -------

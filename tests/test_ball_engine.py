@@ -107,16 +107,6 @@ def test_cache_rejects_garbage(tmp_path):
         load_ball(str(tmp_path / "missing.ndjson"), BsGroupModel(BsParams(2)))
 
 
-@pytest.mark.parametrize("fixture", ["ball_bs2_r8", "ball_st_r4"])
-def test_loaded_ball_gives_the_built_words(fixture, tmp_path, request):
-    built = request.getfixturevalue(fixture)
-    path = tmp_path / "ball.ndjson"
-    save_ball(built, str(path))
-    loaded = load_ball(str(path), built.model)
-    for key in built.keys:
-        assert loaded.geodesic_word(key) == built.geodesic_word(key)
-
-
 def test_geodesic_words_are_geodesic(ball_bs2_r8):
     params = BsParams(2)
     model = ball_bs2_r8.model
@@ -128,36 +118,41 @@ def test_geodesic_words_are_geodesic(ball_bs2_r8):
         assert model.key(bs_eval(w, params)) == key
 
 
-def test_bridge_simple_cases(ball_bs2_r8):
+def test_bridge_simple_cases(ball_bs2_r9):
+    # bridge_length measures inside B(8), one radius in from the ball's own
     params = BsParams(2)
     x = bs_eval(parse_word("t a T"), params)
-    assert bridge_length(ball_bs2_r8, x, x) == 0
+    assert bridge_length(ball_bs2_r9, x, x) == 0
     y = bs_eval(parse_word("t a T a"), params)
-    assert bridge_length(ball_bs2_r8, x, y) == 1
+    assert bridge_length(ball_bs2_r9, x, y) == 1
     with pytest.raises(ValueError):
-        bridge_length(ball_bs2_r8, x, bs_eval(parse_word("a^1000"), params))
+        bridge_length(ball_bs2_r9, x, bs_eval(parse_word("a^1000"), params))
+    # an endpoint on the outermost sphere S(9) is refused, not measured
+    outer = ball_bs2_r9.element_at(ball_bs2_r9.starts[9])
+    with pytest.raises(ValueError, match=r"inside B\(8\)"):
+        bridge_length(ball_bs2_r9, x, outer)
 
 
-def test_bridge_matches_reference(ball_bs2_r8):
-    # sphere pair at reference distance, constrained to the ball
+def test_bridge_matches_reference():
+    # sphere pair at reference distance, constrained to B(6)
     params = BsParams(2)
     dist, _ = reference.ball(2, 6)
     x_w, y_w = parse_word("a^8"), parse_word("A T a^2 t a^2")
     x, y = bs_eval(x_w, params), bs_eval(y_w, params)
-    ball6 = build_ball(ball_bs2_r8.model, 6)
-    got = bridge_length(ball6, x, y)
+    ball7 = build_ball(BsGroupModel(params), 7)
+    got = bridge_length(ball7, x, y)
     ref = reference.dist_in_ball(
         2, dist, 6, reference.apply_word(2, reference.START, "aaaaaaaa"),
         reference.apply_word(2, reference.START, "ATaataa"))
     assert got == ref
 
 
-def test_bridge_forbid_identity(ball_bs2_r8):
+def test_bridge_forbid_identity(ball_bs2_r9):
     params = BsParams(2)
     x = bs_eval(parse_word("a"), params)
     y = bs_eval(parse_word("A"), params)
-    assert bridge_length(ball_bs2_r8, x, y) == 2
-    detour = bridge_length(ball_bs2_r8, x, y, avoid_identity=True)
+    assert bridge_length(ball_bs2_r9, x, y) == 2
+    detour = bridge_length(ball_bs2_r9, x, y, avoid_identity=True)
     assert detour is not None and detour > 2
 
 
@@ -170,16 +165,17 @@ def test_neighbour_table_matches_model(fixture, request):
     model, ngens = ball.model, ball.ngens
     table = ball.neighbours()
     assert len(table) == len(ball) * ngens
+    below, outer = ball.starts[-3], ball.starts[-2]
     for x, key in enumerate(ball.keys):
         el = ball.element(key)
         for i in range(ngens):
-            nk = model.key(model.apply_gen(el, i))
-            want = ball.ids[nk] if nk in ball.ids else -1
+            want = ball.ids.get(model.key(model.apply_gen(el, i)), -1)
+            # an outermost row holds exactly its edges to the sphere below
+            if x >= outer and not below <= want < outer:
+                want = -2
             assert table[x * ngens + i] == want, (key, i)
-    # only rows of the outermost sphere reach outside the ball
-    inner = ball.sphere_ids(ball.radius).start * ngens
-    assert -1 not in table[:inner]
-    assert -1 in table[inner:]
+    # every product of an element below the outermost sphere lies in the ball
+    assert min(table[:outer * ngens]) >= 0
 
 
 class _Counting:
@@ -215,13 +211,23 @@ def test_build_leaves_outer_rows_for_first_use():
     outer = ball.sphere_ids(6)
     assert len(ball._table) == 4 * outer.start  # no rows for the outer sphere
     assert model.calls == _inverse_products(4) + _computed(ball._table, range(outer.start), 4)
-    # the row's edges to S(5) are copied, so only the rest is computed
+    # the first read gives every outer row its edges to S(5), read off the
+    # rows of S(5), and -2 elsewhere, with no product
     before = model.calls
-    ball.row(outer.start)
-    after = before + _computed(ball._table, [outer.start], 4)
-    assert model.calls == after
-    ball.row(outer.start)
-    assert model.calls == after
+    rows = {x: list(ball.row(x)) for x in outer}
+    assert model.calls == before
+    want = {x: [-2] * 4 for x in outer}
+    for y in ball.sphere_ids(5):
+        for i, x in enumerate(ball.row(y)):
+            if x in outer:
+                want[x][ball.inverse[i]] = y
+    assert rows == want
+    # -1:9:1 lies on S(6) next to -1:5:0, and outside B(6) lie two more
+    # neighbours of it: none of these three edges is computed
+    assert ball.distance(b"-1:9:1") == ball.distance(b"-1:5:0") == 6
+    assert rows[ball.ids[b"-1:5:0"]] == [-2, -2, 93, -2]
+    assert ball.depth(93) == 5
+    assert model.calls == before
 
 
 @pytest.mark.parametrize("group, radius", [
@@ -244,21 +250,22 @@ def test_scan_of_a_built_ball_makes_no_product(group, radius):
     (lambda: BsGroupModel(BsParams(7)), 6),
     (StallingsModel, 4),
 ], ids=["bs2-r10", "bs7-r6", "st-r4"])
-def test_each_edge_is_computed_once(group, radius, tmp_path):
+def test_each_edge_is_computed_once(group, radius):
     model = _Counting(group())
     ball = build_ball(model, radius)
     ngens, outer = ball.ngens, ball.sphere_ids(radius)
     assert model.calls == _inverse_products(ngens) + _computed(ball._table, range(outer.start), ngens)
+    # no code path makes a product once the build returns: the outer rows
+    # hold only copied edges to the sphere below, and words and bridges
+    # are read off the table
     before = model.calls
     table = ball.neighbours()
-    assert model.calls - before == _computed(table, outer, ngens)
-    path = str(tmp_path / "ball.ndjson")
-    save_ball(ball, path)
-    counted = _Counting(group())
-    loaded = load_ball(path, counted)
-    assert counted.calls == _inverse_products(ngens)
-    assert loaded.neighbours() == table
-    assert counted.calls == _inverse_products(ngens) + _computed(table, range(len(ball)), ngens)
+    assert _computed(table, outer, ngens) == 0
+    for key in ball.keys:
+        ball.geodesic_word(key)
+    far = ball.sphere_ids(radius - 1)
+    bridge_length(ball, ball.element_at(far.start), ball.element_at(far.stop - 1), True)
+    assert model.calls == before
 
 
 def _one_by_one(ball, words):
@@ -287,15 +294,16 @@ def _one_by_one(ball, words):
     (lambda: BsGroupModel(BsParams(7)), 6),
     (StallingsModel, 4),
 ], ids=["bs2-r8", "bs3-r6", "bs7-r6", "st-r4"])
-def test_table_equals_products_one_by_one(group, radius, tmp_path):
+def test_table_equals_products_one_by_one(group, radius):
     built = build_ball(group(), radius)
     words = {key: "".join(built.geodesic_word(key)) for key in built.keys}
     table = _one_by_one(built, words)
-    path = str(tmp_path / "ball.ndjson")
-    save_ball(built, path)
+    # an outermost row keeps only its edges to the sphere below
+    below, outer = built.starts[-3], built.starts[-2]
+    for e in range(outer * built.ngens, len(table)):
+        if not below <= table[e] < outer:
+            table[e] = -2
     assert built.neighbours() == table
-    loaded = load_ball(path, group())
-    assert loaded.neighbours() == table
 
 
 def test_generators_without_inverses_are_refused():
@@ -329,12 +337,27 @@ def test_ids_follow_sphere_and_discovery_order(ball_bs2_r8):
         assert ball.ids[ball.keys[x]] == x
 
 
-def test_loaded_ball_has_the_built_table(tmp_path, ball_st_r4):
-    path = tmp_path / "st4.ndjson"
-    save_ball(ball_st_r4, str(path))
-    loaded = load_ball(str(path), ball_st_r4.model)
-    assert loaded.keys == ball_st_r4.keys
-    assert loaded.neighbours() == ball_st_r4.neighbours()
+@pytest.mark.parametrize("fixture", ["ball_bs2_r8", "ball_st_r4"])
+def test_loaded_ball_holds_keys_and_distances_only(fixture, tmp_path, request):
+    built = request.getfixturevalue(fixture)
+    path = str(tmp_path / "ball.ndjson")
+    save_ball(built, path)
+    model = _Counting(built.model)
+    loaded = load_ball(path, model)
+    assert (loaded.radius, loaded.keys, loaded.starts) == (built.radius, built.keys, built.starts)
+    assert loaded.ids == built.ids
+    assert [loaded.distance(key) for key in built.keys] == [built.depth(i) for i in range(len(built))]
+    # it has no neighbour table: rows, words, a scan and a bridge are refused
+    x, y = built.element_at(1), built.element_at(2)
+    for refused in (lambda: loaded.row(0), loaded.neighbours,
+                    lambda: loaded.geodesic_word(built.keys[0]),
+                    lambda: loaded.geodesic_word(built.keys[-1]),
+                    lambda: scan(loaded, 1), lambda: bridge_length(loaded, x, y)):
+        with pytest.raises(ValueError, match="no neighbour table"):
+            refused()
+    assert loaded._table == array("i")
+    # the load made no product but those that find the inverses
+    assert model.calls == _inverse_products(loaded.ngens)
 
 
 def test_cache_header_counts_elements(tmp_path, ball_bs2_r8):
@@ -408,46 +431,6 @@ def test_cache_bytes_are_one_row_per_key(fixture, chunk, tmp_path, request, monk
     assert path.read_bytes() == json.dumps(header).encode("ascii") + b"\n" + b"".join(rows)
 
 
-def test_non_canonical_cache_key_is_refused(tmp_path):
-    model = BsGroupModel(BsParams(2))
-    path = tmp_path / "b6.ndjson"
-    save_ball(build_ball(model, 6), str(path))
-    text = path.read_bytes()
-    assert text.count(b"\n1 0:1:0\n") == 1
-    path.write_bytes(text.replace(b"\n1 0:1:0\n", b"\n1 0:01:0\n"))
-    loaded = load_ball(str(path), model)
-    # the identity's neighbour a = 0:1:0 lies inside B(6), so its missing
-    # key is refused, not read as outside; the refusal is not cached
-    for _ in range(2):
-        with pytest.raises(CacheError, match="0:1:0"):
-            loaded.row(0)
-    with pytest.raises(CacheError, match="0:1:0"):
-        loaded.neighbours()
-    with pytest.raises(ValueError, match="0:01:0"):
-        loaded.row(loaded.ids[b"0:01:0"])
-    path.write_bytes(text)
-    assert load_ball(str(path), model).neighbours() == build_ball(model, 6).neighbours()
-
-
-def test_non_canonical_outer_key_is_refused(tmp_path):
-    # -1:9:1 lies on the outermost sphere of B(6), and no row below it has
-    # it as a neighbour; padded, it used to read as outside the ball from
-    # the row of -1:5:0, its neighbour on the same sphere
-    model = BsGroupModel(BsParams(2))
-    built = build_ball(model, 6)
-    assert built.distance(b"-1:9:1") == built.distance(b"-1:5:0") == 6
-    assert list(built.row(built.ids[b"-1:5:0"])) == [-1, built.ids[b"-1:9:1"], 93, -1]
-    path = tmp_path / "b6.ndjson"
-    save_ball(built, str(path))
-    text = path.read_bytes()
-    assert text.count(b"\n6 -1:9:1\n") == 1
-    path.write_bytes(text.replace(b"\n6 -1:9:1\n", b"\n6 -1:09:1\n"))
-    loaded = load_ball(str(path), model)  # load itself checks no key
-    for _ in range(2):
-        with pytest.raises(CacheError, match="-1:09:1"):
-            loaded.row(loaded.ids[b"-1:5:0"])
-
-
 def test_failed_save_keeps_the_old_cache(tmp_path, ball_bs2_r8, monkeypatch):
     path = tmp_path / "b8.ndjson"
     path.write_text("old\n")
@@ -475,7 +458,8 @@ def _ref_key(q, el):
 def test_in_ball_distance_matches_reference(q):
     radius = 6
     dist, _ = reference.ball(q, radius)
-    ball = build_ball(BsGroupModel(BsParams(q)), radius)
+    # the search runs inside B(radius) on the ball one radius out
+    ball = build_ball(BsGroupModel(BsParams(q)), radius + 1)
     rng = random.Random(q)
     els = sorted(dist)
     outer = [el for el in els if dist[el] == radius]
@@ -491,6 +475,12 @@ def test_in_ball_distance_matches_reference(q):
             for avoid in (False, True):
                 want = reference.dist_in_ball(q, dist, r, src, dst, avoid)
                 assert in_ball_distance(ball, x, y, bound, avoid) == want, (src, dst, r, avoid)
+    # the outermost rows are not complete: a bound or an endpoint that
+    # reaches them is refused
+    edge = ball.starts[radius + 1]
+    for args in ((0, 1, edge + 1), (0, edge, edge), (edge, edge, edge)):
+        with pytest.raises(ValueError, match=r"inside B\(6\)"):
+            in_ball_distance(ball, *args)
 
 
 def _bridge_by_keys(ball, src, dst, avoid_identity):
@@ -518,19 +508,21 @@ def _bridge_by_keys(ball, src, dst, avoid_identity):
     return None
 
 
-@pytest.mark.parametrize("fixture", ["ball_bs2_r8", "ball_st_r4"])
-def test_bridge_matches_key_bfs(fixture, request, tmp_path):
-    built = request.getfixturevalue(fixture)
-    path = str(tmp_path / "ball.ndjson")
-    save_ball(built, path)
+# each id names the ball B(R) that the key BFS walks; bridge_length measures
+# inside B(R) on the fixture ball one radius out
+@pytest.mark.parametrize("fixture, searched", [
+    ("ball_bs2_r8", "ball_bs2_r9"),
+    ("ball_st_r4", "ball_st_r5"),
+], ids=["ball_bs2_r8", "ball_st_r4"])
+def test_bridge_matches_key_bfs(fixture, searched, request):
+    measured, ball = request.getfixturevalue(fixture), request.getfixturevalue(searched)
+    assert ball.radius == measured.radius + 1
     rng = random.Random(5)
-    outer = built.sphere(built.radius)
+    outer = measured.sphere(measured.radius)
     pairs = [(rng.choice(outer), rng.choice(outer)) for _ in range(6)]
-    pairs += [(rng.choice(built.keys), rng.choice(built.keys)) for _ in range(6)]
-    pairs += [(built.keys[0], outer[0]), (outer[0], built.keys[0])]
-    # the loaded copy rebuilds every row from keys
-    for ball in (built, load_ball(path, built.model)):
-        for kx, ky in pairs:
-            x, y = ball.element(kx), ball.element(ky)
-            for avoid in (False, True):
-                assert bridge_length(ball, x, y, avoid) == _bridge_by_keys(ball, x, y, avoid)
+    pairs += [(rng.choice(measured.keys), rng.choice(measured.keys)) for _ in range(6)]
+    pairs += [(measured.keys[0], outer[0]), (outer[0], measured.keys[0])]
+    for kx, ky in pairs:
+        x, y = measured.element(kx), measured.element(ky)
+        for avoid in (False, True):
+            assert bridge_length(ball, x, y, avoid) == _bridge_by_keys(measured, x, y, avoid)

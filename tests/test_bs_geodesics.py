@@ -51,7 +51,8 @@ def _ref_element(q: int, ref_el) -> BsElement:
 
 @pytest.mark.parametrize("q,radius", [(2, 8), (7, 5)] + [
     (q, 7) for q in (3, 4, 5, 6, 8, 9, 10)] + [
-    (q, 9) for q in (11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21)])
+    (q, 9) for q in (11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21)] + [
+    (22, 9), (23, 9), (50, 8), (97, 8), (1000, 7)])
 def test_length_matches_reference_bfs(q, radius):
     params = BsParams(q)
     dist, _ = reference.ball(q, radius)
@@ -189,26 +190,34 @@ def test_normalize_pads_the_stopped_walk():
     gnf.validate()
 
 
+def _reduced_element(draw, q, max_bits, max_dpow, max_texp):
+    """(q, el): a reduced element with a translation of up to max_bits bits
+    of either sign, 0 <= dpow <= max_dpow and |texp| <= max_texp."""
+    bits = draw(st.integers(1, max_bits))
+    num = draw(st.integers(1 << bits - 1, (1 << bits) - 1)) * draw(st.sampled_from([1, 0, -1]))
+    dpow = draw(st.integers(0, max_dpow))
+    while dpow and num % q == 0:
+        num //= q
+        dpow -= 1
+    return q, BsElement(draw(st.integers(-max_texp, max_texp)), num, dpow)
+
+
 @st.composite
 def walk_elements(draw):
     """(q, el): a reduced element with a translation of up to 2,000 bits of
     either sign, dpow >= 0 and texp of either sign."""
-    q = draw(st.sampled_from([2, 3, 4, 7, 8, 13, 64]))
-    bits = draw(st.integers(1, 2000))
-    num = draw(st.integers(1 << bits - 1, (1 << bits) - 1)) * draw(st.sampled_from([1, 0, -1]))
-    dpow = draw(st.integers(0, 80))
-    while dpow and num % q == 0:
-        num //= q
-        dpow -= 1
-    return q, BsElement(draw(st.integers(-2100, 2100)), num, dpow)
+    return _reduced_element(draw, draw(st.sampled_from([2, 3, 4, 7, 8, 13, 64])), 2000, 80, 2100)
 
 
-@settings(max_examples=150, deadline=None)
-@given(walk_elements())
-def test_walk_matches_the_remainder_walk(q_el):
-    # the carry walk against the quadratic remainder walk of reference.py:
-    # the same length and the same normal form, tie-breaks included
-    q, el = q_el
+@st.composite
+def large_q_elements(draw):
+    """(q, el) for q from 22 to 10^4, with translations of up to 300 bits."""
+    return _reduced_element(draw, draw(st.integers(22, 10 ** 4)), 300, 40, 320)
+
+
+def _assert_walk_matches(q, el):
+    """The carry walk against the quadratic remainder walk of reference.py:
+    the same length and the same normal form, tie-breaks included."""
     params = BsParams(q)
     length, bottom, digits, core = reference.digit_walk(q, *el)
     assert geodesic_length(el, params) == length
@@ -218,6 +227,19 @@ def test_walk_matches_the_remainder_walk(q_el):
     else:
         assert nf.core == core
     assert (nf.length, nf.bottom, nf.digits) == (length, bottom, digits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_elements())
+def test_walk_matches_the_remainder_walk(q_el):
+    _assert_walk_matches(*q_el)
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_q_elements())
+def test_walk_matches_the_remainder_walk_for_large_q(q_el):
+    # the BFS oracle reaches q <= 21 and a few larger q at small radii
+    _assert_walk_matches(*q_el)
 
 
 def test_long_climb_in_linear_time():

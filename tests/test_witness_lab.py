@@ -538,7 +538,9 @@ def test_bs1q_q7_n2():
 
 
 def _both_bridges(src, dst, radius, params, ball):
-    """(A* bridge, BFS bridge), each without and with avoid_identity."""
+    """(A* bridge, BFS bridge) inside B(radius), each without and with
+    avoid_identity; the BFS runs on ball = B(radius + 1), since
+    bridge_length measures one radius in from the ball's own."""
     return ([in_ball_bridge(src, dst, radius, params, avoid) for avoid in (False, True)],
             [bridge_length(ball, src, dst, avoid) for avoid in (False, True)])
 
@@ -555,17 +557,17 @@ def test_in_ball_bridge_matches_bfs_on_witness_pairs(kind, q, n):
     model = BsGroupModel(BsParams(q))
     w, u, _, radius = BRIDGE_WITNESSES[kind].pair(q, n)
     w_el, u_el = bs_eval(w, model.params), bs_eval(u, model.params)
-    astar, bfs = _both_bridges(w_el, u_el, radius, model.params, build_ball(model, radius))
+    astar, bfs = _both_bridges(w_el, u_el, radius, model.params, build_ball(model, radius + 1))
     assert astar == bfs
 
 
 @pytest.mark.parametrize("q", [2, 3, 7])
 def test_in_ball_bridge_matches_bfs_on_sphere_pairs(q):
     # pairs x, y on one sphere S(r), r <= 8, at group distance 1 or 2: the
-    # bridge inside B(r) by A* and by BFS on the built B(r)
+    # bridge inside B(r) by A* and by BFS on the built B(r + 1)
     model = BsGroupModel(BsParams(q))
     params = model.params
-    balls = {r: build_ball(model, r) for r in range(1, 9)}
+    balls = {r: build_ball(model, r + 1) for r in range(1, 9)}
     rng = random.Random(q)
     tried = 0
     while tried < 70:
@@ -584,8 +586,9 @@ def test_in_ball_bridge_matches_bfs_on_sphere_pairs(q):
             assert bridge == _through_or_detour(2 * r, detour), (q, r, x, y)
 
 
-def test_stallings_bridge_is_through_or_detour(ball_st_r4):
-    # seeded pairs x, y in B(4) at group distance 1 or 2, on any spheres
+def test_stallings_bridge_is_through_or_detour(ball_st_r4, ball_st_r5):
+    # seeded pairs x, y in B(4) at group distance 1 or 2, on any spheres,
+    # each bridge measured inside B(4) on B(5)
     ball, model = ball_st_r4, ball_st_r4.model
     rng = random.Random(4)
     tried = 0
@@ -598,7 +601,7 @@ def test_stallings_bridge_is_through_or_detour(ball_st_r4):
         if dy is None or model.key(y) == model.key(x):
             continue
         tried += 1
-        bridge, detour = (bridge_length(ball, x, y, avoid) for avoid in (False, True))
+        bridge, detour = (bridge_length(ball_st_r5, x, y, avoid) for avoid in (False, True))
         assert bridge == _through_or_detour(dx + dy, detour), (model.key(x), model.key(y))
 
 
@@ -652,19 +655,19 @@ def _crossing_costs(w, k, budget):
 
 def _assert_cut_is_the_bridge(cut, ball):
     # sound: the cut bounds every path, so it is at most the BFS bridge;
-    # and at n = 1 it is exact
+    # and at n = 1 it is exact; bridge_length measures inside B(R) on B(R + 1)
     w, u, _, radius = BRIDGE_WITNESSES["stallings"].pair(None, 1)
-    assert ball.radius == radius
+    assert ball.radius == radius + 1
     assert cut == bridge_length(ball, stallings.st_eval(w), stallings.st_eval(u)) == 8
 
 
-def test_stallings_cut_is_the_bfs_bridge(ball_st_r4):
+def test_stallings_cut_is_the_bfs_bridge(ball_st_r5):
     w, u, _, radius = BRIDGE_WITNESSES["stallings"].pair(None, 1)
     cut = stallings.edge_cut(stallings.st_eval(w), stallings.st_eval(u), radius)
-    _assert_cut_is_the_bridge(cut, ball_st_r4)
+    _assert_cut_is_the_bridge(cut, ball_st_r5)
 
 
-def test_stallings_cut_check_bites(ball_st_r4):
+def test_stallings_cut_check_bites(ball_st_r5):
     # over every crossing at n = 1 the least cost is 8, at p1 = 1, B and Ba;
     # with those dropped the bound reads 12, past the bridge, and the
     # soundness check fails
@@ -674,7 +677,7 @@ def test_stallings_cut_check_bites(ball_st_r4):
     dropped = min(cost for p1, cost in costs.items() if p1 not in ("", "B", "Ba"))
     assert dropped == 12
     with pytest.raises(AssertionError):
-        _assert_cut_is_the_bridge(dropped, ball_st_r4)
+        _assert_cut_is_the_bridge(dropped, ball_st_r5)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -741,7 +744,7 @@ def test_in_ball_bridge_edge_cases():
     # in B(1), a and a^-1 meet only through the identity
     assert in_ball_bridge(a, big_a, 1, params) == 2
     assert in_ball_bridge(a, big_a, 1, params, avoid_identity=True) is None
-    ball = build_ball(BsGroupModel(params), 1)
+    ball = build_ball(BsGroupModel(params), 2)
     assert bridge_length(ball, a, big_a, avoid_identity=True) is None
     # the identity may be an endpoint of an identity-avoiding path
     one = bs_eval(Word(), params)

@@ -12,12 +12,11 @@ A group model is any object with the duck-typed surface used below:
 
 Balls are built breadth-first, sphere by sphere.  Every element gets a
 dense integer id in BFS discovery order, so sphere r is the id range
-starts[r]:starts[r+1] and ids and rosters are byte-stable across runs.  A
-loaded cache yields the same ids as the build it came from.
+starts[r]:starts[r+1] and ids and rosters are byte-stable across runs.
 
 A ball stores keys, not elements: BFS holds element objects only for the
 sphere it expands and the next one, and element_at() rebuilds an element
-from its key, for built and loaded balls alike.
+from its key.
 
 BFS records the neighbour table as it goes, and is its only source: a flat
 array('i') with ngens entries per id, where entry id * ngens + i is the id
@@ -37,16 +36,14 @@ of a pair of ids, always expanding the smaller frontier, through ids below
 a bound.  Every row below the outermost sphere is complete, so one ball
 B(R) serves every B(r) with r < R, and the search refuses ids or a bound
 that reach the outermost sphere.  bridge_length and the scan both run on
-it.  Byte keys are used only at the I/O edge: the cache, witness strings
-and scan rows.
+it.  Byte keys are used only at the I/O edge: witness strings and scan
+rows.
 
-The plain-text cache ("ball-v4") holds one JSON header line with the group,
-radius, element count and sphere sizes, then one "<distance> <key>" row per
-element in id order.  It is written a few thousand rows at a time to a
-temporary file and renamed into place, and a file that disagrees with its
-header is refused with CacheError.  A ball loaded from it holds keys,
-spheres and distances and has no neighbour table: row(), neighbours(),
-geodesic_word(), the scan and bridge_length raise ValueError on it.
+The cache ("ball-v5") holds what `convexlab ball` prints: one JSON line with
+the group, radius, element count and sphere sizes.  It is written to a
+temporary file and renamed into place.  load_ball() returns the sphere
+sizes, and refuses with CacheError a file that is not exactly one such line
+for the group and radius asked for.
 """
 
 from __future__ import annotations
@@ -55,20 +52,15 @@ import json
 import os
 from array import array
 from bisect import bisect_right
-from itertools import islice
 from typing import Optional
 
 DEFAULT_CAP = 50_000_000
 
-CACHE_FORMAT = "ball-v4"
+CACHE_FORMAT = "ball-v5"
 
 # a table entry BFS has not filled; on the outermost sphere, every entry
 # but an edge to the sphere below
 _UNKNOWN = -2
-
-# keys per write of save_ball: one join per chunk costs far less than one
-# row object per key, and a whole sphere at once would raise peak memory
-_SAVE_CHUNK = 4096
 
 
 class BallCapError(RuntimeError):
@@ -95,7 +87,7 @@ class BallIndex:
         # sphere r is the id range starts[r]:starts[r + 1]
         self.starts: list[int] = [0]
         # neighbour rows, filled by build_ball only; the outermost sphere
-        # has none until their first use, and a loaded ball has none at all
+        # has none until their first use
         self._table = array("i")
         # visit marks of in_ball_distance: every search takes three stamps
         # above all earlier ones, so an older mark means "not visited"
@@ -144,12 +136,8 @@ class BallIndex:
         """The whole neighbour table (see the module docstring).  The first
         call gives the outermost sphere its rows, of _UNKNOWN entries but
         for the edges to the sphere below, copied from that sphere's rows:
-        x * g_i = j is j * g_i^-1 = x.  Raises ValueError on a ball loaded
-        from the cache, which has no table."""
+        x * g_i = j is j * g_i^-1 = x."""
         table, ngens = self._table, self.ngens
-        if not table:
-            raise ValueError(f"a ball loaded from the cache has no neighbour table:"
-                             f" build B({self.radius}) to read its rows")
         if len(table) < len(self.keys) * ngens:
             first, known = self.starts[-3], self.starts[-2]
             table.extend(array("i", [_UNKNOWN]) * ((len(self.keys) - known) * ngens))
@@ -297,20 +285,14 @@ def bridge_length(ball: BallIndex, src, dst, avoid_identity: bool = False) -> Op
 
 
 def save_ball(ball: BallIndex, path: str) -> None:
-    """Write the ball as plain text: one JSON header line, then one
-    "<distance> <key>" row per element in id order.  The file appears
+    """Write the ball's sphere sizes as one JSON line.  The file appears
     under its name only once it is complete."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
+        with open(tmp, "w", encoding="ascii") as fh:
             fh.write(json.dumps({"fmt": CACHE_FORMAT, "group": ball.model.name,
                                  "r": ball.radius, "n": len(ball),
-                                 "spheres": ball.sphere_sizes()}).encode("ascii") + b"\n")
-            for r in range(len(ball.starts) - 1):
-                prefix = b"%d " % r
-                sep, sphere = b"\n" + prefix, ball.sphere(r)
-                for lo in range(0, len(sphere), _SAVE_CHUNK):
-                    fh.write(prefix + sep.join(sphere[lo:lo + _SAVE_CHUNK]) + b"\n")
+                                 "spheres": ball.sphere_sizes()}) + "\n")
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -320,60 +302,34 @@ def save_ball(ball: BallIndex, path: str) -> None:
         raise
 
 
-def load_ball(path: str, model) -> BallIndex:
-    """Rebuild a BallIndex of keys, spheres and distances, with no
-    neighbour table, from a cache, taking file order as id order.  Rows
-    are read one sphere at a time, and a sphere's raw rows are freed
-    once its keys are taken.  Raises CacheError unless every row's
-    distance matches the header's sphere sizes, every row ends in a
-    newline, no key repeats and nothing follows the last row."""
+def load_ball(path: str, model, radius: int) -> list[int]:
+    """The sphere sizes of B(radius) of this model, read from a cache.
+    Raises CacheError unless the file is exactly one line, in this format,
+    for this group and radius, whose sphere sizes add up to its element
+    count."""
     try:
         with open(path, "rb") as fh:
-            return _read_ball(fh, path, model)
+            line, rest = fh.readline(), fh.read(1)
     except OSError as exc:
         raise CacheError(f"cannot read ball cache {path}: {exc}") from exc
-
-
-def _read_ball(fh, path: str, model) -> BallIndex:
     try:
-        header = json.loads(fh.readline())
+        header = json.loads(line)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CacheError(f"bad ball cache header in {path}") from exc
     if not isinstance(header, dict) or header.get("fmt") != CACHE_FORMAT:
         fmt = header.get("fmt") if isinstance(header, dict) else None
         raise CacheError(f"unknown cache format {fmt!r}")
+    if rest or not line.endswith(b"\n"):
+        raise CacheError(f"ball cache {path} is not exactly one line")
     if header.get("group") != model.name:
         raise CacheError(
             f"cache is for group {header.get('group')!r}, not {model.name!r}")
-    radius = header.get("r")
-    if not isinstance(radius, int) or radius < 0:
-        raise CacheError("cache header has no usable radius")
+    if header.get("r") != radius:
+        raise CacheError(f"cache is for radius {header.get('r')!r}, not {radius}")
     sizes = header.get("spheres")
-    if (not isinstance(sizes, list) or len(sizes) != radius + 1
+    # S(0) is the identity alone, so no negative radius gets a table
+    if (not isinstance(sizes, list) or len(sizes) != radius + 1 or sizes[:1] != [1]
             or not all(isinstance(s, int) and s >= 0 for s in sizes)
             or sum(sizes) != header.get("n")):
         raise CacheError("cache header has no usable element count and sphere sizes")
-    ball = BallIndex(model, radius)
-    ids, keys = ball.ids, ball.keys
-    for r, size in enumerate(sizes):
-        prefix = b"%d " % r
-        rows = list(islice(fh, size))
-        if len(rows) != size or not all(row.startswith(prefix) for row in rows):
-            raise CacheError(
-                f"ball cache {path} disagrees with its header on sphere {r}")
-        # only the file's last row can lack its newline
-        if rows and not rows[-1].endswith(b"\n"):
-            raise CacheError(f"ball cache {path} ends inside a row")
-        if not all(map(bytes.isascii, rows)):
-            raise CacheError(f"ball cache {path} holds non-ascii bytes")
-        cut, start = len(prefix), len(keys)
-        # the sphere's raw rows are freed before the next sphere is read
-        rows = [row[cut:-1] for row in rows]
-        ids.update(zip(rows, range(start, start + size)))
-        keys += rows
-        if len(ids) != len(keys):
-            raise CacheError(f"ball cache {path} repeats a key")
-        ball.starts.append(len(keys))
-    if fh.read(1):
-        raise CacheError(f"ball cache {path} has data after its last row")
-    return ball
+    return sizes

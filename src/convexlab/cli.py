@@ -1,4 +1,4 @@
-"""Command line front end and ball cache.
+"""Command line front end and the ball cache of sphere sizes.
 
 Subcommands: ball, scan, witness {notpac|bs1q|stallings|boundingm}, case, length,
 normalize.  Each command reads its parsed arguments.  Exit status 0 means
@@ -19,7 +19,6 @@ from typing import Optional
 from .ball_engine import (
     DEFAULT_CAP,
     BallCapError,
-    BallIndex,
     CacheError,
     build_ball,
     load_ball,
@@ -71,10 +70,10 @@ def _cache_path(args: argparse.Namespace, model) -> Path:
     return root / f"{stem}-r{args.r}.ndjson"
 
 
-def _sphere_table(ball: BallIndex) -> str:
+def _sphere_table(sizes: list[int]) -> str:
     lines = ["r\t|S(r)|\t|B(r)|"]
     total = 0
-    for r, size in enumerate(ball.sphere_sizes()):
+    for r, size in enumerate(sizes):
         total += size
         lines.append(f"{r}\t{size}\t{total}")
     return "\n".join(lines)
@@ -83,17 +82,18 @@ def _sphere_table(ball: BallIndex) -> str:
 def cmd_ball(args: argparse.Namespace) -> int:
     model = parse_group(args.group)
     path = _cache_path(args, model)
-    ball = None
+    sizes = None
     if path.exists() and not args.rebuild:
         try:
-            ball = load_ball(str(path), model)
+            sizes = load_ball(str(path), model, args.r)
         except CacheError as exc:
             print(f"note: rebuilding the ball: {exc}", file=sys.stderr)
-    if ball is None:
+    if sizes is None:
         ball = build_ball(model, args.r, cap=args.cap)
         path.parent.mkdir(parents=True, exist_ok=True)
         save_ball(ball, str(path))
-    print(_sphere_table(ball))
+        sizes = ball.sphere_sizes()
+    print(_sphere_table(sizes))
     print(f"cache: {path}")
     return 0
 

@@ -1,8 +1,7 @@
 """Empirical almost-convexity scans over Cayley balls.
 
-scan(ball, r_min) scans the radii r_min..ball.radius - 1 of one built ball
-(a ball loaded from the cache has no neighbour table, and is refused with
-ValueError); the report's group is the ball's, and its outer radius is
+scan(ball, r_min) scans the radii r_min..ball.radius - 1 of one built
+ball; the report's group is the ball's, and its outer radius is
 ball.radius - 1, since the scan at r reads the rows of S(r + 1).
 For each radius r the scan enumerates unordered pairs x, y on the sphere
 S(r) at group distance <= 2 (reached by a product of at most two

@@ -1,4 +1,4 @@
-"""Ball BFS, caching, bridging, and geodesic word extraction."""
+"""Ball BFS, the sphere-size cache, bridging, and geodesic word extraction."""
 
 import json
 import random
@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 import reference
-from convexlab import ball_engine
 from convexlab.ball_engine import (
     BallCapError,
     BallIndex,
@@ -78,33 +77,42 @@ def test_cap_enforced():
         build_ball(BsGroupModel(BsParams(2)), -1)
 
 
-def test_cache_round_trip(tmp_path, ball_bs2_r8):
-    path = tmp_path / "b8.ndjson"
-    save_ball(ball_bs2_r8, str(path))
-    loaded = load_ball(str(path), ball_bs2_r8.model)
-    assert loaded.radius == ball_bs2_r8.radius
-    assert len(loaded) == len(ball_bs2_r8)
-    assert all(loaded.distance(key) == ball_bs2_r8.depth(i)
-               for i, key in enumerate(ball_bs2_r8.keys))
-    assert loaded.sphere_sizes() == ball_bs2_r8.sphere_sizes()
+def test_cache_round_trip(tmp_path, ball_bs2_r8, ball_st_r4):
+    for ball in (ball_bs2_r8, ball_st_r4):
+        path = str(tmp_path / f"{ball.model.name.replace(':', '_')}.ndjson")
+        save_ball(ball, path)
+        assert load_ball(path, ball.model, ball.radius) == ball.sphere_sizes()
 
 
 def test_cache_rejects_wrong_group(tmp_path, ball_bs2_r8):
     path = tmp_path / "b8.ndjson"
     save_ball(ball_bs2_r8, str(path))
-    with pytest.raises(CacheError):
-        load_ball(str(path), BsGroupModel(BsParams(3)))
-    with pytest.raises(CacheError):
-        load_ball(str(path), StallingsModel())
+    with pytest.raises(CacheError, match="group"):
+        load_ball(str(path), BsGroupModel(BsParams(3)), 8)
+    with pytest.raises(CacheError, match="group"):
+        load_ball(str(path), StallingsModel(), 8)
+
+
+def test_cache_rejects_wrong_radius(tmp_path, ball_bs2_r8):
+    path = tmp_path / "b8.ndjson"
+    save_ball(ball_bs2_r8, str(path))
+    for radius in (0, 7, 9):
+        with pytest.raises(CacheError, match=f"radius 8, not {radius}"):
+            load_ball(str(path), ball_bs2_r8.model, radius)
+    # a header that agrees with a negative radius is still refused
+    path.write_text('{"fmt": "ball-v5", "group": "bs:q=2", "r": -1, "n": 0, "spheres": []}\n')
+    with pytest.raises(CacheError, match="sphere sizes"):
+        load_ball(str(path), ball_bs2_r8.model, -1)
 
 
 def test_cache_rejects_garbage(tmp_path):
     path = tmp_path / "junk.ndjson"
-    path.write_text("not json\n")
-    with pytest.raises(CacheError):
-        load_ball(str(path), BsGroupModel(BsParams(2)))
-    with pytest.raises(CacheError):
-        load_ball(str(tmp_path / "missing.ndjson"), BsGroupModel(BsParams(2)))
+    for junk in (b"not json\n", b"[8]\n", b"\xff\n", b"\n", b""):
+        path.write_bytes(junk)
+        with pytest.raises(CacheError):
+            load_ball(str(path), BsGroupModel(BsParams(2)), 8)
+    with pytest.raises(CacheError, match="cannot read"):
+        load_ball(str(tmp_path / "missing.ndjson"), BsGroupModel(BsParams(2)), 8)
 
 
 def test_geodesic_words_are_geodesic(ball_bs2_r8):
@@ -337,107 +345,67 @@ def test_ids_follow_sphere_and_discovery_order(ball_bs2_r8):
         assert ball.ids[ball.keys[x]] == x
 
 
-@pytest.mark.parametrize("fixture", ["ball_bs2_r8", "ball_st_r4"])
-def test_loaded_ball_holds_keys_and_distances_only(fixture, tmp_path, request):
-    built = request.getfixturevalue(fixture)
-    path = str(tmp_path / "ball.ndjson")
-    save_ball(built, path)
-    model = _Counting(built.model)
-    loaded = load_ball(path, model)
-    assert (loaded.radius, loaded.keys, loaded.starts) == (built.radius, built.keys, built.starts)
-    assert loaded.ids == built.ids
-    assert [loaded.distance(key) for key in built.keys] == [built.depth(i) for i in range(len(built))]
-    # it has no neighbour table: rows, words, a scan and a bridge are refused
-    x, y = built.element_at(1), built.element_at(2)
-    for refused in (lambda: loaded.row(0), loaded.neighbours,
-                    lambda: loaded.geodesic_word(built.keys[0]),
-                    lambda: loaded.geodesic_word(built.keys[-1]),
-                    lambda: scan(loaded, 1), lambda: bridge_length(loaded, x, y)):
-        with pytest.raises(ValueError, match="no neighbour table"):
-            refused()
-    assert loaded._table == array("i")
-    # the load made no product but those that find the inverses
-    assert model.calls == _inverse_products(loaded.ngens)
-
-
 def test_cache_header_counts_elements(tmp_path, ball_bs2_r8):
+    # the whole file is one JSON line: what `convexlab ball` prints
     path = tmp_path / "b8.ndjson"
     save_ball(ball_bs2_r8, str(path))
-    header = json.loads(path.read_text().splitlines()[0])
-    assert header == {"fmt": "ball-v4", "group": "bs:q=2", "r": 8,
-                      "n": len(ball_bs2_r8), "spheres": ball_bs2_r8.sphere_sizes()}
+    header = {"fmt": "ball-v5", "group": "bs:q=2", "r": 8,
+              "n": len(ball_bs2_r8), "spheres": ball_bs2_r8.sphere_sizes()}
+    assert path.read_bytes() == json.dumps(header).encode("ascii") + b"\n"
     assert not [p for p in tmp_path.iterdir() if p.name != "b8.ndjson"]
 
 
 @pytest.mark.parametrize("cut", [1, 60, -1])
 def test_cache_rejects_truncation(tmp_path, ball_bs2_r8, cut):
+    # a header cut anywhere, even just before its newline, is refused
     path = tmp_path / "b8.ndjson"
     save_ball(ball_bs2_r8, str(path))
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines[:cut]))
+    path.write_bytes(path.read_bytes()[:cut])
     with pytest.raises(CacheError):
-        load_ball(str(path), ball_bs2_r8.model)
-
-
-@pytest.mark.parametrize("last, message", [
-    (lambda rows: rows[-1].rstrip("\n"), "ends inside a row"),
-    (lambda rows: rows[-1].rstrip("\n") + "\u00e9\n", "non-ascii"),
-    (lambda rows: rows[-2], "repeats a key"),
-], ids=["no-final-newline", "non-ascii-key", "repeated-key"])
-def test_cache_rejects_bad_rows(tmp_path, ball_bs2_r8, last, message):
-    path = tmp_path / "b8.ndjson"
-    save_ball(ball_bs2_r8, str(path))
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines[:-1]) + last(lines), encoding="utf-8")
-    with pytest.raises(CacheError, match=message):
-        load_ball(str(path), ball_bs2_r8.model)
+        load_ball(str(path), ball_bs2_r8.model, 8)
 
 
 def test_cache_rejects_header_mismatch(tmp_path, ball_bs2_r8):
     path = tmp_path / "b8.ndjson"
     save_ball(ball_bs2_r8, str(path))
-    lines = path.read_text().splitlines(keepends=True)
-    header = json.loads(lines[0])
-    header["spheres"][3] += 1
-    header["spheres"][4] -= 1
-    path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
-    with pytest.raises(CacheError):
-        load_ball(str(path), ball_bs2_r8.model)
-    path.write_text('{"fmt": "ball-v1", "group": "bs:q=2", "r": 8}\n' + "".join(lines[1:]))
-    with pytest.raises(CacheError):
-        load_ball(str(path), ball_bs2_r8.model)
-    for old in ("ball-v2", "ball-v3"):
-        header = json.loads(lines[0])
+    line = path.read_text()
+    model = ball_bs2_r8.model
+    for field, bad in (("spheres", ball_bs2_r8.sphere_sizes()[:-1]),
+                       # S(0) must be the identity alone, even when the sum holds
+                       ("spheres", [0, 5] + ball_bs2_r8.sphere_sizes()[2:]),
+                       ("spheres", ball_bs2_r8.sphere_sizes()[:-1] + [-1]),
+                       ("spheres", ball_bs2_r8.sphere_sizes()[:-1] + ["x"]),
+                       ("spheres", None), ("n", len(ball_bs2_r8) + 1), ("n", None)):
+        header = json.loads(line)
+        header[field] = bad
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(CacheError, match="element count and sphere sizes"):
+            load_ball(str(path), model, 8)
+    # every older format is refused by name: ball-v1 had no sphere sizes,
+    # and ball-v2..ball-v4 followed the header with one row per element
+    path.write_text('{"fmt": "ball-v1", "group": "bs:q=2", "r": 8}\n')
+    with pytest.raises(CacheError, match="ball-v1"):
+        load_ball(str(path), model, 8)
+    for old in ("ball-v2", "ball-v3", "ball-v4"):
+        header = json.loads(line)
         header["fmt"] = old
-        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        path.write_text(json.dumps(header) + "\n0 0:0:0\n")
         with pytest.raises(CacheError, match=old):
-            load_ball(str(path), ball_bs2_r8.model)
-    for tail in ("\n", lines[-1]):
-        path.write_text("".join(lines) + tail)
-        with pytest.raises(CacheError, match="after its last row"):
-            load_ball(str(path), ball_bs2_r8.model)
-
-
-@pytest.mark.parametrize("fixture", ["ball_bs2_r8", "ball_st_r4"])
-@pytest.mark.parametrize("chunk", [1, 7, 4096])
-def test_cache_bytes_are_one_row_per_key(fixture, chunk, tmp_path, request, monkeypatch):
-    ball = request.getfixturevalue(fixture)
-    monkeypatch.setattr(ball_engine, "_SAVE_CHUNK", chunk)
-    path = tmp_path / "ball.ndjson"
-    save_ball(ball, str(path))
-    header = {"fmt": "ball-v4", "group": ball.model.name, "r": ball.radius,
-              "n": len(ball), "spheres": ball.sphere_sizes()}
-    rows = [b"%d %s\n" % (ball.depth(i), key) for i, key in enumerate(ball.keys)]
-    assert path.read_bytes() == json.dumps(header).encode("ascii") + b"\n" + b"".join(rows)
+            load_ball(str(path), model, 8)
+    # a second line, even an empty one, is refused
+    for tail in ("\n", line, "0 0:0:0\n"):
+        path.write_text(line + tail)
+        with pytest.raises(CacheError, match="not exactly one line"):
+            load_ball(str(path), model, 8)
 
 
 def test_failed_save_keeps_the_old_cache(tmp_path, ball_bs2_r8, monkeypatch):
     path = tmp_path / "b8.ndjson"
     path.write_text("old\n")
 
-    def broken(r):
+    def broken():
         raise OSError("disk full")
-    monkeypatch.setattr(ball_bs2_r8, "sphere", broken)
+    monkeypatch.setattr(ball_bs2_r8, "sphere_sizes", broken)
     with pytest.raises(OSError):
         save_ball(ball_bs2_r8, str(path))
     assert path.read_text() == "old\n"

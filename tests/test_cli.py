@@ -5,6 +5,7 @@ import json
 import pytest
 
 from convexlab import stallings
+from convexlab.ball_engine import build_ball
 from convexlab.cli import UsageError, main, parse_group
 from convexlab.words import STALLINGS_ALPHABET, parse_word
 
@@ -42,10 +43,11 @@ def test_ball_builds_and_caches(tmp_path, capsys):
     first = capsys.readouterr().out
     assert "5\t98\t191" in first
     cache = tmp_path / "cache" / "bs_q2-r5.ndjson"
-    assert cache.exists()
-    rows = cache.read_text().splitlines()
-    assert json.loads(rows[0])["group"] == "bs:q=2"
-    assert len(rows) == 192
+    # the cache is one JSON line of what the table prints
+    assert json.loads(cache.read_text()) == {
+        "fmt": "ball-v5", "group": "bs:q=2", "r": 5, "n": 191,
+        "spheres": [1, 4, 12, 26, 50, 98]}
+    assert cache.read_text().count("\n") == 1
     # second run loads the cache and prints the same table
     assert main(["ball", "--group", "bs:q=2", "--r", "5"]) == 0
     assert capsys.readouterr().out == first
@@ -56,7 +58,7 @@ def test_ball_rebuilds_truncated_cache(tmp_path, capsys):
     first = capsys.readouterr().out
     cache = tmp_path / "cache" / "bs_q2-r6.ndjson"
     whole = cache.read_text()
-    cache.write_text("".join(whole.splitlines(keepends=True)[:60]))
+    cache.write_text(whole[:60])
     assert main(["ball", "--group", "bs:q=2", "--r", "6"]) == 0
     captured = capsys.readouterr()
     assert captured.out == first
@@ -70,15 +72,15 @@ def test_ball_rebuilds_old_stallings_cache(tmp_path, capsys):
     first = capsys.readouterr().out
     cache = tmp_path / "cache" / "stallings-r3.ndjson"
     whole = cache.read_text()
-    head, *rows = whole.splitlines()
-    header = json.loads(head)
+    header = json.loads(whole)
     header["fmt"] = "ball-v3"
-    # ball-v3 spelled each key part in run-length text, e.g. "B^2a^2"
+    # ball-v3 followed its header with one "<distance> <key>" row per
+    # element, each key part in run-length text, e.g. "B^2a^2"
+    ball = build_ball(stallings.StallingsModel(), 3)
     old_rows = []
-    for row in rows:
-        dist, key = row.split(" ")
-        parts = (str(parse_word(part, STALLINGS_ALPHABET)) for part in key.split("|"))
-        old_rows.append(f"{dist} {'|'.join(parts)}\n")
+    for i, key in enumerate(ball.keys):
+        parts = (str(parse_word(part, STALLINGS_ALPHABET)) for part in key.decode().split("|"))
+        old_rows.append(f"{ball.depth(i)} {'|'.join(parts)}\n")
     assert any("^" in row for row in old_rows)
     cache.write_text(json.dumps(header) + "\n" + "".join(old_rows))
     assert main(argv) == 0
@@ -86,6 +88,18 @@ def test_ball_rebuilds_old_stallings_cache(tmp_path, capsys):
     assert captured.out == first
     assert "rebuilding" in captured.err and "ball-v3" in captured.err
     assert cache.read_text() == whole
+
+
+def test_ball_rebuilds_a_cache_for_another_radius(tmp_path, capsys):
+    assert main(["ball", "--group", "bs:q=2", "--r", "5"]) == 0
+    capsys.readouterr()
+    cache = tmp_path / "cache"
+    (cache / "bs_q2-r6.ndjson").write_bytes((cache / "bs_q2-r5.ndjson").read_bytes())
+    assert main(["ball", "--group", "bs:q=2", "--r", "6"]) == 0
+    captured = capsys.readouterr()
+    assert "6\t184\t375" in captured.out
+    assert "rebuilding" in captured.err and "radius 5, not 6" in captured.err
+    assert json.loads((cache / "bs_q2-r6.ndjson").read_text())["r"] == 6
 
 
 def test_ball_usage_error(capsys, isolated_cache):

@@ -195,12 +195,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                        help="element cap for ball builds")
 
-    p = sub.add_parser("ball", help="build or load a Cayley ball")
+    p = sub.add_parser("ball", help="build a Cayley ball, or load its cached sphere sizes")
     common(p)
     p.add_argument("--r", type=int, required=True, help="ball radius")
     p.add_argument("--cache-dir", help="override cache directory")
     p.add_argument("--rebuild", action="store_true",
-                   help="ignore any cached ball")
+                   help="ignore any cached sphere sizes")
 
     p = sub.add_parser("scan", help="almost-convexity scan over a radius range")
     common(p)
